@@ -91,30 +91,6 @@ void BM_MessageRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageRoundTrip)->Arg(0)->Arg(256)->Arg(4096)->Arg(65536);
 
-void BM_BulkTransfer(benchmark::State& state) {
-  auto size = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  std::vector<std::byte> blob(size);
-  for (auto& b : blob) b = static_cast<std::byte>(rng.next_u64());
-
-  TcpListener listener = TcpListener::bind(0);
-  TcpStream client;
-  std::thread connector(
-      [&] { client = TcpStream::connect("127.0.0.1", listener.port()); });
-  TcpStream server = std::move(*listener.accept(5000));
-  connector.join();
-
-  for (auto _ : state) {
-    std::thread sender([&] { send_blob(client, blob); });
-    auto received = recv_blob(server);
-    sender.join();
-    benchmark::DoNotOptimize(received.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(size));
-}
-BENCHMARK(BM_BulkTransfer)->Arg(64 << 10)->Arg(1 << 20)->Arg(8 << 20);
-
 /// Blob bytes with a controllable compression ratio: entropy 0 = one
 /// repeated motif (FASTA-like redundancy), 1 = uniform random residues.
 std::vector<std::byte> mixed_blob(std::size_t size, double entropy) {
@@ -129,9 +105,9 @@ std::vector<std::byte> mixed_blob(std::size_t size, double entropy) {
   return blob;
 }
 
-/// The v4 data path (header + optional LZ + chunks) on the same loopback
-/// workload as BM_BulkTransfer; range(1) is entropy in percent, so the
-/// compressible and incompressible cases are separate timing series.
+/// The blob data path (header + optional LZ + body) over loopback;
+/// range(1) is entropy in percent, so the compressible and incompressible
+/// cases are separate timing series.
 void BM_BulkTransferV4(benchmark::State& state) {
   auto size = static_cast<std::size_t>(state.range(0));
   auto blob = mixed_blob(size, static_cast<double>(state.range(1)) / 100.0);

@@ -38,11 +38,6 @@
 //                 re-downloading blobs it already has. Empty = memory only.
 // --cache-mb N / --cache-disk-mb N
 //                 memory / disk budgets for that cache (default 64 / 256).
-// --protocol V    speak protocol version V (3..7); 3 disables the
-//                 blob cache path for servers predating the v4 data
-//                 plane; 4 omits the v5 span-profile trailer; 5 omits
-//                 the v6 epoch echo (its results cannot be fenced after
-//                 a failover).
 // --corrupt-rate P [--corrupt-seed N]
 //                 fault injection (test-only): corrupt fraction P of
 //                 result payloads before submitting — a "lying donor"
@@ -122,10 +117,6 @@ int main(int argc, char** argv) {
     cfg.blob_cache_disk_bytes =
         static_cast<std::size_t>(parse_i64(get("cache-disk-mb", "256"))) * 1024 *
         1024;
-    auto protocol = parse_i64(get("protocol", "7"));
-    if (protocol < net::kMinProtocolVersion || protocol > net::kProtocolVersion)
-      throw InputError("--protocol must be 3..7");
-    cfg.protocol_version = static_cast<int>(protocol);
 
     int cpus = static_cast<int>(parse_i64(get("cpus", "1")));
 
@@ -156,7 +147,7 @@ int main(int argc, char** argv) {
                  "[--persist true|false] [--throttle x] [--cpus n] "
                  "[--threads n] [--max-connect-attempts n] "
                  "[--backoff-initial s] [--backoff-max s] [--cache-dir d] "
-                 "[--cache-mb n] [--cache-disk-mb n] [--protocol 3..7]\n");
+                 "[--cache-mb n] [--cache-disk-mb n]\n");
     return 1;
   }
 }

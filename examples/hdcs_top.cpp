@@ -156,15 +156,15 @@ std::string find_string(const std::string& json, const std::string& key) {
 
 /// One-glance header above the pretty JSON: donor count, scheduler
 /// backlog, bulk-plane cache hit-rate, and the mean per-phase span costs
-/// from the v5 unit profiles (absent until a v5 donor submits).
+/// from the unit profiles (absent until a donor submits).
 void print_digest(const std::string& json) {
   double connected = find_number(json, "connected_clients");
   double pending = find_number(json, "units_pending");
   double hits = find_number(json, "bulk.blobs_cache_hit");
   double sent = find_number(json, "bulk.blobs_sent");
   std::string tier = find_string(json, "simd_tier");
-  // v6: role (primary vs unpromoted standby), fencing epoch, and the WAL
-  // position — absent from pre-v6 servers, so only printed when present.
+  // Role (primary vs unpromoted standby), fencing epoch, and the WAL
+  // position, when the snapshot carries them.
   std::string role = find_string(json, "role");
   if (!role.empty()) {
     double epoch = find_number(json, "epoch");
@@ -172,7 +172,7 @@ void print_digest(const std::string& json) {
     double lsn = find_number(json, "wal_lsn", 0, &has_lsn);
     std::printf("%s | epoch %.0f", role.c_str(), epoch);
     if (has_lsn && lsn > 0) std::printf(" | wal lsn %.0f", lsn);
-    // v7: the durability state machine (durable / degraded / none) — the
+    // The durability state machine (durable / degraded / none) — the
     // operator's first stop when a disk is dying under the server.
     std::string durability = find_string(json, "durability");
     if (!durability.empty() && durability != "none") {

@@ -52,11 +52,6 @@ double Client::now() const {
       .count();
 }
 
-void Client::send_message(net::TcpStream& stream, net::Message m) {
-  m.version = static_cast<std::uint16_t>(config_.protocol_version);
-  net::write_message(stream, m);
-}
-
 double Client::measure_benchmark() {
   // A short fixed numeric loop; the returned "ops/sec" is the same abstract
   // currency DataManagers use for cost_ops, calibrated loosely (one "op" ~
@@ -97,25 +92,20 @@ Client::ProblemContext& Client::context_for(net::TcpStream& stream, ProblemId id
   auto it = contexts_.find(id);
   if (it != contexts_.end()) return it->second;
 
-  // First unit of this problem: download the bulk data and build the
-  // Algorithm named by the DataManager. v3 streams the bytes right after
-  // the header; v4 only names their digest, which we resolve through the
-  // blob cache like any other blob — a donor that saw this problem before
-  // a restart (disk cache) skips the download entirely.
+  // First unit of this problem: build the Algorithm named by the
+  // DataManager. The header names the problem data by digest, which we
+  // resolve through the blob cache like any other blob — a donor that saw
+  // this problem before a restart (disk cache) skips the download entirely.
   FetchProblemDataPayload fetch;
   fetch.problem_id = id;
-  send_message(stream, encode_fetch_problem_data(fetch, next_correlation_++));
+  net::write_message(stream,
+                     encode_fetch_problem_data(fetch, next_correlation_++));
   auto header = decode_problem_data_header(net::read_message(stream));
-  std::vector<std::byte> blob;
-  if (config_.protocol_version >= 4) {
-    auto resolved = resolve_blob(stream, header.data_digest);
-    if (!resolved) {
-      throw ProtocolError("server no longer holds problem data blob");
-    }
-    blob = std::move(*resolved);
-  } else {
-    blob = net::recv_blob(stream, config_.max_blob_bytes);
+  auto resolved = resolve_blob(stream, header.data_digest);
+  if (!resolved) {
+    throw ProtocolError("server no longer holds problem data blob");
   }
+  std::vector<std::byte> blob = std::move(*resolved);
   if (blob.size() != header.data_bytes) {
     throw ProtocolError("problem data size mismatch");
   }
@@ -140,7 +130,7 @@ void Client::note_retry_later(const RetryLaterPayload& nack) {
 net::Message Client::fetch_blobs_round(net::TcpStream& stream,
                                        const FetchBlobsPayload& need) {
   for (;;) {
-    send_message(stream, encode_fetch_blobs(need, next_correlation_++));
+    net::write_message(stream, encode_fetch_blobs(need, next_correlation_++));
     net::Message reply = net::read_message(stream);
     if (reply.type != net::MessageType::kRetryLater) return reply;
     auto nack = decode_retry_later(reply);
@@ -252,7 +242,7 @@ void Client::rehello(net::TcpStream& stream, double benchmark) {
   hello.client_name = config_.name;
   hello.cores = 1;
   hello.benchmark_ops_per_sec = benchmark;
-  send_message(stream, encode_hello(hello, next_correlation_++));
+  net::write_message(stream, encode_hello(hello, next_correlation_++));
   net::Message reply = net::read_message(stream);
   if (reply.type == net::MessageType::kRetryLater) {
     // Shed at the door (max_clients / fail-stop): count it like a failed
@@ -345,7 +335,8 @@ ClientRunStats Client::run() {
           delay = config_.backoff_initial_s;
           std::uint64_t corr = 1;
           while (!heartbeats_done.load()) {
-            send_message(hb_stream, encode_heartbeat(my_id_.load(), corr++));
+            net::write_message(hb_stream,
+                               encode_heartbeat(my_id_.load(), corr++));
             // HeartbeatAck, or kError for a heartbeat that raced a server
             // restart — either way the beat was delivered; keep going. Only
             // a real ack counts toward the healthy-session streak that
@@ -393,8 +384,8 @@ ClientRunStats Client::run() {
     try {
       if (!pending) {
         Stopwatch queue_sw;  // RequestWork sent -> assignment decoded
-        send_message(stream,
-                     encode_request_work(my_id_.load(), next_correlation_++));
+        net::write_message(
+            stream, encode_request_work(my_id_.load(), next_correlation_++));
         net::Message reply = net::read_message(stream);
 
         if (reply.type == net::MessageType::kNoWorkAvailable) {
@@ -464,7 +455,7 @@ ClientRunStats Client::run() {
         result.problem_id = unit.problem_id;
         result.unit_id = unit.unit_id;
         result.stage = unit.stage;
-        // Echo the lease's term (v6): a result computed for a deposed
+        // Echo the lease's term: a result computed for a deposed
         // primary carries its old epoch, and the promoted server fences it.
         result.epoch = unit.epoch;
         result.payload = ctx->algorithm->process(unit);
@@ -507,15 +498,13 @@ ClientRunStats Client::run() {
           stats.retry_laters = retry_laters_;
           return stats;  // vanish without submitting
         }
-        if (config_.protocol_version >= 5) result.profile = profile_;
+        result.profile = profile_;
         pending = std::move(result);
         resubmitting = false;
       }
 
-      send_message(
-          stream,
-          encode_submit_result(my_id_.load(), *pending, next_correlation_++,
-                               static_cast<std::uint16_t>(config_.protocol_version)));
+      net::write_message(stream, encode_submit_result(my_id_.load(), *pending,
+                                                      next_correlation_++));
       net::Message reply = net::read_message(stream);
       if (reply.type == net::MessageType::kRetryLater) {
         // A fail-stop server NACKs submissions so we keep our buffered
@@ -569,7 +558,8 @@ ClientRunStats Client::run() {
 
   if (!crash_.load() && session_ok && stream.valid()) {
     try {
-      send_message(stream, encode_goodbye(my_id_.load(), next_correlation_++));
+      net::write_message(stream,
+                         encode_goodbye(my_id_.load(), next_correlation_++));
       stream.shutdown_write();
     } catch (const Error&) {
       // Server may already be gone; departure is best-effort.

@@ -49,7 +49,7 @@ struct ServerEndpoint {
 struct ClientConfig {
   std::string server_host = "127.0.0.1";
   std::uint16_t server_port = 0;
-  /// Ordered failover list (v6 hot-standby deployments): non-empty
+  /// Ordered failover list (hot-standby deployments): non-empty
   /// supersedes server_host/server_port. The donor sticks with the
   /// endpoint that last answered and rotates to the next on a failed
   /// connect or handshake — an unpromoted standby rejects Hello with an
@@ -101,15 +101,10 @@ struct ClientConfig {
   /// resets it: this many consecutive heartbeat acks. <= 0 disables the
   /// reset (escalation then persists for the donor's lifetime).
   int backoff_reset_beats = 3;
-  /// Protocol version this donor speaks. 3 emulates a legacy donor from
-  /// before the content-addressed data plane (the server flattens blob
-  /// references back into the payload for it); 4 (the default) negotiates
-  /// HAVE/NEED blob transfers through the cache below.
-  int protocol_version = net::kProtocolVersion;
   /// Largest single blob this donor will accept on the bulk channel; a
   /// corrupt length header can cost at most this much allocation.
   std::size_t max_blob_bytes = net::kDefaultMaxBlobBytes;
-  /// v4 blob cache: LRU memory-tier budget, plus an optional disk tier
+  /// Blob cache: LRU memory-tier budget, plus an optional disk tier
   /// (empty dir = memory only) that survives donor restarts.
   std::size_t blob_cache_bytes = 64ull * 1024 * 1024;
   std::string blob_cache_dir;
@@ -182,7 +177,7 @@ struct ClientRunStats {
   std::uint64_t reconnects = 0;
   /// Buffered results that had to be submitted on a later session.
   std::uint64_t results_resubmitted = 0;
-  /// RetryLater NACKs honoured (v7 overload/fail-stop shedding): the donor
+  /// RetryLater NACKs honoured (overload/fail-stop shedding): the donor
   /// waited retry_after_s and retried instead of dropping state.
   std::uint64_t retry_laters = 0;
   double compute_seconds = 0;
@@ -221,11 +216,6 @@ class Client {
 
   ProblemContext& context_for(net::TcpStream& stream, ProblemId id);
 
-  /// Stamp the configured protocol version on `m` and send it — every
-  /// frame a donor writes carries its version so the server can answer in
-  /// kind.
-  void send_message(net::TcpStream& stream, net::Message m);
-
   /// Resolve every blob the unit references: cache hits fill in the bytes
   /// locally, misses are batched into one FetchBlobs round-trip. Returns
   /// false when the server no longer holds a referenced blob (the unit
@@ -244,7 +234,7 @@ class Client {
   /// Record an honoured RetryLater NACK (stats + counter + log).
   void note_retry_later(const RetryLaterPayload& nack);
 
-  /// Single-digest variant used for problem data (v4). nullopt = gone.
+  /// Single-digest variant used for problem data. nullopt = gone.
   std::optional<std::vector<std::byte>> resolve_blob(net::TcpStream& stream,
                                                      std::uint64_t digest);
 
@@ -279,7 +269,7 @@ class Client {
   /// Span profile of the unit currently being processed. Reset when an
   /// assignment is decoded; context_for/ensure_blobs/resolve_blob
   /// accumulate blob-fetch and decompress spans into it; attached to the
-  /// outgoing ResultUnit when the donor speaks protocol >= 5.
+  /// outgoing ResultUnit.
   obs::UnitProfile profile_;
   std::chrono::steady_clock::time_point epoch_;
   std::map<ProblemId, ProblemContext> contexts_;

@@ -1083,24 +1083,16 @@ bool Server::try_rearm() {
 Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
                                               const net::Message& request) {
   HandlerOutcome out;
-  // Retryable NACK: v7+ donors get a structured RetryLater (they back off
-  // and keep their buffered state); older donors get an error frame and
-  // ride their existing reconnect/backoff paths.
-  auto retry_or_error = [this](const net::Message& req, const char* reason) {
+  // Retryable NACK: the donor backs off and keeps its buffered state.
+  auto retry_later = [this](const net::Message& req, const char* reason) {
     obs::Registry::global().counter("server.retry_laters").inc();
-    if (req.version >= 7) {
-      RetryLaterPayload p;
-      p.retry_after_s = config_.retry_later_s;
-      p.reason = reason;
-      return encode_retry_later(p, req.correlation);
-    }
-    return net::make_error(req.correlation,
-                           std::string("retry later: ") + reason);
+    RetryLaterPayload p;
+    p.retry_after_s = config_.retry_later_s;
+    p.reason = reason;
+    return encode_retry_later(p, req.correlation);
   };
   net::Message response;
   bool have_response = true;
-  bool send_bulk = false;
-  std::vector<std::byte> bulk;
   // FetchBlobs bodies: shared_ptrs collected under the core lock, encoded
   // (and compressed) after the response frame without holding it.
   std::vector<std::pair<std::uint64_t,
@@ -1132,7 +1124,7 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
         // buffered copy for the restarted server. (FetchStats stays up so
         // operators can see why; RequestWork/Heartbeat already get
         // kShutdown from the draining guard above.)
-        response = retry_or_error(request, "fail_stop");
+        response = retry_later(request, "fail_stop");
       } else switch (request.type) {
         case net::MessageType::kHello: {
           auto hello = decode_hello(request);
@@ -1148,7 +1140,7 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
                   .str("reason", "max_clients")
                   .str("name", hello.client_name);
             }
-            response = retry_or_error(request, "max_clients");
+            response = retry_later(request, "max_clients");
             break;
           }
           client_id = core_.client_joined(hello.client_name,
@@ -1183,26 +1175,7 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
             log_record(std::move(rec));
           }
           if (unit) {
-            if (request.version >= 4) {
-              response = encode_work_assignment(*unit, request.correlation,
-                                                request.version);
-            } else {
-              // Legacy donor: inline each referenced blob by appending its
-              // bytes to the payload, in blob order — applications lay
-              // their payloads out so this flattened form decodes with the
-              // pre-v4 logic.
-              WorkUnit flat = *unit;
-              for (const WorkBlob& blob : flat.blobs) {
-                auto bytes = core_.blob_bytes(blob.digest);
-                if (bytes) {
-                  flat.payload.insert(flat.payload.end(), bytes->begin(),
-                                      bytes->end());
-                }
-              }
-              flat.blobs.clear();
-              response =
-                  encode_work_assignment(flat, request.correlation, 3);
-            }
+            response = encode_work_assignment(*unit, request.correlation);
           } else {
             NoWorkPayload p;
             p.retry_after_s = config_.no_work_retry_s;
@@ -1243,7 +1216,7 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
           }
           progress_cv_.notify_all();
           if (storage_failed_.load()) {
-            response = retry_or_error(request, "fail_stop");
+            response = retry_later(request, "fail_stop");
           } else {
             response = encode_result_ack(ack, request.correlation);
           }
@@ -1259,15 +1232,9 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
             header.algorithm_name = dm.algorithm_name();
             header.data_bytes = core_.problem_data_bytes(fetch.problem_id);
             header.data_digest = core_.problem_data_digest(fetch.problem_id);
-            if (request.version < 4) {
-              // v3: the data itself follows on the bulk channel. v4 donors
-              // instead resolve data_digest through their cache/FetchBlobs.
-              bulk = *core_.blob_bytes(header.data_digest);
-              send_bulk = true;
-            }
           }
-          response = encode_problem_data_header(header, request.correlation,
-                                                request.version);
+          // The donor resolves data_digest through its cache/FetchBlobs.
+          response = encode_problem_data_header(header, request.correlation);
           break;
         }
         case net::MessageType::kFetchBlobs: {
@@ -1302,7 +1269,7 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
                     .str("reason", "blob_budget")
                     .str("name", "client:" + std::to_string(fetch.client_id));
               }
-              response = retry_or_error(request, "blob_budget");
+              response = retry_later(request, "blob_budget");
               break;
             }
             blob_inflight_bytes_.fetch_add(total);
@@ -1383,12 +1350,9 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
   out.became_client = client_id;
   out.inflight_charged = inflight_charged;
   if (have_response) {
-    // Answer at the requester's protocol version: a v3 donor must never
-    // see a v4 frame. Frames and bulk bodies are encoded here, on the
-    // worker — the loop thread only moves bytes.
-    response.version = request.version;
+    // Frames and bulk bodies are encoded here, on the worker — the loop
+    // thread only moves bytes.
     out.chunks.push_back(net::encode_frame(response));
-    if (send_bulk) out.chunks.push_back(net::encode_blob(bulk));
     for (const auto& [digest, bytes] : blob_bodies) {
       auto enc = net::encode_blob_v4(*bytes);
       auto& bm = net::bulk_plane_metrics();
@@ -1431,9 +1395,8 @@ void Server::serve_replica(net::TcpStream& stream, const net::Message& request) 
       feeds_.push_back(feed);
     }
     header.snapshot_bytes = snapshot.size();
-    net::Message resp = encode_replica_snapshot(header, request.correlation);
-    resp.version = request.version;
-    net::write_message(stream, resp);
+    net::write_message(stream,
+                       encode_replica_snapshot(header, request.correlation));
     net::send_blob_v4(stream, snapshot);
     obs::Registry::global().counter("server.replica_syncs").inc();
     if (config_.tracer) {
@@ -1467,9 +1430,7 @@ void Server::serve_replica(net::TcpStream& stream, const net::Message& request) 
       // An empty wake is fine: Tick records arrive every tick interval, so
       // a healthy stream is never silent for long.
       if (batch.records.empty()) continue;
-      net::Message m = encode_wal_append(batch, correlation++);
-      m.version = request.version;
-      net::write_message(stream, m);
+      net::write_message(stream, encode_wal_append(batch, correlation++));
       // Wait for the ack so a dead/wedged standby is noticed and its queue
       // stops growing (the poll keeps stop() responsive).
       while (running_.load() && !stream.readable(200)) {}
@@ -1563,9 +1524,7 @@ void Server::replica_loop() {
         progress_cv_.notify_all();
         ResultAckPayload ack;
         ack.accepted = true;
-        net::Message am = encode_result_ack(ack, m.correlation);
-        am.version = m.version;
-        net::write_message(stream, am);
+        net::write_message(stream, encode_result_ack(ack, m.correlation));
         last_contact = clock::now();
       }
       return;

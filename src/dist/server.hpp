@@ -46,7 +46,7 @@ enum class DurabilityMode {
   /// checkpoint save) once the disk takes writes again.
   kContinue,
   /// Stop cleanly instead: refuse new sessions and result submissions
-  /// (v7 donors get RetryLater and keep their buffered results), drain,
+  /// (donors get RetryLater and keep their buffered results), drain,
   /// and let the operator restart onto healthy storage. storage_failed()
   /// turns true so the embedding process can exit non-zero.
   kFailStop,
@@ -105,9 +105,8 @@ struct ServerConfig {
 
   // ---- overload control ----
 
-  /// Shed Hello when this many clients are already active (v7 donors get
-  /// RetryLater and back off; older ones get an error and ride their
-  /// reconnect backoff). 0 = unbounded.
+  /// Shed Hello when this many clients are already active (donors get
+  /// RetryLater and back off). 0 = unbounded.
   int max_clients = 0;
   /// Global cap on FetchBlobs response bytes in flight across all
   /// connections (bodies are held in memory from collection until the

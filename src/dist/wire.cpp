@@ -79,23 +79,18 @@ void write_unit_fields(ByteWriter& w, ProblemId pid, UnitId uid, std::uint32_t s
 }
 }  // namespace
 
-net::Message encode_work_assignment(const WorkUnit& unit, std::uint64_t correlation,
-                                    std::uint16_t version) {
+net::Message encode_work_assignment(const WorkUnit& unit, std::uint64_t correlation) {
   ByteWriter w;
   write_unit_fields(w, unit.problem_id, unit.unit_id, unit.stage);
   w.f64(unit.cost_ops);
   w.bytes(unit.payload);
-  if (version >= 4) {
-    w.u32(static_cast<std::uint32_t>(unit.blobs.size()));
-    for (const WorkBlob& blob : unit.blobs) {
-      w.u64(blob.digest);
-      w.u64(blob.size);
-    }
+  w.u32(static_cast<std::uint32_t>(unit.blobs.size()));
+  for (const WorkBlob& blob : unit.blobs) {
+    w.u64(blob.digest);
+    w.u64(blob.size);
   }
-  if (version >= 6) w.u64(unit.epoch);
-  auto m = make(net::MessageType::kWorkAssignment, correlation, std::move(w));
-  m.version = version;
-  return m;
+  w.u64(unit.epoch);
+  return make(net::MessageType::kWorkAssignment, correlation, std::move(w));
 }
 
 WorkUnit decode_work_assignment(const net::Message& m) {
@@ -107,17 +102,15 @@ WorkUnit decode_work_assignment(const net::Message& m) {
   unit.stage = r.u32();
   unit.cost_ops = r.f64();
   unit.payload = r.bytes();
-  if (m.version >= 4) {
-    std::uint32_t count = r.u32();
-    unit.blobs.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      WorkBlob blob;
-      blob.digest = r.u64();
-      blob.size = r.u64();
-      unit.blobs.push_back(std::move(blob));
-    }
+  std::uint32_t count = r.u32();
+  unit.blobs.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    WorkBlob blob;
+    blob.digest = r.u64();
+    blob.size = r.u64();
+    unit.blobs.push_back(std::move(blob));
   }
-  if (m.version >= 6) unit.epoch = r.u64();
+  unit.epoch = r.u64();
   r.expect_end();
   return unit;
 }
@@ -158,30 +151,25 @@ RetryLaterPayload decode_retry_later(const net::Message& m) {
 }
 
 net::Message encode_submit_result(ClientId client, const ResultUnit& result,
-                                  std::uint64_t correlation,
-                                  std::uint16_t version) {
+                                  std::uint64_t correlation) {
   ByteWriter w;
   w.u64(client);
   write_unit_fields(w, result.problem_id, result.unit_id, result.stage);
   w.bytes(result.payload);
   w.u32(result.payload_crc);
-  if (version >= 5) {
-    w.boolean(result.profile.has_value());
-    if (result.profile) {
-      const obs::UnitProfile& p = *result.profile;
-      w.f64(p.queue_wait_s);
-      w.f64(p.blob_fetch_s);
-      w.f64(p.decompress_s);
-      w.f64(p.compute_s);
-      w.f64(p.encode_s);
-      w.u32(p.threads);
-      w.u64(p.saturations);
-    }
+  w.boolean(result.profile.has_value());
+  if (result.profile) {
+    const obs::UnitProfile& p = *result.profile;
+    w.f64(p.queue_wait_s);
+    w.f64(p.blob_fetch_s);
+    w.f64(p.decompress_s);
+    w.f64(p.compute_s);
+    w.f64(p.encode_s);
+    w.u32(p.threads);
+    w.u64(p.saturations);
   }
-  if (version >= 6) w.u64(result.epoch);
-  auto m = make(net::MessageType::kSubmitResult, correlation, std::move(w));
-  m.version = version;
-  return m;
+  w.u64(result.epoch);
+  return make(net::MessageType::kSubmitResult, correlation, std::move(w));
 }
 
 std::pair<ClientId, ResultUnit> decode_submit_result(const net::Message& m) {
@@ -194,7 +182,7 @@ std::pair<ClientId, ResultUnit> decode_submit_result(const net::Message& m) {
   result.stage = r.u32();
   result.payload = r.bytes();
   result.payload_crc = r.u32();
-  if (m.version >= 5 && r.boolean()) {
+  if (r.boolean()) {
     obs::UnitProfile p;
     p.queue_wait_s = r.f64();
     p.blob_fetch_s = r.f64();
@@ -205,7 +193,7 @@ std::pair<ClientId, ResultUnit> decode_submit_result(const net::Message& m) {
     p.saturations = r.u64();
     result.profile = p;
   }
-  if (m.version >= 6) result.epoch = r.u64();
+  result.epoch = r.u64();
   r.expect_end();
   return {client, std::move(result)};
 }
@@ -242,16 +230,13 @@ FetchProblemDataPayload decode_fetch_problem_data(const net::Message& m) {
 }
 
 net::Message encode_problem_data_header(const ProblemDataHeaderPayload& p,
-                                        std::uint64_t correlation,
-                                        std::uint16_t version) {
+                                        std::uint64_t correlation) {
   ByteWriter w;
   w.u64(p.problem_id);
   w.str(p.algorithm_name);
   w.u64(p.data_bytes);
-  if (version >= 4) w.u64(p.data_digest);
-  auto m = make(net::MessageType::kProblemData, correlation, std::move(w));
-  m.version = version;
-  return m;
+  w.u64(p.data_digest);
+  return make(net::MessageType::kProblemData, correlation, std::move(w));
 }
 
 ProblemDataHeaderPayload decode_problem_data_header(const net::Message& m) {
@@ -261,7 +246,7 @@ ProblemDataHeaderPayload decode_problem_data_header(const net::Message& m) {
   p.problem_id = r.u64();
   p.algorithm_name = r.str();
   p.data_bytes = r.u64();
-  if (m.version >= 4) p.data_digest = r.u64();
+  p.data_digest = r.u64();
   r.expect_end();
   return p;
 }

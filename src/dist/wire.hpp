@@ -28,7 +28,7 @@ struct NoWorkPayload {
   bool all_problems_complete = false;
 };
 
-/// v7 retryable NACK: the server is shedding load (max_clients, blob
+/// Retryable NACK: the server is shedding load (max_clients, blob
 /// budget) or running with degraded durability — the request was NOT
 /// applied; back off retry_after_s and retry it verbatim.
 struct RetryLaterPayload {
@@ -43,25 +43,25 @@ struct FetchProblemDataPayload {
 struct ProblemDataHeaderPayload {
   ProblemId problem_id = 0;
   std::string algorithm_name;
-  /// v3: the blob itself follows on the bulk channel after this frame.
-  /// v4: nothing follows — the donor resolves `data_digest` through its
-  /// blob cache / FetchBlobs like any other blob.
   std::uint64_t data_bytes = 0;
-  /// Content digest of the problem data (v4 frames only; 0 on v3).
+  /// Content digest of the problem data. Nothing follows the frame: the
+  /// donor resolves the digest through its blob cache / FetchBlobs like
+  /// any other blob.
   std::uint64_t data_digest = 0;
 };
 
-/// v4 NEED list: the digests a donor wants after checking its cache.
+/// NEED list: the digests a donor wants after checking its cache.
 struct FetchBlobsPayload {
   ClientId client_id = 0;
   std::vector<std::uint64_t> digests;
 };
 
-/// v4 reply header. For every requested digest, whether the server still
-/// holds it (a blob can vanish when its last referencing unit completes
-/// while the request was in flight — the donor then just drops the unit).
-/// Present blobs follow on the bulk channel, in order, in the v4
-/// compressed format (net::send_blob_v4).
+/// FetchBlobs reply header. For every requested digest, whether the server
+/// still holds it (a blob can vanish when its last referencing unit
+/// completes while the request was in flight — the donor then just drops
+/// the unit).
+/// Present blobs follow on the bulk channel, in order, in the compressed
+/// blob format (net::encode_blob_v4).
 struct BlobDataPayload {
   struct Entry {
     std::uint64_t digest = 0;
@@ -89,13 +89,13 @@ struct StatsSnapshotPayload {
   std::string json;
 };
 
-/// v6 replication handshake: a hot standby introduces itself to the
+/// Replication handshake: a hot standby introduces itself to the
 /// primary and asks for the sync stream (snapshot + live WAL records).
 struct ReplicaHelloPayload {
   std::string standby_name;
 };
 
-/// v6 sync header: the primary's current term and the lsn at which the
+/// Sync header: the primary's current term and the lsn at which the
 /// live record stream will resume. The exact-snapshot bytes
 /// (SchedulerCore::snapshot_exact) follow on the bulk channel
 /// (net::send_blob_v4), like problem data.
@@ -105,7 +105,7 @@ struct ReplicaSnapshotPayload {
   std::uint64_t snapshot_bytes = 0;
 };
 
-/// v6 live stream: a batch of WAL record payloads (encode_wal_record
+/// Live stream: a batch of WAL record payloads (encode_wal_record
 /// bytes, lsn-contiguous). Sent primary -> standby; the standby acks with
 /// a ResultAck so the primary notices a dead or wedged standby.
 struct WalAppendPayload {
@@ -121,13 +121,9 @@ HelloAckPayload decode_hello_ack(const net::Message& m);
 net::Message encode_request_work(ClientId client, std::uint64_t correlation);
 ClientId decode_request_work(const net::Message& m);
 
-/// `version` picks the frame format: v3 writes the legacy payload-only
-/// shape (bit-identical to the old encoder — the caller must have
-/// flattened any blobs into `payload` first); v4 appends the blob
-/// reference list {digest, size} after the payload. Decode keys off the
-/// frame's own version field.
-net::Message encode_work_assignment(const WorkUnit& unit, std::uint64_t correlation,
-                                    std::uint16_t version = net::kProtocolVersion);
+/// The payload is followed by the blob reference list {digest, size} (no
+/// blob bytes) and the issuing epoch.
+net::Message encode_work_assignment(const WorkUnit& unit, std::uint64_t correlation);
 WorkUnit decode_work_assignment(const net::Message& m);
 
 net::Message encode_no_work(const NoWorkPayload& p, std::uint64_t correlation);
@@ -137,12 +133,10 @@ net::Message encode_retry_later(const RetryLaterPayload& p,
                                 std::uint64_t correlation);
 RetryLaterPayload decode_retry_later(const net::Message& m);
 
-/// v5 appends the optional span-profile trailer (presence flag + phase
-/// durations); v3/v4 write the legacy payload-only shape. Decode keys off
-/// the frame's own version field.
+/// payload_crc is followed by the optional span-profile trailer (presence
+/// flag + phase durations) and the echoed epoch.
 net::Message encode_submit_result(ClientId client, const ResultUnit& result,
-                                  std::uint64_t correlation,
-                                  std::uint16_t version = net::kProtocolVersion);
+                                  std::uint64_t correlation);
 std::pair<ClientId, ResultUnit> decode_submit_result(const net::Message& m);
 
 net::Message encode_result_ack(const ResultAckPayload& p, std::uint64_t correlation);
@@ -152,10 +146,8 @@ net::Message encode_fetch_problem_data(const FetchProblemDataPayload& p,
                                        std::uint64_t correlation);
 FetchProblemDataPayload decode_fetch_problem_data(const net::Message& m);
 
-/// v4 appends data_digest; decode keys off the frame version.
 net::Message encode_problem_data_header(const ProblemDataHeaderPayload& p,
-                                        std::uint64_t correlation,
-                                        std::uint16_t version = net::kProtocolVersion);
+                                        std::uint64_t correlation);
 ProblemDataHeaderPayload decode_problem_data_header(const net::Message& m);
 
 net::Message encode_fetch_blobs(const FetchBlobsPayload& p,

@@ -20,7 +20,7 @@ using ProblemId = std::uint64_t;
 using UnitId = std::uint64_t;
 using ClientId = std::uint64_t;
 
-/// An immutable bulk input addressed by content digest (protocol v4). A
+/// An immutable bulk input addressed by content digest. A
 /// DataManager attaches blobs to units it emits, with bytes populated; the
 /// scheduler interns the bytes into its content-addressed store and ships
 /// units carrying only {digest, size} references — donors resolve them
@@ -52,14 +52,13 @@ struct WorkUnit {
   double cost_ops = 0;
   std::vector<std::byte> payload;
   /// Content-addressed bulk inputs shared across units (database chunks,
-  /// stage trees). Algorithms see them with bytes materialized; legacy
-  /// (v3) donors instead receive them flattened onto `payload`.
+  /// stage trees). Algorithms see them with bytes materialized.
   std::vector<WorkBlob> blobs;
-  /// Server term that issued this lease (protocol v6). A standby that
-  /// promotes itself bumps the epoch, so results computed against a
-  /// deposed primary's leases are fenced and rejected — the same hazard
+  /// Server term that issued this lease. A standby that promotes itself
+  /// bumps the epoch, so results computed against a deposed primary's
+  /// leases are fenced and rejected — the same hazard
   /// SchedulerCore::kRestoreIdGap guards against, closed without an id
-  /// gap. 0 = issued by a pre-v6 server (no fencing).
+  /// gap. Every unit SchedulerCore issues carries its term (>= 1).
   std::uint64_t epoch = 0;
 };
 
@@ -69,16 +68,17 @@ struct ResultUnit {
   std::uint32_t stage = 0;
   std::vector<std::byte> payload;
   /// CRC-32 digest of `payload`, computed by the donor that produced it
-  /// and re-verified server-side (protocol v3). 0 = not supplied; the
-  /// scheduler then computes the digest itself for replication voting.
+  /// and re-verified server-side. 0 = not supplied; the scheduler then
+  /// computes the digest itself for replication voting.
   std::uint32_t payload_crc = 0;
-  /// Donor-measured phase durations (protocol v5 trailer). Absent from
-  /// v3/v4 donors; the scheduler merges it with its lease timeline into
-  /// the `unit_profile` trace event when present.
+  /// Donor-measured phase durations (the SubmitResult span-profile
+  /// trailer). The scheduler merges it with its lease timeline into the
+  /// `unit_profile` trace event when present.
   std::optional<obs::UnitProfile> profile;
-  /// Epoch echoed back from the WorkUnit this result answers (protocol
-  /// v6). The scheduler rejects results whose epoch predates its own —
-  /// fencing a deposed primary's late submissions. 0 = legacy donor.
+  /// Epoch echoed back from the WorkUnit this result answers. The
+  /// scheduler rejects results whose epoch predates its own — fencing a
+  /// deposed primary's late submissions. 0 = not fenced (results built
+  /// by hand, e.g. in tests).
   std::uint64_t epoch = 0;
 };
 

@@ -570,18 +570,14 @@ void DPRmlAlgorithm::initialize(std::span<const std::byte> problem_data) {
 
 namespace {
 
-/// The shared tree of a kEvalShared/kNniEvalShared unit: blobs[0] on a v4
-/// donor, or the bytes the server appended to the payload when flattening
-/// for a v3 donor. Either way the Newick occupies the tail of the decoded
-/// stream, so both paths read identical bytes.
-std::string shared_tree_newick(const dist::WorkUnit& unit, ByteReader& r) {
-  if (!unit.blobs.empty()) {
-    r.expect_end();
-    const auto& b = unit.blobs.front().bytes;
-    return std::string(reinterpret_cast<const char*>(b.data()), b.size());
+/// The shared tree of a kEvalShared/kNniEvalShared unit: the Newick bytes
+/// of blobs[0].
+std::string shared_tree_newick(const dist::WorkUnit& unit) {
+  if (unit.blobs.empty()) {
+    throw ProtocolError("DPRml shared-tree unit carries no tree blob");
   }
-  auto rest = r.raw(r.remaining());
-  return std::string(reinterpret_cast<const char*>(rest.data()), rest.size());
+  const auto& b = unit.blobs.front().bytes;
+  return std::string(reinterpret_cast<const char*>(b.data()), b.size());
 }
 
 }  // namespace
@@ -590,9 +586,8 @@ std::vector<std::byte> DPRmlAlgorithm::process(const dist::WorkUnit& unit) {
   if (!engine_) throw Error("DPRmlAlgorithm: process before initialize");
   ByteReader r(unit.payload);
   auto kind = static_cast<UnitKind>(r.u8());
-  // Shared-tree units answer with the legacy kind byte, so the
-  // DataManager's merge path (and result dedup across mixed v3/v4 donor
-  // fleets) never sees the transport difference.
+  // Shared-tree units answer with the plain kind byte, so the
+  // DataManager's merge path never sees the transport difference.
   UnitKind result_kind = kind;
   if (kind == UnitKind::kEvalShared) result_kind = UnitKind::kEval;
   if (kind == UnitKind::kNniEvalShared) result_kind = UnitKind::kNniEval;
@@ -630,7 +625,8 @@ std::vector<std::byte> DPRmlAlgorithm::process(const dist::WorkUnit& unit) {
         n = r.u32();
         edges.resize(n);
         for (auto& e : edges) e = r.i32();
-        newick = shared_tree_newick(unit, r);
+        r.expect_end();
+        newick = shared_tree_newick(unit);
       }
 
       out.u32(n);
@@ -688,7 +684,8 @@ std::vector<std::byte> DPRmlAlgorithm::process(const dist::WorkUnit& unit) {
           c.edge_node = r.i32();
           c.variant = r.u8();
         }
-        newick = shared_tree_newick(unit, r);
+        r.expect_end();
+        newick = shared_tree_newick(unit);
       }
 
       out.u32(n);

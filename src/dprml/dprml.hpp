@@ -184,13 +184,11 @@ enum class UnitKind : std::uint8_t {
   kEval = 1,
   kRefine = 2,
   kNniEval = 3,
-  /// Blob-backed eval/NNI variants (protocol v4 data plane): the fixed
-  /// fields stay in the payload and the shared tree Newick rides in
-  /// blobs[0] — every batch of the same stage references one interned
-  /// blob, so a donor downloads the tree once per stage instead of once
-  /// per unit. The tree bytes sit at the *end*, so a v3 donor that
-  /// receives the server-flattened payload (blob appended) decodes the
-  /// identical bytes. Results are reported with the legacy kind byte.
+  /// Blob-backed eval/NNI variants: the fixed fields stay in the payload
+  /// and the shared tree Newick rides in blobs[0] — every batch of the
+  /// same stage references one interned blob, so a donor downloads the
+  /// tree once per stage instead of once per unit. Results are reported
+  /// with the plain kEval/kNniEval kind byte.
   kEvalShared = 4,
   kNniEvalShared = 5,
 };

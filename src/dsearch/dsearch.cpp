@@ -316,9 +316,7 @@ std::optional<dist::WorkUnit> DSearchDataManager::next_unit(
   encode_sequences(w, chunk);
   // The chunk rides as a content-addressed blob (empty payload): replicas
   // of this unit — and re-issues after a lease expiry — share one download
-  // through the donor cache. A v3 donor still works: the server flattens
-  // blobs back into the payload in order, which reproduces the legacy
-  // payload byte-for-byte.
+  // through the donor cache.
   unit.blobs.push_back(dist::make_work_blob(w.take()));
   ++outstanding_;
   return unit;
@@ -396,11 +394,10 @@ void DSearchAlgorithm::set_parallelism(std::size_t threads) {
 
 std::vector<std::byte> DSearchAlgorithm::process(const dist::WorkUnit& unit) {
   if (!scheme_) throw Error("DSearchAlgorithm: process before initialize");
-  // v4 units carry the chunk in blobs[0]; a flattened (v3) unit carries the
-  // same bytes in the payload.
-  ByteReader r(unit.blobs.empty() ? std::span<const std::byte>(unit.payload)
-                                  : std::span<const std::byte>(
-                                        unit.blobs.front().bytes));
+  if (unit.blobs.empty()) {
+    throw ProtocolError("DSEARCH unit carries no chunk blob");
+  }
+  ByteReader r(unit.blobs.front().bytes);
   auto chunk = decode_sequences(r);
   r.expect_end();
   if (threads_ > 1 && !pool_) pool_ = std::make_unique<ThreadPool>(threads_);

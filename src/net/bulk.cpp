@@ -56,55 +56,6 @@ std::uint32_t crc32(std::span<const std::byte> data) {
   return c ^ 0xffffffffu;
 }
 
-void send_blob(TcpStream& stream, std::span<const std::byte> data) {
-  ByteWriter header(12);
-  header.u64(data.size());
-  header.u32(crc32(data));
-  stream.send_all(header.data());
-  std::size_t off = 0;
-  while (off < data.size()) {
-    std::size_t n = std::min(kBulkChunk, data.size() - off);
-    stream.send_all(data.subspan(off, n));
-    off += n;
-  }
-  bulk_metrics().blobs_sent.inc();
-  bulk_metrics().bulk_bytes_sent.inc(header.size() + data.size());
-}
-
-std::vector<std::byte> encode_blob(std::span<const std::byte> data) {
-  ByteWriter out(12 + data.size());
-  out.u64(data.size());
-  out.u32(crc32(data));
-  out.raw(data);
-  bulk_metrics().blobs_sent.inc();
-  bulk_metrics().bulk_bytes_sent.inc(out.size());
-  return out.take();
-}
-
-std::vector<std::byte> recv_blob(TcpStream& stream, std::size_t max_bytes) {
-  std::byte header_buf[12];
-  stream.recv_all(header_buf, kMidStreamStallMs);
-  ByteReader header(header_buf);
-  std::uint64_t size = header.u64();
-  std::uint32_t expected_crc = header.u32();
-  if (size > max_bytes) {
-    throw IoError("bulk blob too large: " + std::to_string(size) + " bytes");
-  }
-  std::vector<std::byte> data(size);
-  std::size_t off = 0;
-  while (off < data.size()) {
-    std::size_t n = std::min(kBulkChunk, data.size() - off);
-    stream.recv_all(std::span(data).subspan(off, n), kMidStreamStallMs);
-    off += n;
-  }
-  if (crc32(data) != expected_crc) {
-    throw ProtocolError("bulk blob CRC mismatch");
-  }
-  bulk_metrics().blobs_received.inc();
-  bulk_metrics().bulk_bytes_received.inc(sizeof(header_buf) + data.size());
-  return data;
-}
-
 namespace {
 // raw_size | crc32(raw) | flags | wire_size | crc32(header). The trailing
 // header CRC lets the receiver reject a corrupted length field *before*
@@ -114,34 +65,7 @@ namespace {
 constexpr std::size_t kBlobV4LengthsBytes = 8 + 4 + 1 + 8;
 constexpr std::size_t kBlobV4HeaderBytes = kBlobV4LengthsBytes + 4;
 constexpr std::uint8_t kBlobFlagCompressed = 1;
-
-void send_chunked(TcpStream& stream, std::span<const std::byte> data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    std::size_t n = std::min(kBulkChunk, data.size() - off);
-    stream.send_all(data.subspan(off, n));
-    off += n;
-  }
-}
 }  // namespace
-
-BlobWireInfo send_blob_v4(TcpStream& stream, std::span<const std::byte> data) {
-  auto compressed = lz_compress(data);
-  std::span<const std::byte> body =
-      compressed ? std::span<const std::byte>(*compressed) : data;
-  ByteWriter header(kBlobV4HeaderBytes);
-  header.u64(data.size());
-  header.u32(crc32(data));
-  header.u8(compressed ? kBlobFlagCompressed : 0);
-  header.u64(body.size());
-  header.u32(crc32(header.data()));
-  stream.send_all(header.data());
-  send_chunked(stream, body);
-  bulk_metrics().blobs_sent.inc();
-  bulk_metrics().bulk_bytes_sent.inc(header.size() + body.size());
-  return BlobWireInfo{data.size(), header.size() + body.size(),
-                      compressed.has_value()};
-}
 
 EncodedBlobV4 encode_blob_v4(std::span<const std::byte> data) {
   auto compressed = lz_compress(data);
@@ -159,6 +83,12 @@ EncodedBlobV4 encode_blob_v4(std::span<const std::byte> data) {
   BlobWireInfo info{data.size(), kBlobV4HeaderBytes + body.size(),
                     compressed.has_value()};
   return EncodedBlobV4{out.take(), info};
+}
+
+BlobWireInfo send_blob_v4(TcpStream& stream, std::span<const std::byte> data) {
+  auto enc = encode_blob_v4(data);
+  stream.send_all(enc.bytes);
+  return enc.info;
 }
 
 std::vector<std::byte> recv_blob_v4(TcpStream& stream, std::size_t max_bytes,

@@ -4,8 +4,8 @@
 // "Data files, which may be large, are transmitted using ordinary sockets,
 // which is more efficient than RMI" (paper §2.2). Control frames are capped
 // at kMaxPayload; anything bigger — a FASTA database, an alignment — moves
-// through this chunked transfer with a leading u64 length and a trailing
-// CRC32 so truncation or corruption is detected rather than silently merged.
+// through this blob transfer, whose length fields and CRC-32s turn
+// truncation or corruption into an error instead of a silently merged answer.
 
 #include <cstdint>
 #include <span>
@@ -25,18 +25,6 @@ inline constexpr std::size_t kDefaultMaxBlobBytes = 256ull * 1024 * 1024;
 /// CRC-32 (IEEE, reflected) of a byte span.
 std::uint32_t crc32(std::span<const std::byte> data);
 
-/// Send length + chunks + CRC.
-void send_blob(TcpStream& stream, std::span<const std::byte> data);
-
-/// Serialize a v3 blob (length + CRC header, then the body) to bytes for a
-/// non-blocking write queue. Same wire bytes and counters as send_blob.
-std::vector<std::byte> encode_blob(std::span<const std::byte> data);
-
-/// Receive a blob; throws ProtocolError on CRC mismatch, IoError on size
-/// above max_bytes (guards against a corrupt length header allocating GBs).
-std::vector<std::byte> recv_blob(TcpStream& stream,
-                                 std::size_t max_bytes = kDefaultMaxBlobBytes);
-
 /// What send_blob_v4 put on the wire (for byte accounting and trace events).
 struct BlobWireInfo {
   std::uint64_t raw_bytes = 0;
@@ -46,7 +34,8 @@ struct BlobWireInfo {
 
 /// Protocol-v4 blob transfer with transparent compression:
 ///
-///   u64 raw_size | u32 crc32(raw) | u8 flags | u64 wire_size | body chunks
+///   u64 raw_size | u32 crc32(raw) | u8 flags | u64 wire_size
+///   | u32 crc32(header) | body
 ///
 /// flags bit 0 = body is lz_compress output (raw otherwise). Incompressible
 /// data is sent stored, so the flag — not a heuristic — decides decoding.
@@ -55,7 +44,7 @@ struct BlobWireInfo {
 BlobWireInfo send_blob_v4(TcpStream& stream, std::span<const std::byte> data);
 
 /// Serialize a v4 blob (header + possibly-compressed body) to bytes for a
-/// non-blocking write queue. Same wire bytes and counters as send_blob_v4.
+/// non-blocking write queue; send_blob_v4 sends exactly these bytes.
 struct EncodedBlobV4 {
   std::vector<std::byte> bytes;
   BlobWireInfo info;

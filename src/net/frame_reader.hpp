@@ -5,8 +5,8 @@
 // frame arrives. An event-loop server instead gets bytes in arbitrary
 // slices — half a header, three frames and a tail, one byte at a time —
 // and FrameReader turns any such slicing into the same Message stream,
-// byte-identical to read_message: same magic/version/length checks, same
-// payload-CRC rejection, same error strings, same wire counters. A fuzz
+// byte-identical to read_message: both run the same header validation
+// (magic, version, length), payload-CRC check and wire counters. A fuzz
 // test (tests/test_net.cpp) feeds every message type through both paths at
 // every split point and asserts identical decodes.
 //

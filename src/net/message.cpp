@@ -54,14 +54,63 @@ const char* to_string(MessageType type) {
   return "Unknown";
 }
 
+namespace {
+void put_header(ByteWriter& out, const Message& msg) {
+  out.u32(kMagic);
+  out.u16(kProtocolVersion);
+  out.u16(static_cast<std::uint16_t>(msg.type));
+  out.u64(msg.correlation);
+  out.u32(static_cast<std::uint32_t>(msg.payload.size()));
+  out.u32(crc32(msg.payload));
+}
+
+struct FrameHeader {
+  MessageType type = MessageType::kError;
+  std::uint64_t correlation = 0;
+  std::uint32_t payload_len = 0;
+  std::uint32_t payload_crc = 0;
+};
+
+/// The one place a frame header is validated (magic, version, length),
+/// shared by the blocking and the incremental reader.
+FrameHeader parse_header(std::span<const std::byte> bytes) {
+  ByteReader header(bytes);
+  std::uint32_t magic = header.u32();
+  if (magic != kMagic) {
+    char hex[16];
+    std::snprintf(hex, sizeof(hex), "%08x", magic);
+    throw ProtocolError(std::string("bad frame magic 0x") + hex);
+  }
+  std::uint16_t version = header.u16();
+  if (version != kProtocolVersion) {
+    throw ProtocolError("unsupported protocol version " + std::to_string(version));
+  }
+  FrameHeader h;
+  h.type = static_cast<MessageType>(header.u16());
+  h.correlation = header.u64();
+  h.payload_len = header.u32();
+  if (h.payload_len > kMaxPayload) {
+    throw ProtocolError("frame payload too large: " +
+                        std::to_string(h.payload_len));
+  }
+  h.payload_crc = header.u32();
+  return h;
+}
+
+/// Check a fully read payload against its header CRC and count the frame.
+void accept_payload(const Message& msg, std::uint32_t expected_crc) {
+  if (crc32(msg.payload) != expected_crc) {
+    throw ProtocolError("frame payload CRC mismatch (" +
+                        std::string(to_string(msg.type)) + " frame)");
+  }
+  wire_metrics().frames_received.inc();
+  wire_metrics().bytes_received.inc(kFrameHeaderBytes + msg.payload.size());
+}
+}  // namespace
+
 void write_message(TcpStream& stream, const Message& msg) {
   ByteWriter header(kFrameHeaderBytes);
-  header.u32(kMagic);
-  header.u16(msg.version);
-  header.u16(static_cast<std::uint16_t>(msg.type));
-  header.u64(msg.correlation);
-  header.u32(static_cast<std::uint32_t>(msg.payload.size()));
-  header.u32(crc32(msg.payload));
+  put_header(header, msg);
   stream.send_all(header.data());
   if (!msg.payload.empty()) stream.send_all(msg.payload);
   wire_metrics().frames_sent.inc();
@@ -71,49 +120,23 @@ void write_message(TcpStream& stream, const Message& msg) {
 Message read_message(TcpStream& stream) {
   std::byte header_buf[kFrameHeaderBytes];
   stream.recv_all(header_buf);
-  ByteReader header(header_buf);
-  std::uint32_t magic = header.u32();
-  if (magic != kMagic) {
-    char hex[16];
-    std::snprintf(hex, sizeof(hex), "%08x", magic);
-    throw ProtocolError(std::string("bad frame magic 0x") + hex);
-  }
-  std::uint16_t version = header.u16();
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
-    throw ProtocolError("unsupported protocol version " + std::to_string(version));
-  }
+  FrameHeader header = parse_header(header_buf);
   Message msg;
-  msg.version = version;
-  msg.type = static_cast<MessageType>(header.u16());
-  msg.correlation = header.u64();
-  std::uint32_t len = header.u32();
-  if (len > kMaxPayload) {
-    throw ProtocolError("frame payload too large: " + std::to_string(len));
-  }
-  std::uint32_t expected_crc = header.u32();
-  // The header announced len bytes that are already in flight; a bounded
-  // stall wait means a corrupted payload_len (recv-side fault injection
-  // flips bytes the frame CRC can only check after a full read) cannot
-  // wedge the reader forever against a peer that sent fewer bytes.
-  msg.payload.resize(len);
-  if (len > 0) stream.recv_all(msg.payload, kMidStreamStallMs);
-  if (std::uint32_t got = crc32(msg.payload); got != expected_crc) {
-    throw ProtocolError("frame payload CRC mismatch (" +
-                        std::string(to_string(msg.type)) + " frame)");
-  }
-  wire_metrics().frames_received.inc();
-  wire_metrics().bytes_received.inc(sizeof(header_buf) + msg.payload.size());
+  msg.type = header.type;
+  msg.correlation = header.correlation;
+  // The header announced payload_len bytes that are already in flight; a
+  // bounded stall wait means a corrupted payload_len (recv-side fault
+  // injection flips bytes the frame CRC can only check after a full read)
+  // cannot wedge the reader forever against a peer that sent fewer bytes.
+  msg.payload.resize(header.payload_len);
+  if (!msg.payload.empty()) stream.recv_all(msg.payload, kMidStreamStallMs);
+  accept_payload(msg, header.payload_crc);
   return msg;
 }
 
 std::vector<std::byte> encode_frame(const Message& msg) {
   ByteWriter out(kFrameHeaderBytes + msg.payload.size());
-  out.u32(kMagic);
-  out.u16(msg.version);
-  out.u16(static_cast<std::uint16_t>(msg.type));
-  out.u64(msg.correlation);
-  out.u32(static_cast<std::uint32_t>(msg.payload.size()));
-  out.u32(crc32(msg.payload));
+  put_header(out, msg);
   out.raw(msg.payload);
   wire_metrics().frames_sent.inc();
   wire_metrics().bytes_sent.inc(out.size());
@@ -121,8 +144,7 @@ std::vector<std::byte> encode_frame(const Message& msg) {
 }
 
 // FrameReader lives here (not frame_reader.cpp) so the incremental path
-// shares wire_metrics() and stays in lockstep with read_message above —
-// any validation change has to touch both, side by side.
+// shares parse_header, accept_payload and wire_metrics() with read_message.
 void FrameReader::feed(std::span<const std::byte> data,
                        std::vector<Message>& out) {
   for (;;) {
@@ -132,28 +154,12 @@ void FrameReader::feed(std::span<const std::byte> data,
       have_ += take;
       data = data.subspan(take);
       if (have_ < kFrameHeaderBytes) return;
-      ByteReader header(header_);
-      std::uint32_t magic = header.u32();
-      if (magic != kMagic) {
-        char hex[16];
-        std::snprintf(hex, sizeof(hex), "%08x", magic);
-        throw ProtocolError(std::string("bad frame magic 0x") + hex);
-      }
-      std::uint16_t version = header.u16();
-      if (version < kMinProtocolVersion || version > kProtocolVersion) {
-        throw ProtocolError("unsupported protocol version " +
-                            std::to_string(version));
-      }
+      FrameHeader header = parse_header(header_);
       msg_ = Message{};
-      msg_.version = version;
-      msg_.type = static_cast<MessageType>(header.u16());
-      msg_.correlation = header.u64();
-      std::uint32_t len = header.u32();
-      if (len > kMaxPayload) {
-        throw ProtocolError("frame payload too large: " + std::to_string(len));
-      }
-      expected_crc_ = header.u32();
-      msg_.payload.resize(len);
+      msg_.type = header.type;
+      msg_.correlation = header.correlation;
+      msg_.payload.resize(header.payload_len);
+      expected_crc_ = header.payload_crc;
       payload_have_ = 0;
       have_ = 0;
       in_payload_ = true;
@@ -163,12 +169,7 @@ void FrameReader::feed(std::span<const std::byte> data,
     payload_have_ += take;
     data = data.subspan(take);
     if (payload_have_ < msg_.payload.size()) return;
-    if (std::uint32_t got = crc32(msg_.payload); got != expected_crc_) {
-      throw ProtocolError("frame payload CRC mismatch (" +
-                          std::string(to_string(msg_.type)) + " frame)");
-    }
-    wire_metrics().frames_received.inc();
-    wire_metrics().bytes_received.inc(kFrameHeaderBytes + msg_.payload.size());
+    accept_payload(msg_, expected_crc_);
     in_payload_ = false;
     out.push_back(std::move(msg_));
     msg_ = Message{};

@@ -24,21 +24,14 @@
 namespace hdcs::net {
 
 inline constexpr std::uint32_t kMagic = 0x48444353;  // "HDCS"
-// v2 added the frame payload_crc; v3 added the result-digest field to
-// SubmitResult (donor-computed CRC-32 over the result payload); v4 added
-// the content-addressed bulk-data plane (blob-referencing WorkAssignment,
-// FetchBlobs/BlobData, compressed blob transfer); v5 added the optional
-// span-profile trailer to SubmitResult (donor-measured per-phase
-// durations); v6 added the server epoch (failover term) to WorkAssignment
-// and SubmitResult plus the hot-standby replication stream (ReplicaHello /
-// ReplicaSnapshot / WalAppend); v7 added the retryable RetryLater NACK
-// (overload shedding / degraded durability — back off retry_after_s and
-// retry, don't treat it as an error). v3..v6 peers are still accepted: the
-// server answers every request at the requester's version, and sends
-// RetryLater only to v7+ peers (older ones get an error frame, which their
-// existing backoff/reconnect paths already handle).
+// The one wire dialect. Every frame carries it in its header; a frame
+// stamped with any other version is refused (ProtocolError) and the
+// connection drops. History: v2 added the frame payload_crc, v3 the
+// SubmitResult digest, v4 the content-addressed bulk-data plane, v5 the
+// span-profile trailer, v6 the server epoch and the hot-standby stream,
+// v7 the retryable RetryLater NACK. A format change bumps this constant
+// for both sides at once.
 inline constexpr std::uint16_t kProtocolVersion = 7;
-inline constexpr std::uint16_t kMinProtocolVersion = 3;
 inline constexpr std::size_t kFrameHeaderBytes = 24;
 /// Upper bound on a single frame; bulk data uses the chunked bulk channel.
 inline constexpr std::uint32_t kMaxPayload = 64u * 1024 * 1024;
@@ -52,22 +45,22 @@ enum class MessageType : std::uint16_t {
   kFetchProblemData = 5,  // ask for a problem's bulk input data
   kGoodbye = 6,        // orderly departure (donor machine reclaimed)
   kFetchStats = 7,     // MSG_STATS: ask for a live metrics snapshot
-  kFetchBlobs = 8,     // v4: NEED list — digests missing from donor cache
-  kReplicaHello = 9,   // v6: a hot standby asks to tail this primary's WAL
+  kFetchBlobs = 8,     // NEED list — digests missing from donor cache
+  kReplicaHello = 9,   // a hot standby asks to tail this primary's WAL
 
   // Server -> client
   kHelloAck = 32,      // assigned client id
   kWorkAssignment = 33,  // a WorkUnit
   kNoWorkAvailable = 34,  // nothing to do right now; retry after delay
-  kProblemData = 35,   // bulk data header (payload follows on bulk channel)
+  kProblemData = 35,   // problem data header: algorithm, size, blob digest
   kResultAck = 36,
   kHeartbeatAck = 37,
   kShutdown = 38,      // server is stopping; client should exit
   kStatsSnapshot = 39, // MSG_STATS reply: JSON metrics snapshot
-  kBlobData = 40,      // v4: per-digest present flags; bodies follow on bulk
-  kReplicaSnapshot = 41,  // v6: exact-snapshot header; bytes follow on bulk
-  kWalAppend = 42,     // v6: a batch of live WAL records for the standby
-  kRetryLater = 43,    // v7: retryable NACK — back off retry_after_s, retry
+  kBlobData = 40,      // per-digest present flags; bodies follow on bulk
+  kReplicaSnapshot = 41,  // exact-snapshot header; bytes follow on bulk
+  kWalAppend = 42,     // a batch of live WAL records for the standby
+  kRetryLater = 43,    // retryable NACK — back off retry_after_s, retry
 
   // Either direction
   kError = 64,
@@ -78,10 +71,6 @@ const char* to_string(MessageType type);
 struct Message {
   MessageType type = MessageType::kError;
   std::uint64_t correlation = 0;
-  /// Frame version this message was read with / will be written as. A v3
-  /// donor's requests arrive marked 3 and the server mirrors that version
-  /// into its responses, so payload codecs know which fields to expect.
-  std::uint16_t version = kProtocolVersion;
   std::vector<std::byte> payload;
 
   [[nodiscard]] ByteReader reader() const { return ByteReader(payload); }
@@ -90,8 +79,9 @@ struct Message {
 /// Write one frame. Throws IoError on transport failure.
 void write_message(TcpStream& stream, const Message& msg);
 
-/// Read one frame. Throws ProtocolError on bad magic/version/length or a
-/// payload CRC mismatch, ConnectionClosed on clean EOF at a frame boundary.
+/// Read one frame. Throws ProtocolError on bad magic, a version other than
+/// kProtocolVersion, an oversize length or a payload CRC mismatch;
+/// ConnectionClosed on clean EOF at a frame boundary.
 Message read_message(TcpStream& stream);
 
 /// Serialize one frame (header + payload) to bytes without touching a

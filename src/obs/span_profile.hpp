@@ -3,7 +3,7 @@
 //
 // A donor times each phase of a work unit's life — queue wait, blob fetch,
 // decompression, compute, result encoding — and ships the durations back to
-// the server piggybacked on the result (protocol v5 trailer). Durations
+// the server piggybacked on the result (the SubmitResult trailer). Durations
 // only: donor and server clocks are never compared, so no cross-machine
 // clock sync is needed. The scheduler merges the donor's spans with its own
 // lease timeline (issue -> submit on the server clock) into one
@@ -19,7 +19,7 @@ namespace hdcs::obs {
 
 /// Donor-side phase durations for one work unit. All spans are seconds on
 /// the donor's monotonic clock. A default-constructed profile (all zeros)
-/// means "not measured" — v3/v4 donors never populate one.
+/// means "not measured".
 struct UnitProfile {
   double queue_wait_s = 0;  // RequestWork sent -> assignment decoded
   double blob_fetch_s = 0;  // problem data + blob resolution (network + cache)

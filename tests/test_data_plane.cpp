@@ -1,7 +1,7 @@
 // The content-addressed bulk-data plane: LZ codec, donor blob cache,
-// protocol-v4 blob transfer, v3 flattening compatibility, and the headline
-// dedup property — a database chunk crosses the wire to a given donor at
-// most once, even under replication and across server restarts.
+// blob transfer, blob-backed application units, and the headline dedup
+// property — a database chunk crosses the wire to a given donor at most
+// once, even under replication and across server restarts.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <thread>
 
 #include "bio/seqgen.hpp"
@@ -28,7 +27,6 @@
 #include "net/socket.hpp"
 #include "util/vfs.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "phylo/simulate.hpp"
 #include "sim/sim_driver.hpp"
 #include "util/byte_buffer.hpp"
@@ -406,7 +404,7 @@ TEST(BulkV4, TruncatedSendSurfacesAsError) {
   sender.join();
 }
 
-// ------------------------------------------------------------ wire v3/v4 --
+// ----------------------------------------------------------- blob wire --
 
 TEST(WireV4, WorkAssignmentCarriesBlobRefsNotBytes) {
   dist::WorkUnit unit;
@@ -418,9 +416,7 @@ TEST(WireV4, WorkAssignmentCarriesBlobRefsNotBytes) {
   unit.blobs.push_back(dist::make_work_blob(compressible_blob(10)));
   unit.blobs.push_back(dist::make_work_blob(bytes_of("second blob")));
 
-  auto m = dist::encode_work_assignment(unit, 9, net::kProtocolVersion);
-  EXPECT_EQ(m.version, net::kProtocolVersion);
-  auto back = dist::decode_work_assignment(m);
+  auto back = dist::decode_work_assignment(dist::encode_work_assignment(unit, 9));
   EXPECT_EQ(back.unit_id, unit.unit_id);
   EXPECT_EQ(back.payload, unit.payload);
   ASSERT_EQ(back.blobs.size(), 2u);
@@ -429,25 +425,6 @@ TEST(WireV4, WorkAssignmentCarriesBlobRefsNotBytes) {
     EXPECT_EQ(back.blobs[i].size, unit.blobs[i].size);
     EXPECT_TRUE(back.blobs[i].bytes.empty()) << "refs only on the wire";
   }
-}
-
-TEST(WireV4, V3EncodingOfFlattenedUnitIsLegacyShape) {
-  // What the server sends a v3 donor: blobs flattened onto the payload,
-  // encoded with the legacy (payload-only) codec.
-  dist::WorkUnit unit;
-  unit.problem_id = 1;
-  unit.unit_id = 5;
-  unit.cost_ops = 10;
-  unit.payload = bytes_of("prefix");
-  auto blob = bytes_of("blob-body");
-  dist::WorkUnit flat = unit;
-  flat.payload.insert(flat.payload.end(), blob.begin(), blob.end());
-
-  auto m = dist::encode_work_assignment(flat, 1, /*version=*/3);
-  EXPECT_EQ(m.version, 3);
-  auto back = dist::decode_work_assignment(m);
-  EXPECT_TRUE(back.blobs.empty());
-  EXPECT_EQ(back.payload, flat.payload);
 }
 
 TEST(WireV4, FetchBlobsAndBlobDataRoundTrip) {
@@ -470,59 +447,58 @@ TEST(WireV4, FetchBlobsAndBlobDataRoundTrip) {
   }
 }
 
-// -------------------------------------------- algorithm flatten parity --
+// ------------------------------------------------- blob-backed units --
 
-TEST(DPRmlDataPlane, SharedTreeUnitDecodesBlobAndFlattenedFormsAlike) {
-  // Drive a whole DPRml build; every blob-bearing unit (shared stage tree)
-  // must produce byte-identical results whether the tree arrives as
-  // blobs[0] (v4 donors) or flattened onto the payload (v3 donors).
+TEST(DataPlaneApps, UnitWithoutItsBlobThrowsProtocolError) {
+  // DSEARCH chunks and DPRml shared stage trees arrive only as blobs[0];
+  // a unit that lost its blob is refused, never decoded from the payload.
   Rng rng(31);
-  auto tree = phylo::random_tree(rng, {6, 0.12, "t"});
+  auto queries = bio::make_queries(rng, 1, 40, bio::Alphabet::kProtein);
+  bio::DatabaseSpec spec;
+  spec.num_sequences = 8;
+  spec.mean_length = 50;
+  auto database = bio::make_database(rng, spec, queries);
+  dsearch::DSearchDataManager search_dm(queries, database, {});
+  dsearch::DSearchAlgorithm search;
+  search.initialize(search_dm.problem_data());
+  auto chunk = search_dm.next_unit(dist::SizeHint{});
+  ASSERT_TRUE(chunk.has_value());
+  ASSERT_EQ(chunk->blobs.size(), 1u);
+  EXPECT_NO_THROW(search.process(*chunk));
+  chunk->blobs.clear();
+  EXPECT_THROW(search.process(*chunk), ProtocolError);
+
+  auto tree = phylo::random_tree(rng, {5, 0.12, "t"});
   auto aln = phylo::simulate_alignment(rng, tree, phylo::SubstModel::jc69(),
-                                       phylo::RateModel::uniform(), {200});
+                                       phylo::RateModel::uniform(), {100});
   dprml::DPRmlConfig config;
   config.model_spec = "JC69";
-  config.branch_tolerance = 1e-3;
-  config.eval_passes = 1;
-  config.refine_passes = 1;
   config.use_eval_cache = false;
-
   dprml::DPRmlDataManager dm(aln, config);
   dprml::DPRmlAlgorithm algo;
   algo.initialize(dm.problem_data());
-
   dist::SizeHint hint;
-  hint.target_ops = 1e18;  // one unit per stage batch keeps the loop short
-  int blob_units = 0;
-  int spins = 0;
-  while (!dm.is_complete()) {
+  hint.target_ops = 1e18;
+  for (int spins = 0; !dm.is_complete(); ++spins) {
+    ASSERT_LT(spins, 100000) << "data manager stalled";
     auto unit = dm.next_unit(hint);
-    if (!unit) {
-      ASSERT_LT(++spins, 100000) << "data manager stalled";
-      continue;
-    }
-    auto blob_form = algo.process(*unit);
+    if (!unit) continue;
     if (!unit->blobs.empty()) {
-      ++blob_units;
-      dist::WorkUnit flat = *unit;
-      for (const auto& b : flat.blobs) {
-        flat.payload.insert(flat.payload.end(), b.bytes.begin(),
-                            b.bytes.end());
-      }
-      flat.blobs.clear();
-      EXPECT_EQ(algo.process(flat), blob_form) << "unit " << unit->unit_id;
+      unit->blobs.clear();
+      EXPECT_THROW(algo.process(*unit), ProtocolError);
+      return;
     }
     dist::ResultUnit r;
     r.problem_id = unit->problem_id;
     r.unit_id = unit->unit_id;
     r.stage = unit->stage;
-    r.payload = std::move(blob_form);
+    r.payload = algo.process(*unit);
     dm.accept_result(r);
   }
-  EXPECT_GT(blob_units, 0) << "no shared-tree units exercised";
+  FAIL() << "no shared-tree unit issued";
 }
 
-// --------------------------------------------------- TCP compatibility --
+// ------------------------------------------------------------ TCP e2e --
 
 struct DSearchCase {
   std::vector<bio::Sequence> queries;
@@ -559,108 +535,6 @@ dist::ClientConfig donor_config(std::uint16_t port, const std::string& name) {
   cfg.server_port = port;
   cfg.name = name;
   return cfg;
-}
-
-TEST(DataPlaneTcp, V3DonorCompletesBlobBackedProblem) {
-  auto c = dsearch_case(311);
-  auto serial = dsearch::search_serial(c.queries, c.database, c.config);
-
-  dist::Server server(dsearch_server_config());
-  server.start();
-  auto dm = std::make_shared<dsearch::DSearchDataManager>(c.queries,
-                                                          c.database, c.config);
-  auto pid = server.submit_problem(dm);
-
-  auto cfg = donor_config(server.port(), "legacy-donor");
-  cfg.protocol_version = 3;  // speaks the pre-blob protocol end to end
-  dist::Client donor(cfg);
-  auto stats = donor.run();
-
-  ASSERT_TRUE(server.wait_for_problem(pid, 30.0));
-  EXPECT_GT(stats.units_processed, 0u);
-  EXPECT_EQ(dm->result(), serial);
-  server.stop();
-}
-
-TEST(DataPlaneTcp, MixedV3AndV4DonorsAgree) {
-  auto c = dsearch_case(313);
-  auto serial = dsearch::search_serial(c.queries, c.database, c.config);
-
-  dist::Server server(dsearch_server_config());
-  server.start();
-  auto dm = std::make_shared<dsearch::DSearchDataManager>(c.queries,
-                                                          c.database, c.config);
-  auto pid = server.submit_problem(dm);
-
-  auto legacy_cfg = donor_config(server.port(), "v3-donor");
-  legacy_cfg.protocol_version = 3;
-  std::thread legacy([&] { dist::Client(legacy_cfg).run(); });
-  std::thread modern(
-      [&] { dist::Client(donor_config(server.port(), "v4-donor")).run(); });
-  legacy.join();
-  modern.join();
-
-  ASSERT_TRUE(server.wait_for_problem(pid, 30.0));
-  EXPECT_EQ(dm->result(), serial);
-  server.stop();
-}
-
-TEST(DataPlaneTcp, MixedFleetProfilesComeOnlyFromV5Donors) {
-  // v3 + v4 + v5 donors against one server: the merged result is
-  // byte-identical to the serial reference, and every span profile the
-  // trace records came from the v5 donor — exactly one per completion it
-  // contributed, none from the legacy donors.
-  auto c = dsearch_case(331, 96);
-  auto serial = dsearch::search_serial(c.queries, c.database, c.config);
-
-  obs::Tracer tracer;
-  tracer.to_memory();
-  auto scfg = dsearch_server_config();
-  scfg.tracer = &tracer;
-  dist::Server server(scfg);
-  server.start();
-  auto dm = std::make_shared<dsearch::DSearchDataManager>(c.queries,
-                                                          c.database, c.config);
-  auto pid = server.submit_problem(dm);
-
-  auto v3_cfg = donor_config(server.port(), "v3-donor");
-  v3_cfg.protocol_version = 3;
-  auto v4_cfg = donor_config(server.port(), "v4-donor");
-  v4_cfg.protocol_version = 4;
-  auto v5_cfg = donor_config(server.port(), "v5-donor");  // default: v5
-  std::thread t3([&] { dist::Client(v3_cfg).run(); });
-  std::thread t4([&] { dist::Client(v4_cfg).run(); });
-  std::thread t5([&] { dist::Client(v5_cfg).run(); });
-  t3.join();
-  t4.join();
-  t5.join();
-
-  ASSERT_TRUE(server.wait_for_problem(pid, 30.0));
-  EXPECT_EQ(dm->result(), serial);
-  server.stop();
-
-  std::set<std::uint64_t> v5_ids;
-  std::uint64_t v5_completed = 0, profiles = 0;
-  for (const auto& line : tracer.lines()) {
-    auto rec = obs::parse_trace_line(line);
-    if (rec.ev == "client_joined") {
-      if (rec.text("name") == "v5-donor") {
-        v5_ids.insert(static_cast<std::uint64_t>(rec.number("client")));
-      }
-    } else if (rec.ev == "unit_completed") {
-      if (v5_ids.count(static_cast<std::uint64_t>(rec.number("client")))) {
-        v5_completed += 1;
-      }
-    } else if (rec.ev == "unit_profile") {
-      profiles += 1;
-      EXPECT_TRUE(v5_ids.count(static_cast<std::uint64_t>(rec.number("client"))))
-          << "span profile attributed to a legacy donor";
-      EXPECT_GE(rec.number("submit_s"), 0.0);
-    }
-  }
-  EXPECT_EQ(profiles, v5_completed);
-  EXPECT_GT(profiles + v5_completed, 0u)
-      << "v5 donor never completed a unit; widen the workload";
 }
 
 // ------------------------------------------------------- dedup headline --

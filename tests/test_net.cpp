@@ -8,6 +8,7 @@
 #include "net/frame_reader.hpp"
 #include "net/message.hpp"
 #include "net/socket.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace hdcs::net {
@@ -156,56 +157,55 @@ TEST(Bulk, Crc32KnownVector) {
 }
 
 TEST(Bulk, RoundTripsLargeBlob) {
+  // Incompressible and several kBulkChunk long: sent stored in one write,
+  // received chunk by chunk, and counted once as one blob.
   Pair p;
   Rng rng(1);
   std::vector<std::byte> blob(3 * kBulkChunk + 12345);
   for (auto& b : blob) b = static_cast<std::byte>(rng.next_u64() & 0xff);
+  auto& reg = obs::Registry::global();
+  std::uint64_t blobs_before = reg.counter("net.blobs_sent").value();
+  std::uint64_t bytes_before = reg.counter("net.bulk_bytes_sent").value();
 
-  std::thread sender([&] { send_blob(p.client, blob); });
-  auto received = recv_blob(p.server);
+  BlobWireInfo info;
+  std::thread sender([&] { info = send_blob_v4(p.client, blob); });
+  auto received = recv_blob_v4(p.server);
   sender.join();
   EXPECT_EQ(received, blob);
-}
-
-TEST(Bulk, EmptyBlobOk) {
-  Pair p;
-  std::thread sender([&] { send_blob(p.client, {}); });
-  auto received = recv_blob(p.server);
-  sender.join();
-  EXPECT_TRUE(received.empty());
+  EXPECT_FALSE(info.compressed);
+  EXPECT_EQ(reg.counter("net.blobs_sent").value() - blobs_before, 1u);
+  EXPECT_EQ(reg.counter("net.bulk_bytes_sent").value() - bytes_before,
+            info.wire_bytes);
 }
 
 TEST(Bulk, OversizeBlobRejected) {
+  // A blob that compresses below the cap but inflates past it is refused
+  // from its header, before any allocation or decompression.
   Pair p;
-  std::vector<std::byte> blob(1024);
-  std::thread sender([&] {
-    try {
-      send_blob(p.client, blob);
-    } catch (const IoError&) {
-      // receiver may close early; ignore
-    }
-  });
-  EXPECT_THROW(recv_blob(p.server, 512), IoError);
-  p.server.close();
+  std::vector<std::byte> blob(64 * 1024, std::byte{'A'});
+  constexpr std::size_t kCap = 4096;
+  BlobWireInfo info;
+  std::thread sender([&] { info = send_blob_v4(p.client, blob); });
+  EXPECT_THROW(recv_blob_v4(p.server, kCap), IoError);
   sender.join();
+  EXPECT_TRUE(info.compressed);
+  EXPECT_LT(info.wire_bytes, kCap);
 }
 
 TEST(Bulk, CorruptedPayloadFailsCrc) {
+  // Intact header, one flipped body byte: the raw-bytes CRC catches it.
   Pair p;
-  // Hand-craft a blob frame with a wrong CRC.
-  ByteWriter header;
-  std::string body = "abcdefgh";
-  header.u64(body.size());
-  header.u32(crc32(as_bytes(body)) ^ 0xffffffffu);
-  p.client.send_all(header.data());
-  p.client.send_all(as_bytes(body));
-  EXPECT_THROW(recv_blob(p.server), ProtocolError);
+  auto enc = encode_blob_v4(as_bytes("abcdefgh"));
+  ASSERT_FALSE(enc.info.compressed);
+  enc.bytes.back() ^= std::byte{0x01};
+  p.client.send_all(enc.bytes);
+  EXPECT_THROW(recv_blob_v4(p.server), ProtocolError);
 }
 
 // ---- FrameReader: the incremental parser must match the blocking path ----
 
-/// One message per type the protocol defines, across every accepted frame
-/// version, with payload sizes from empty through several-KB random bytes.
+/// One message per type the protocol defines, with payload sizes from empty
+/// through several-KB random bytes.
 std::vector<Message> frame_reader_corpus() {
   const MessageType kTypes[] = {
       MessageType::kHello,          MessageType::kRequestWork,
@@ -223,21 +223,17 @@ std::vector<Message> frame_reader_corpus() {
   Rng rng(2024);
   std::vector<Message> corpus;
   std::uint64_t correlation = 1;
-  for (std::uint16_t version = kMinProtocolVersion;
-       version <= kProtocolVersion; ++version) {
-    for (MessageType type : kTypes) {
-      Message m;
-      m.type = type;
-      m.version = version;
-      m.correlation = correlation++;
-      std::size_t len = static_cast<std::size_t>(rng.next_u64() % 4096);
-      if (correlation % 5 == 0) len = 0;  // empty payloads are legal
-      m.payload.resize(len);
-      for (auto& b : m.payload) {
-        b = static_cast<std::byte>(rng.next_u64() & 0xff);
-      }
-      corpus.push_back(std::move(m));
+  for (MessageType type : kTypes) {
+    Message m;
+    m.type = type;
+    m.correlation = correlation++;
+    std::size_t len = static_cast<std::size_t>(rng.next_u64() % 4096);
+    if (correlation % 5 == 0) len = 0;  // empty payloads are legal
+    m.payload.resize(len);
+    for (auto& b : m.payload) {
+      b = static_cast<std::byte>(rng.next_u64() & 0xff);
     }
+    corpus.push_back(std::move(m));
   }
   return corpus;
 }
@@ -256,7 +252,6 @@ void expect_same_messages(const std::vector<Message>& got,
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].type, want[i].type) << "message " << i;
-    EXPECT_EQ(got[i].version, want[i].version) << "message " << i;
     EXPECT_EQ(got[i].correlation, want[i].correlation) << "message " << i;
     EXPECT_EQ(got[i].payload, want[i].payload) << "message " << i;
   }
@@ -264,14 +259,14 @@ void expect_same_messages(const std::vector<Message>& got,
 
 TEST(FrameReader, EncodeFrameMatchesWriteMessageBytes) {
   // encode_frame (event-loop write path) and write_message (blocking path)
-  // must put identical bytes on the wire for every type and version.
+  // must put identical bytes on the wire for every type.
   Pair p;
   for (const auto& m : frame_reader_corpus()) {
     write_message(p.client, m);
     auto encoded = encode_frame(m);
     std::vector<std::byte> sent(encoded.size());
     p.server.recv_all(sent);
-    EXPECT_EQ(sent, encoded) << to_string(m.type) << " v" << m.version;
+    EXPECT_EQ(sent, encoded) << to_string(m.type);
   }
 }
 

@@ -276,7 +276,7 @@ TEST(MsgStats, LiveServerServesSnapshot) {
   EXPECT_NE(snap.json.find("\"units_pending\":"), std::string::npos);
   // Histograms export computed quantiles alongside their raw buckets.
   EXPECT_NE(snap.json.find("\"quantiles\":{\"p50\":"), std::string::npos);
-  // A v5 donor completed units, so the per-phase span histograms exist.
+  // A donor completed units, so the per-phase span histograms exist.
   EXPECT_NE(snap.json.find("\"unit.compute_s\":"), std::string::npos);
   EXPECT_NE(snap.json.find("\"unit.submit_s\":"), std::string::npos);
 
@@ -331,7 +331,7 @@ TEST(MsgStats, ServerTraceRecordsFullClientLifecycle) {
 TEST(MsgStats, UnitProfileSharedSchemaAcrossServerAndSim) {
   test::register_toy_algorithm();
 
-  // Real TCP run: one v5 donor against a live server, trace collected.
+  // Real TCP run: one donor against a live server, trace collected.
   obs::Tracer server_tracer;
   server_tracer.to_memory();
   {
@@ -385,8 +385,16 @@ TEST(MsgStats, UnitProfileSharedSchemaAcrossServerAndSim) {
     }
     return profiles;
   };
-  EXPECT_GT(check_sums(server_tracer.lines(), 10e-3), 0);
+  int server_profiles = check_sums(server_tracer.lines(), 10e-3);
+  EXPECT_GT(server_profiles, 0);
   EXPECT_GT(check_sums(sim_tracer.lines(), 1e-6), 0);
+
+  // Every result the server accepted over TCP carried exactly one profile.
+  int server_completed = 0;
+  for (const auto& line : server_tracer.lines()) {
+    if (obs::parse_trace_line(line).ev == "unit_completed") ++server_completed;
+  }
+  EXPECT_EQ(server_profiles, server_completed);
 
   // The pinned schema: both emitters must produce unit_profile with
   // exactly these fields so one tool (trace_summary --critical-path,

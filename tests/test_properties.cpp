@@ -24,10 +24,17 @@ namespace {
 // Alignment kernel properties across scoring schemes.
 // ---------------------------------------------------------------------------
 
+// gtest prints a parameter that has no printer byte by byte into the test
+// name ("# GetParam() = 16-byte object <...>"). The scheme name is therefore
+// held inline and the struct has no padding: a pointer member or padding
+// bytes would give the test a different name on every build.
 struct KernelCase {
-  const char* scheme;
+  char scheme[12];
   bio::Alphabet alphabet;
 };
+static_assert(sizeof(KernelCase) ==
+                  sizeof(KernelCase::scheme) + sizeof(bio::Alphabet),
+              "KernelCase must have no padding bytes");
 
 class AlignKernelProperties : public ::testing::TestWithParam<KernelCase> {};
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "dist/client.hpp"
@@ -62,10 +63,9 @@ TEST(ProtocolEdges, RequestWorkWithoutHelloGetsErrorFrame) {
 TEST(ProtocolEdges, WrongProtocolVersionRejected) {
   Server server(server_config());
   server.start();
-  auto stream = connect_to(server);
 
-  // Hand-roll a frame with a bad version (full 24-byte v2 header: the
-  // payload_len and payload_crc fields are present but never reached).
+  // A frame from a newer dialect (full 24-byte header: the payload_len and
+  // payload_crc fields are present but never reached).
   ByteWriter w;
   w.u32(net::kMagic);
   w.u16(net::kProtocolVersion + 1);
@@ -73,10 +73,22 @@ TEST(ProtocolEdges, WrongProtocolVersionRejected) {
   w.u64(1);
   w.u32(0);
   w.u32(0);
-  stream.send_all(w.data());
-  // Server drops the connection (ProtocolError path): our next read EOFs.
-  std::vector<std::byte> buf(1);
-  EXPECT_EQ(stream.recv_some(buf), 0u);
+  // A well-formed Hello (valid length and payload CRC) from an older
+  // dialect: only the version field is wrong.
+  auto older = net::encode_frame(encode_hello({"old-donor", 1, 1e6}, 1));
+  ByteWriter version;
+  version.u16(net::kProtocolVersion - 1);
+  std::copy(version.data().begin(), version.data().end(), older.begin() + 4);
+
+  for (const std::vector<std::byte>& frame : {w.take(), older}) {
+    auto stream = connect_to(server);
+    stream.send_all(frame);
+    // No HelloAck: the server drops the connection (ProtocolError path),
+    // so our next read EOFs.
+    std::vector<std::byte> buf(1);
+    EXPECT_EQ(stream.recv_some(buf), 0u);
+  }
+  EXPECT_TRUE(server.client_stats().empty());
   server.stop();
 }
 

@@ -55,7 +55,7 @@ TEST(Wire, SubmitResultRoundTrip) {
   ByteWriter w;
   w.f64(-1234.5);
   result.payload = w.take();
-  result.payload_crc = 0xdeadbeefu;  // v3: the donor's digest over payload
+  result.payload_crc = 0xdeadbeefu;  // the donor's digest over payload
 
   auto [client, decoded] = decode_submit_result(encode_submit_result(9, result, 6));
   EXPECT_EQ(client, 9u);
@@ -65,6 +65,7 @@ TEST(Wire, SubmitResultRoundTrip) {
 }
 
 TEST(Wire, SubmitResultV5ProfileTrailerRoundTrip) {
+  // The span-profile trailer (introduced in v5) after payload_crc.
   ResultUnit result;
   result.problem_id = 1;
   result.unit_id = 2;
@@ -79,8 +80,7 @@ TEST(Wire, SubmitResultV5ProfileTrailerRoundTrip) {
   prof.saturations = 17;
   result.profile = prof;
 
-  auto [client, decoded] =
-      decode_submit_result(encode_submit_result(9, result, 6, 5));
+  auto [client, decoded] = decode_submit_result(encode_submit_result(9, result, 6));
   EXPECT_EQ(client, 9u);
   ASSERT_TRUE(decoded.profile.has_value());
   EXPECT_DOUBLE_EQ(decoded.profile->queue_wait_s, 0.015);
@@ -91,65 +91,95 @@ TEST(Wire, SubmitResultV5ProfileTrailerRoundTrip) {
   EXPECT_EQ(decoded.profile->threads, 4u);
   EXPECT_EQ(decoded.profile->saturations, 17u);
 
-  // A v5 frame without a profile carries only the presence flag.
+  // A frame without a profile carries only the presence flag.
   result.profile.reset();
-  auto [c2, d2] = decode_submit_result(encode_submit_result(9, result, 7, 5));
+  auto [c2, d2] = decode_submit_result(encode_submit_result(9, result, 7));
   EXPECT_EQ(c2, 9u);
   EXPECT_FALSE(d2.profile.has_value());
 }
 
-TEST(Wire, SubmitResultV4FrameHasNoTrailer) {
-  // A v4 encoder must stay bit-identical to the pre-v5 shape: a profile on
-  // the ResultUnit is silently dropped, never written, so v3/v4 servers
-  // (which expect_end after payload_crc) keep parsing the frame.
-  ResultUnit result;
-  result.problem_id = 1;
-  result.unit_id = 2;
-  ByteWriter w;
-  w.str("payload");
-  result.payload = w.take();
-  result.payload_crc = 7;
-
-  auto legacy = encode_submit_result(9, result, 6, 4);
-  result.profile = obs::UnitProfile{};
-  result.profile->compute_s = 1.25;
-  auto with_profile = encode_submit_result(9, result, 6, 4);
-  EXPECT_EQ(legacy.payload, with_profile.payload);
-  EXPECT_EQ(legacy.version, 4u);
-
-  auto [client, decoded] = decode_submit_result(legacy);
-  EXPECT_EQ(client, 9u);
-  EXPECT_FALSE(decoded.profile.has_value());
-}
-
 TEST(Wire, V6EpochRoundTripsOnWorkAndResult) {
-  // v6 frames carry the fencing epoch on both the lease and the echo;
-  // v5 frames must stay bit-identical to the pre-epoch shape.
+  // The fencing epoch (introduced in v6) rides on both the lease and the
+  // echo.
   WorkUnit unit;
   unit.problem_id = 3;
   unit.unit_id = 99;
   unit.epoch = 7;
-  auto v6 = decode_work_assignment(encode_work_assignment(unit, 5, 6));
-  EXPECT_EQ(v6.epoch, 7u);
-  auto v5 = decode_work_assignment(encode_work_assignment(unit, 5, 5));
-  EXPECT_EQ(v5.epoch, 0u);  // absent from the frame -> default
+  EXPECT_EQ(decode_work_assignment(encode_work_assignment(unit, 5)).epoch, 7u);
 
   ResultUnit result;
   result.problem_id = 3;
   result.unit_id = 99;
   result.epoch = 7;
-  auto [c6, r6] = decode_submit_result(encode_submit_result(9, result, 5, 6));
-  EXPECT_EQ(c6, 9u);
-  EXPECT_EQ(r6.epoch, 7u);
-  auto [c5, r5] = decode_submit_result(encode_submit_result(9, result, 5, 5));
-  EXPECT_EQ(c5, 9u);
-  EXPECT_EQ(r5.epoch, 0u);
+  auto [client, decoded] = decode_submit_result(encode_submit_result(9, result, 5));
+  EXPECT_EQ(client, 9u);
+  EXPECT_EQ(decoded.epoch, 7u);
+}
 
-  // A v5 encoder drops the epoch without shifting any other field.
-  ResultUnit plain = result;
-  plain.epoch = 0;
-  EXPECT_EQ(encode_submit_result(9, result, 5, 5).payload,
-            encode_submit_result(9, plain, 5, 5).payload);
+std::string hex(const std::vector<std::byte>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::byte b : bytes) {
+    auto v = static_cast<unsigned>(b);
+    out += kDigits[v >> 4];
+    out += kDigits[v & 15];
+  }
+  return out;
+}
+
+TEST(Wire, GoldenV7FramesAreByteStable) {
+  // Whole frames (header + payload) as v7 peers have always exchanged them.
+  // A donor or server built against an older v7 tree must keep decoding
+  // these bytes, so any difference here is a wire-format break.
+  WorkUnit unit;
+  unit.problem_id = 3;
+  unit.unit_id = 17;
+  unit.stage = 2;
+  unit.cost_ops = 1234.5;
+  unit.payload = {std::byte{'h'}, std::byte{'d'}, std::byte{'r'}};
+  unit.blobs.resize(2);
+  unit.blobs[0].digest = 0x0123456789abcdefull;
+  unit.blobs[0].size = 4096;
+  unit.blobs[1].digest = 0xfedcba9876543210ull;
+  unit.blobs[1].size = 77;
+  unit.epoch = 5;
+  EXPECT_EQ(hex(net::encode_frame(encode_work_assignment(unit, 9))),
+            "534344480700210009000000000000004f000000974691b7030000000000"
+            "000011000000000000000200000000000000004a9340030000006864720200"
+            "0000efcdab896745230100100000000000001032547698badcfe4d00000000"
+            "0000000500000000000000");
+
+  ResultUnit result;
+  result.problem_id = 3;
+  result.unit_id = 17;
+  result.stage = 2;
+  result.payload = {std::byte{1}, std::byte{2}, std::byte{3}, std::byte{4}};
+  result.payload_crc = 0xdeadbeefu;
+  obs::UnitProfile prof;
+  prof.queue_wait_s = 0.5;
+  prof.blob_fetch_s = 0.25;
+  prof.decompress_s = 0.125;
+  prof.compute_s = 2.0;
+  prof.encode_s = 0.0625;
+  prof.threads = 4;
+  prof.saturations = 17;
+  result.profile = prof;
+  result.epoch = 5;
+  EXPECT_EQ(hex(net::encode_frame(encode_submit_result(11, result, 10))),
+            "53434448070003000a0000000000000065000000d9b1b5a10b000000000000"
+            "0003000000000000001100000000000000020000000400000001020304efbe"
+            "adde01000000000000e03f000000000000d03f000000000000c03f00000000"
+            "00000040000000000000b03f04000000110000000000000005000000000000"
+            "00");
+
+  ProblemDataHeaderPayload header;
+  header.problem_id = 3;
+  header.algorithm_name = "dsearch";
+  header.data_bytes = 1234567;
+  header.data_digest = 0x0badc0ffee0ddf00ull;
+  EXPECT_EQ(hex(net::encode_frame(encode_problem_data_header(header, 12))),
+            "53434448070023000c0000000000000023000000cefc64c403000000000000"
+            "00070000006473656172636887d612000000000000df0deeffc0ad0b");
 }
 
 TEST(Wire, ReplicationPayloadsRoundTrip) {
