@@ -9,7 +9,8 @@
 # test most likely to expose races and lifetime bugs in the
 # reconnect/checkpoint paths, and it must stay clean there, not just in
 # the plain build. The Simd/BatchKernel suites additionally run with
-# HDCS_SIMD=scalar so the no-SIMD dispatch path stays exercised.
+# HDCS_SIMD pinned to scalar, sse2 and avx2, so every tier below the
+# detected one stays exercised on hosts that would dispatch higher.
 #
 #   scripts/verify.sh            # full: tier-1 + TSan + ASan + smoke
 #   scripts/verify.sh --fast     # tier-1 only
@@ -26,9 +27,11 @@ if [[ "${1:-}" == "--fast" ]]; then
   exit 0
 fi
 
-echo "== kernel equivalence with SIMD forced off (HDCS_SIMD=scalar) =="
-HDCS_SIMD=scalar ctest --test-dir build --output-on-failure -j"$(nproc)" \
-  -R 'Simd|BatchKernel'
+for tier in scalar sse2 avx2; do
+  echo "== kernel equivalence with the tier pinned (HDCS_SIMD=$tier) =="
+  HDCS_SIMD=$tier ctest --test-dir build --output-on-failure -j"$(nproc)" \
+    -R 'Simd|BatchKernel'
+done
 
 echo "== TSan: obs + scheduler + integration + chaos + data-plane tests =="
 cmake --preset tsan >/dev/null
@@ -44,8 +47,12 @@ ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
 
 echo "== bench_align --smoke (kernel equivalence + throughput snapshot) =="
 # Writes into build/ so a verify run never dirties the committed
-# BENCH_ALIGN.json; refresh that with: ./build/bench/bench_align --smoke
+# BENCH_ALIGN.json. That baseline is measured with the tier pinned to AVX2
+# (refresh: HDCS_SIMD=avx2 ./build/bench/bench_align --smoke), so CI can
+# gate both the detected tier and the AVX2 kernels on AVX-512 hosts.
 ./build/bench/bench_align --smoke --out build/BENCH_ALIGN.json
+HDCS_SIMD=avx2 ./build/bench/bench_align --smoke \
+  --out build/BENCH_ALIGN_AVX2.json
 
 echo "== bench_likelihood --smoke (tier bit-equality + throughput) =="
 ./build/bench/bench_likelihood --smoke --out build/BENCH_LIKELIHOOD.json
@@ -59,11 +66,13 @@ echo "== bench gate self-test + speedup ratchets on the fresh artifacts =="
 # throughput comparison — CI does that against the committed baselines —
 # but still enforces the machine-independent speedup ratchets locally.
 python3 scripts/bench_gate.py --self-test
-python3 scripts/bench_gate.py \
-  --baseline build/BENCH_ALIGN.json --current build/BENCH_ALIGN.json \
-  --min speedup_batch_over_scalar.sw=3.0 \
-  --min speedup_batch_over_scalar.nw=3.0 \
-  --min speedup_batch_over_scalar.semiglobal=3.0
+for artifact in build/BENCH_ALIGN.json build/BENCH_ALIGN_AVX2.json; do
+  python3 scripts/bench_gate.py \
+    --baseline "$artifact" --current "$artifact" \
+    --min speedup_batch_over_scalar.sw=3.0 \
+    --min speedup_batch_over_scalar.nw=3.0 \
+    --min speedup_batch_over_scalar.semiglobal=3.0
+done
 python3 scripts/bench_gate.py --section kernels_evals_per_sec \
   --baseline build/BENCH_LIKELIHOOD.json \
   --current build/BENCH_LIKELIHOOD.json \

@@ -20,11 +20,9 @@ void encode_residues(std::string_view seq, std::vector<std::uint8_t>& out) {
 
 QueryProfile::QueryProfile(std::string_view query, const ScoringScheme& scheme)
     : query_(query), n_(query.size()) {
-  profile16_.assign(kProfileSymbols * n_, kFloor16);
+  encode_residues(query, codes_);
+  for (auto& row : rows16_) row.fill(kFloor16);
   profile32_.assign(kProfileSymbols * n_, kFloor16);
-
-  std::vector<std::uint8_t> enc;
-  encode_residues(query, enc);
 
   // The lane kernel's no-overflow argument needs bounded per-cell steps:
   // kSat16 + |substitution| must fit int16, and kFloor16 minus one gap step
@@ -37,17 +35,24 @@ QueryProfile::QueryProfile(std::string_view query, const ScoringScheme& scheme)
     lane_safe_ = false;
   }
 
-  for (std::size_t sym = 0; sym < ScoringScheme::kAlphabetSize; ++sym) {
-    std::int16_t* col16 = profile16_.data() + sym * n_;
-    std::int32_t* col32 = profile32_.data() + sym * n_;
-    for (std::size_t i = 0; i < n_; ++i) {
-      int sc = scheme.score_indexed(sym, enc[i]);
+  bool present[ScoringScheme::kAlphabetSize] = {};
+  for (std::uint8_t code : codes_) present[code] = true;
+  for (std::size_t code = 0; code < ScoringScheme::kAlphabetSize; ++code) {
+    if (!present[code]) continue;
+    present_.push_back(static_cast<std::uint8_t>(code));
+    for (std::size_t sym = 0; sym < ScoringScheme::kAlphabetSize; ++sym) {
+      int sc = scheme.score_indexed(sym, code);
       if (std::abs(sc) > kLaneSubLimit) lane_safe_ = false;
-      col16[i] = static_cast<std::int16_t>(sc);
-      col32[i] = sc;
+      rows16_[code][sym] = static_cast<std::int16_t>(sc);
     }
   }
-  // kPadSymbol column stays kFloor16 (from the assign above).
+  for (std::size_t sym = 0; sym < ScoringScheme::kAlphabetSize; ++sym) {
+    std::int32_t* col32 = profile32_.data() + sym * n_;
+    for (std::size_t i = 0; i < n_; ++i) {
+      col32[i] = scheme.score_indexed(sym, codes_[i]);
+    }
+  }
+  // kPadSymbol and the unused slots stay kFloor16 (from the fills above).
 }
 
 namespace {
@@ -194,12 +199,12 @@ std::vector<std::int64_t> batch_align_scores(
     case AlignMode::kGlobal:
     case AlignMode::kSemiGlobal: {
       const auto [oe, ext] = gap_costs(scheme);
-      const SimdTier tier = simd_tier();
       const lanes::Kernels* kern = nullptr;
-      if (tier == SimdTier::kAvx2) {
-        kern = &lanes::avx2_kernels();
-      } else if (tier == SimdTier::kSse2) {
-        kern = &lanes::portable_kernels();
+      switch (simd_tier()) {
+        case SimdTier::kAvx512: kern = &lanes::avx512_kernels(); break;
+        case SimdTier::kAvx2: kern = &lanes::avx2_kernels(); break;
+        case SimdTier::kSse2: kern = &lanes::portable_kernels(); break;
+        case SimdTier::kScalar: break;
       }
       if (kern == nullptr || !profile.lane_safe() || n == 0) {
         for (std::size_t i = 0; i < db.size(); ++i) {
@@ -220,8 +225,8 @@ std::vector<std::int64_t> batch_align_scores(
         return worst < -static_cast<std::int64_t>(kFloor16);
       };
 
-      // Pack lanes in length-sorted order so the 16 lanes of a batch finish
-      // together instead of the longest subject dragging 15 idle lanes.
+      // Pack lanes in length-sorted order so the 32 lanes of a batch finish
+      // together instead of the longest subject dragging 31 idle lanes.
       // Results scatter back through the original index: output order (and
       // every value) is unchanged.
       auto& order = scratch.order;
@@ -234,6 +239,10 @@ std::vector<std::int64_t> batch_align_scores(
 
       const auto oe16 = static_cast<std::int16_t>(oe);
       const auto ext16 = static_cast<std::int16_t>(ext);
+      // The kernels initialise and reuse these rows; sizing them here keeps
+      // std::vector code out of the ISA-specific translation units.
+      scratch.h16.resize(n * kBatchLanes);
+      scratch.e16.resize(n * kBatchLanes);
       for (std::size_t base = 0; base < order.size(); base += kBatchLanes) {
         const std::size_t count = std::min(kBatchLanes, order.size() - base);
         lanes::LaneBatch batch;

@@ -6,14 +6,17 @@
 // pair. This layer restructures that work for throughput (docs/KERNELS.md):
 //
 //   1. Sequences are encoded once into the scheme's packed alphabet and the
-//      query becomes a *score profile* — a (symbol x query-position) table —
-//      so the inner loop is a pure array walk.
+//      query becomes a *score profile*: the encoded query plus one small
+//      code-major row of substitution scores per query residue code, so the
+//      inner loop never calls score() and never gathers per lane.
 //   2. SW, NW and semi-global all run in lane-parallel int16 kernels:
-//      kBatchLanes database sequences advance in lockstep, one DP column
-//      per step, packed in length-sorted order so the lanes of a batch
-//      finish together. The kernels live behind the runtime SIMD dispatch
-//      (util/simd.hpp): an AVX2 intrinsics tier, a portable fixed-width
-//      lane tier, and a scalar tier that skips the lanes entirely.
+//      kBatchLanes (32) database sequences advance in lockstep, one DP
+//      column per step, packed in length-sorted order so the lanes of a
+//      batch finish together. Each cell's 32-lane substitution vector is
+//      one vpermw on AVX-512 and one load from a per-column table on the
+//      other tiers. The kernels live behind the runtime SIMD dispatch
+//      (util/simd.hpp): AVX-512 and AVX2 intrinsics tiers, a portable
+//      fixed-width lane tier, and a scalar tier that skips the lanes.
 //   3. int16 saturation is detected per lane — SW by its clamped running
 //      best reaching kSat16, NW/semi-global by any live H cell touching
 //      the kFloor16/kSat16 rails — and flagged lanes are re-run through
@@ -24,6 +27,7 @@
 // batch_align_scores() is the only entry point DSEARCH needs; everything
 // else is exposed for tests and benchmarks.
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -35,17 +39,22 @@
 
 namespace hdcs::bio {
 
-/// Lanes of the int16 Smith–Waterman kernel: 16 int16 values fill one AVX2
-/// register (two SSE2 registers). Fixed so the lane loops have a
-/// compile-time trip count.
-inline constexpr std::size_t kBatchLanes = 16;
+/// Lanes of the int16 alignment kernels in every tier: 32 int16 values fill
+/// one AVX-512 register (two AVX2 registers, four SSE2 registers). Fixed so
+/// the lane loops have a compile-time trip count.
+inline constexpr std::size_t kBatchLanes = 32;
 
-/// Profile symbols: every ScoringScheme index plus one trailing padding
-/// symbol. Finished lanes are fed kPadSymbol, whose profile column is
-/// kFloor16 everywhere — a padded column can never raise a local score.
+/// Subject symbols: every ScoringScheme index plus one trailing padding
+/// symbol. Finished lanes are fed kPadSymbol, which scores kFloor16 against
+/// every query residue — a padded column can never raise a local score.
 inline constexpr std::size_t kProfileSymbols = ScoringScheme::kAlphabetSize + 1;
 inline constexpr std::uint8_t kPadSymbol =
     static_cast<std::uint8_t>(ScoringScheme::kAlphabetSize);
+
+/// Width of one substitution row: the subject symbols padded to the 32
+/// entries a single vpermw can index.
+inline constexpr std::size_t kSymbolSlots = 32;
+static_assert(kProfileSymbols <= kSymbolSlots);
 
 /// int16 domain: H is clamped into [0, kSat16]. Scores grow by bounded
 /// per-cell steps, so if a lane's running best stays below kSat16 no clamp
@@ -60,9 +69,14 @@ inline constexpr std::int16_t kFloor16 = -16000;
 /// Encode residues as ScoringScheme packed indices.
 void encode_residues(std::string_view seq, std::vector<std::uint8_t>& out);
 
-/// Per-query score profile: score(query[i], symbol) for every symbol, laid
-/// out symbol-major so a subject residue selects one contiguous column.
-/// Built once per (query, scheme) and reused across the whole database.
+/// Per-query score profile, built once per (query, scheme) and reused across
+/// the whole database:
+///   - the encoded query, one ScoringScheme index ("code") per position;
+///   - rows16: per query code, its int16 score against every subject symbol
+///     (kPadSymbol and the unused slots hold kFloor16) — what the lane
+///     kernels turn into one 32-lane substitution vector per cell;
+///   - a symbol-major int32 table for the exact int64 kernels, so a subject
+///     residue selects one contiguous column of query scores.
 class QueryProfile {
  public:
   QueryProfile(std::string_view query, const ScoringScheme& scheme);
@@ -73,8 +87,15 @@ class QueryProfile {
   /// lane kernel's no-overflow guarantees; batch falls back to int64.
   [[nodiscard]] bool lane_safe() const { return lane_safe_; }
 
-  [[nodiscard]] const std::int16_t* column16(std::uint8_t symbol) const {
-    return profile16_.data() + static_cast<std::size_t>(symbol) * n_;
+  /// The encoded query: length() codes, each < ScoringScheme::kAlphabetSize.
+  [[nodiscard]] const std::uint8_t* codes() const { return codes_.data(); }
+  /// The distinct codes of the query, ascending — the only rows read.
+  [[nodiscard]] std::span<const std::uint8_t> present_codes() const {
+    return present_;
+  }
+  /// kSymbolSlots scores of query code `code` against each subject symbol.
+  [[nodiscard]] const std::int16_t* row16(std::uint8_t code) const {
+    return rows16_[code].data();
   }
   [[nodiscard]] const std::int32_t* column32(std::uint8_t symbol) const {
     return profile32_.data() + static_cast<std::size_t>(symbol) * n_;
@@ -84,8 +105,11 @@ class QueryProfile {
   std::string query_;
   std::size_t n_ = 0;
   bool lane_safe_ = true;
-  std::vector<std::int16_t> profile16_;  // [symbol][query position]
-  std::vector<std::int32_t> profile32_;
+  std::vector<std::uint8_t> codes_;
+  std::vector<std::uint8_t> present_;
+  alignas(64) std::array<std::array<std::int16_t, kSymbolSlots>,
+                         ScoringScheme::kAlphabetSize> rows16_{};
+  std::vector<std::int32_t> profile32_;  // [symbol][query position]
 };
 
 /// Work/saturation accounting for one batch call. The caller (DSEARCH)
@@ -99,7 +123,7 @@ struct BatchMetrics {
 /// Reusable per-thread DP state. Buffers grow to the largest problem seen
 /// and are never shrunk; one AlignScratch per thread, never shared.
 struct AlignScratch {
-  std::vector<std::int16_t> h16, e16;     // int16 lane state, (n+1)*kBatchLanes
+  std::vector<std::int16_t> h16, e16;     // int16 lane state, n*kBatchLanes
   std::vector<std::uint8_t> enc;          // encoded subjects, concatenated
   std::vector<std::size_t> enc_offset;    // per-subject offsets into enc
   std::vector<std::size_t> order;         // length-sorted packing order

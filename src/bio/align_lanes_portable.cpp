@@ -1,8 +1,9 @@
 // Portable fixed-width-lane kernels — the "sse2" dispatch tier. Plain C++
 // over kBatchLanes-wide arrays with compile-time trip counts; the compiler
 // auto-vectorizes the lane loops at whatever the baseline target ISA is
-// (SSE2 on x86-64). The AVX2 tier (align_lanes_avx2.cpp) implements the
-// identical contract with explicit intrinsics.
+// (SSE2 on x86-64). The AVX2 and AVX-512 tiers (align_lanes_avx2.cpp,
+// align_lanes_avx512.cpp) implement the identical contract with explicit
+// intrinsics. This file also holds the per-column helpers every tier calls.
 //
 // Correctness of the int16 rails (see align_lanes.hpp and docs/KERNELS.md):
 // H is clamped into [kFloor16, kSat16] every cell. Given lane_safe()
@@ -16,9 +17,32 @@
 // and the kernels track min/max of every live H cell, so any lane whose
 // state touched a rail is flagged and re-run exactly by the caller.
 
+#include <algorithm>
+
 #include "bio/align_lanes.hpp"
 
 namespace hdcs::bio::lanes {
+
+void lane_column(const LaneBatch& batch, std::size_t t, LaneColumn& col) {
+  col.live = 0;
+  col.ends = 0;
+  for (std::size_t l = 0; l < kBatchLanes; ++l) {
+    const bool live = t < batch.len[l];
+    col.sym[l] = live ? batch.seq[l][t] : kPadSymbol;
+    col.live |= static_cast<std::uint32_t>(live) << l;
+    col.ends |= static_cast<std::uint32_t>(batch.len[l] == t + 1) << l;
+  }
+}
+
+void column_scores(const QueryProfile& p, const LaneColumn& col,
+                   ColumnScores& vec) {
+  for (std::uint8_t code : p.present_codes()) {
+    const std::int16_t* const row = p.row16(code);
+    for (std::size_t l = 0; l < kBatchLanes; ++l) {
+      vec[code][l] = row[col.sym[l]];
+    }
+  }
+}
 
 namespace {
 
@@ -31,36 +55,36 @@ void sw_lanes16_portable(const QueryProfile& p, const LaneBatch& batch,
                          std::int16_t oe16, std::int16_t ext16,
                          AlignScratch& sc, std::int16_t best[kBatchLanes]) {
   const std::size_t n = p.length();
-  sc.h16.assign((n + 1) * kBatchLanes, 0);
-  sc.e16.assign((n + 1) * kBatchLanes, kFloor16);
-  std::int16_t* const h = sc.h16.data();
+  const std::uint8_t* const code = p.codes();
+  std::int16_t* const h = sc.h16.data();  // row i: H(i+1, t-1) -> H(i+1, t)
   std::int16_t* const e = sc.e16.data();
+  std::fill_n(h, n * kBatchLanes, std::int16_t{0});
+  std::fill_n(e, n * kBatchLanes, kFloor16);
 
+  alignas(64) ColumnScores vec;
   alignas(64) std::int16_t f[kBatchLanes];
   alignas(64) std::int16_t hdiag[kBatchLanes];
-  alignas(64) std::int16_t sub[kBatchLanes];
+  alignas(64) std::int16_t hup[kBatchLanes];
   alignas(64) std::int16_t bst[kBatchLanes] = {};
-  const std::int16_t* col[kBatchLanes];
+  LaneColumn col;
 
   for (std::size_t t = 0; t < batch.max_len; ++t) {
+    lane_column(batch, t, col);
+    column_scores(p, col, vec);
     for (std::size_t l = 0; l < kBatchLanes; ++l) {
-      std::uint8_t symbol = t < batch.len[l] ? batch.seq[l][t] : kPadSymbol;
-      col[l] = p.column16(symbol);
+      f[l] = kFloor16;  // F(0, t) = -inf
+      hdiag[l] = 0;     // H(0, t-1) = 0
+      hup[l] = 0;       // H(0, t) = 0
     }
-    for (std::size_t l = 0; l < kBatchLanes; ++l) {
-      f[l] = kFloor16;  // F(0, j) = -inf
-      hdiag[l] = 0;     // H(0, j-1) = 0
-    }
-    for (std::size_t i = 1; i <= n; ++i) {
-      const std::int16_t* const hup = h + (i - 1) * kBatchLanes;  // H(i-1, j)
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::int16_t* const sub = vec[code[i]];
       std::int16_t* const hrow = h + i * kBatchLanes;
       std::int16_t* const erow = e + i * kBatchLanes;
-      for (std::size_t l = 0; l < kBatchLanes; ++l) sub[l] = col[l][i - 1];
       for (std::size_t l = 0; l < kBatchLanes; ++l) {
         auto fl = static_cast<std::int16_t>(std::max<std::int16_t>(
             static_cast<std::int16_t>(hup[l] - oe16),
             static_cast<std::int16_t>(f[l] - ext16)));
-        std::int16_t old_h = hrow[l];  // H(i, j-1)
+        std::int16_t old_h = hrow[l];  // H(i+1, t-1)
         auto el = static_cast<std::int16_t>(std::max<std::int16_t>(
             static_cast<std::int16_t>(old_h - oe16),
             static_cast<std::int16_t>(erow[l] - ext16)));
@@ -70,6 +94,7 @@ void sw_lanes16_portable(const QueryProfile& p, const LaneBatch& batch,
         hn = std::max<std::int16_t>(hn, 0);
         hn = std::min(hn, kSat16);
         hdiag[l] = old_h;
+        hup[l] = hn;
         hrow[l] = hn;
         erow[l] = el;
         f[l] = fl;
@@ -93,62 +118,58 @@ void global_lanes16(const QueryProfile& p, const LaneBatch& batch,
                     std::int16_t oe16, std::int16_t ext16, AlignScratch& sc,
                     std::int16_t out[kBatchLanes], std::uint32_t* railed) {
   const std::size_t n = p.length();
-  sc.h16.resize((n + 1) * kBatchLanes);
-  sc.e16.resize((n + 1) * kBatchLanes);
-  std::int16_t* const h = sc.h16.data();
+  const std::uint8_t* const code = p.codes();
+  std::int16_t* const h = sc.h16.data();  // row i: H(i+1, t) -> H(i+1, t+1)
   std::int16_t* const e = sc.e16.data();
 
-  for (std::size_t i = 0; i <= n; ++i) {
-    // Caller prechecked oe + n*ext < -kFloor16, so this cast is exact.
-    auto hv = static_cast<std::int16_t>(
-        i == 0 ? 0
-               : -(oe16 + static_cast<std::int32_t>(i - 1) * ext16));
-    for (std::size_t l = 0; l < kBatchLanes; ++l) {
-      h[i * kBatchLanes + l] = hv;
-      e[i * kBatchLanes + l] = kFloor16;  // E(i, 0) = -inf
-    }
+  // Caller prechecked oe + max(n, len)*ext < -kFloor16, so every boundary
+  // value below is exact in int16.
+  auto boundary = [&](std::size_t k) {  // H(k, 0) and NW's H(0, k), k >= 1
+    return static_cast<std::int16_t>(
+        -(oe16 + static_cast<std::int32_t>(k - 1) * ext16));
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    std::fill_n(h + i * kBatchLanes, kBatchLanes, boundary(i + 1));
+    std::fill_n(e + i * kBatchLanes, kBatchLanes, kFloor16);  // E(i, 0)
   }
 
+  alignas(64) ColumnScores vec;
   alignas(64) std::int16_t f[kBatchLanes];
   alignas(64) std::int16_t hdiag[kBatchLanes];
-  alignas(64) std::int16_t sub[kBatchLanes];
+  alignas(64) std::int16_t hup[kBatchLanes];
   alignas(64) std::int16_t amask[kBatchLanes];
   alignas(64) std::int16_t minacc[kBatchLanes] = {};
   alignas(64) std::int16_t maxacc[kBatchLanes] = {};
   alignas(64) std::int16_t best[kBatchLanes];
-  const std::int16_t* col[kBatchLanes];
+  LaneColumn col;
 
   // Semi-global answers include the t = 0 term H(n, 0) (subject fully
   // skipped); NW answers are captured when a lane reaches its length.
   for (std::size_t l = 0; l < kBatchLanes; ++l) {
-    best[l] = kSemi ? h[n * kBatchLanes + l] : 0;
+    best[l] = kSemi ? boundary(n) : 0;
   }
 
   for (std::size_t t = 0; t < batch.max_len; ++t) {
+    lane_column(batch, t, col);
+    column_scores(p, col, vec);
+    // Boundary row 0: H(0, t) feeds the diagonal, H(0, t+1) the first F.
+    const std::int16_t top_prev = kSemi || t == 0 ? 0 : boundary(t);
+    const std::int16_t top = kSemi ? 0 : boundary(t + 1);
     for (std::size_t l = 0; l < kBatchLanes; ++l) {
-      std::uint8_t symbol = t < batch.len[l] ? batch.seq[l][t] : kPadSymbol;
-      col[l] = p.column16(symbol);
-      amask[l] = t < batch.len[l] ? static_cast<std::int16_t>(-1) : 0;
+      amask[l] = (col.live >> l) & 1u ? static_cast<std::int16_t>(-1) : 0;
+      f[l] = kFloor16;  // F(0, t+1) = -inf
+      hdiag[l] = top_prev;
+      hup[l] = top;
     }
-    // Boundary row 0 for this column: H(0, t+1). Bounded by the longest
-    // lane's precheck, so the int16 cast is exact.
-    auto h0 = static_cast<std::int16_t>(
-        kSemi ? 0 : -(oe16 + static_cast<std::int32_t>(t) * ext16));
-    for (std::size_t l = 0; l < kBatchLanes; ++l) {
-      f[l] = kFloor16;               // F(0, t+1) = -inf
-      hdiag[l] = h[l];               // H(0, t)
-      h[l] = h0;
-    }
-    for (std::size_t i = 1; i <= n; ++i) {
-      const std::int16_t* const hup = h + (i - 1) * kBatchLanes;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::int16_t* const sub = vec[code[i]];
       std::int16_t* const hrow = h + i * kBatchLanes;
       std::int16_t* const erow = e + i * kBatchLanes;
-      for (std::size_t l = 0; l < kBatchLanes; ++l) sub[l] = col[l][i - 1];
       for (std::size_t l = 0; l < kBatchLanes; ++l) {
         auto fl = static_cast<std::int16_t>(std::max<std::int16_t>(
             static_cast<std::int16_t>(hup[l] - oe16),
             static_cast<std::int16_t>(f[l] - ext16)));
-        std::int16_t old_h = hrow[l];  // H(i, t)
+        std::int16_t old_h = hrow[l];  // H(i+1, t)
         auto el = static_cast<std::int16_t>(std::max<std::int16_t>(
             static_cast<std::int16_t>(old_h - oe16),
             static_cast<std::int16_t>(erow[l] - ext16)));
@@ -158,6 +179,7 @@ void global_lanes16(const QueryProfile& p, const LaneBatch& batch,
         hn = std::max(hn, kFloor16);
         hn = std::min(hn, kSat16);
         hdiag[l] = old_h;
+        hup[l] = hn;
         hrow[l] = hn;
         erow[l] = el;
         f[l] = fl;
@@ -167,16 +189,12 @@ void global_lanes16(const QueryProfile& p, const LaneBatch& batch,
         maxacc[l] = std::max(maxacc[l], hm);
       }
     }
-    if constexpr (kSemi) {
-      const std::int16_t* const last = h + n * kBatchLanes;
-      for (std::size_t l = 0; l < kBatchLanes; ++l) {
-        auto v = static_cast<std::int16_t>((last[l] & amask[l]) |
-                                           (kFloor16 & ~amask[l]));
-        best[l] = std::max(best[l], v);
-      }
-    } else {
-      for (std::size_t l = 0; l < kBatchLanes; ++l) {
-        if (batch.len[l] == t + 1) best[l] = h[n * kBatchLanes + l];
+    // hup now holds H(n, t+1).
+    for (std::size_t l = 0; l < kBatchLanes; ++l) {
+      if constexpr (kSemi) {
+        if (amask[l]) best[l] = std::max(best[l], hup[l]);
+      } else {
+        if ((col.ends >> l) & 1u) best[l] = hup[l];
       }
     }
   }

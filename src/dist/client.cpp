@@ -40,8 +40,8 @@ Client::Client(ClientConfig config)
                                        config_.blob_cache_disk_bytes}),
       epoch_(std::chrono::steady_clock::now()),
       backoff_rng_(name_seed(config_.name)) {
-  // 0=scalar 1=sse2 2=avx2 (util/simd.hpp): the kernel tier this donor's
-  // compute threads will dispatch.
+  // 0=scalar 1=sse2 2=avx2 3=avx512 (util/simd.hpp): the kernel tier this
+  // donor's compute threads will dispatch.
   obs::Registry::global().gauge("simd.tier")
       .set(static_cast<double>(static_cast<int>(simd_tier())));
 }

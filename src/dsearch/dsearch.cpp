@@ -381,8 +381,8 @@ void DSearchAlgorithm::initialize(std::span<const std::byte> problem_data) {
   r.expect_end();
   scheme_ = config_.make_scheme();
   profiles_ = build_profiles(queries_, *scheme_);
-  // 0=scalar 1=sse2 2=avx2: which alignment-kernel tier chunk_search will
-  // dispatch on this host (util/simd.hpp).
+  // 0=scalar 1=sse2 2=avx2 3=avx512: which alignment-kernel tier
+  // chunk_search will dispatch on this host (util/simd.hpp).
   obs::Registry::global().gauge("simd.tier")
       .set(static_cast<double>(static_cast<int>(simd_tier())));
 }

@@ -72,7 +72,9 @@ PartialsCombineFn partials_combine_for(SimdTier tier) {
   switch (tier) {
     case SimdTier::kScalar: return partials_combine_scalar();
     case SimdTier::kSse2: return partials_combine_portable();
-    case SimdTier::kAvx2: return partials_combine_avx2();
+    case SimdTier::kAvx2:
+    case SimdTier::kAvx512:  // no 8-wide combine yet
+      return partials_combine_avx2();
   }
   return partials_combine_portable();
 }

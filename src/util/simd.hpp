@@ -1,7 +1,7 @@
 #pragma once
 // Runtime SIMD dispatch: one tier selected at startup, every vectorized
 // kernel (bio lane kernels, phylo partials kernels) branches on it once per
-// batch, never per cell. Three tiers:
+// batch, never per cell. Four tiers:
 //
 //   kScalar  exact reference paths, no lane kernels at all. Ground truth
 //            for the equivalence tests and the degraded-hardware escape
@@ -11,9 +11,15 @@
 //            is elsewhere). Always available.
 //   kAvx2    hand-written AVX2 intrinsics in dedicated -mavx2 translation
 //            units; selected only when cpuid reports AVX2.
+//   kAvx512  AVX-512F/BW intrinsics for the alignment lanes (one 32-lane
+//            int16 register per DP row, substitution scores by vpermw);
+//            selected only when cpuid reports both avx512f and avx512bw.
+//            The likelihood partials have no 8-wide kernel yet and keep
+//            the AVX2 combine on this tier.
 //
-// Selection order: HDCS_SIMD=scalar|sse2|avx2 if set (clamped down to what
-// the hardware supports, with a warning), else the highest detected tier.
+// Selection order: HDCS_SIMD=scalar|sse2|avx2|avx512 if set (clamped down
+// to what the hardware supports, with a warning), else the highest
+// detected tier.
 // The choice is cached after the first query; set_simd_tier()/
 // ScopedSimdTier exist so tests and benchmarks can pin a tier without
 // re-exec'ing under a different environment.
@@ -27,7 +33,7 @@
 
 namespace hdcs {
 
-enum class SimdTier : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class SimdTier : int { kScalar = 0, kSse2 = 1, kAvx2 = 2, kAvx512 = 3 };
 
 /// The tier every dispatching kernel uses (env override applied, cached).
 SimdTier simd_tier();
@@ -45,7 +51,7 @@ void set_simd_tier(SimdTier t);
 
 const char* to_string(SimdTier t);
 
-/// Parse "scalar"/"sse2"/"avx2" (case-insensitive). False on junk.
+/// Parse "scalar"/"sse2"/"avx2"/"avx512" (case-insensitive). False on junk.
 bool parse_simd_tier(std::string_view text, SimdTier* out);
 
 /// RAII tier pin for tests/benchmarks; restores the previous tier.

@@ -237,6 +237,14 @@ TEST(Chaos, LyingDonorsCannotCorruptResultsAcrossServerRestart) {
   // restarted from its checkpoint (partial votes and the reputation ledger
   // ride the file). The merged answers must still be byte-identical to
   // fault-free local runs, and the liar must end up blacklisted.
+  //
+  // The liar's two losing votes (blacklist_after = 2) are set up, not left
+  // to the race between a small job and the slowest donor: until the
+  // restart only the liar and one honest donor run, so no unit can reach
+  // its quorum of two matching digests from distinct donors. Every vote
+  // stays pending and the job cannot finish before the kill. The other
+  // three honest donors join the restarted server and outvote the liar's
+  // checkpointed votes.
   dsearch::register_algorithm();
   dprml::register_algorithm();
 
@@ -302,7 +310,7 @@ TEST(Chaos, LyingDonorsCannotCorruptResultsAcrossServerRestart) {
   constexpr int kDonors = 5;  // donor 0 lies on every unit it touches
   std::vector<std::thread> donors;
   std::atomic<int> donor_failures{0};
-  for (int i = 0; i < kDonors; ++i) {
+  auto start_donor = [&](int i) {
     donors.emplace_back([&, i] {
       ClientConfig ccfg;
       ccfg.server_port = scfg.port;
@@ -318,15 +326,37 @@ TEST(Chaos, LyingDonorsCannotCorruptResultsAcrossServerRestart) {
         donor_failures.fetch_add(1);
       }
     });
-  }
+  };
+  auto wait_until = [](auto&& done) {
+    for (int i = 0; i < 3000 && !done(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return done();
+  };
+  auto liar_votes = [&] {
+    std::vector<double> liar_ids;
+    for (const auto& c : server->client_stats()) {
+      if (c.name == "liar") liar_ids.push_back(static_cast<double>(c.id));
+    }
+    int n = 0;
+    for (const auto& line : tracer.lines()) {
+      auto rec = obs::parse_trace_line(line);
+      if (rec.ev != "vote_recorded") continue;
+      for (double id : liar_ids) n += rec.number("client") == id ? 1 : 0;
+    }
+    return n;
+  };
 
-  // Progress + one durable autosave, then kill: votes mid-flight and the
-  // liar's accumulating loss record survive only through the checkpoint.
-  for (int i = 0; i < 500 && saves.value() == saves_before; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_GT(saves.value(), saves_before) << "no autosave reached disk";
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  start_donor(0);
+  start_donor(1);
+  ASSERT_TRUE(wait_until([&] { return liar_votes() >= 2; }))
+      << "the liar never cast two votes";
+  // Two more autosaves: the later one began after both votes were recorded,
+  // and only the checkpoint carries them into the restarted server.
+  saves_before = saves.value();
+  ASSERT_TRUE(wait_until([&] { return saves.value() >= saves_before + 2; }))
+      << "no autosave reached disk";
+  ASSERT_EQ(server->stats().results_accepted, 0u) << "a unit resolved early";
   auto rejected_before_kill = server->stats().results_rejected_mismatch;
   server.reset();
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
@@ -339,6 +369,7 @@ TEST(Chaos, LyingDonorsCannotCorruptResultsAcrossServerRestart) {
   ASSERT_EQ(pid_ds2, pid_ds);
   ASSERT_EQ(pid_ml2, pid_ml);
   server->start();  // restore_on_start reads the autosaved checkpoint
+  for (int i = 2; i < kDonors; ++i) start_donor(i);
 
   ASSERT_TRUE(server->wait_for_problem(pid_ds2, 120.0)) << "DSEARCH stalled";
   ASSERT_TRUE(server->wait_for_problem(pid_ml2, 120.0)) << "DPRml stalled";

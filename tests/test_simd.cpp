@@ -29,7 +29,8 @@ namespace {
 
 std::vector<SimdTier> available_tiers() {
   std::vector<SimdTier> tiers;
-  for (SimdTier t : {SimdTier::kScalar, SimdTier::kSse2, SimdTier::kAvx2}) {
+  for (SimdTier t : {SimdTier::kScalar, SimdTier::kSse2, SimdTier::kAvx2,
+                     SimdTier::kAvx512}) {
     if (simd_tier_available(t)) tiers.push_back(t);
   }
   return tiers;
@@ -43,7 +44,9 @@ TEST(SimdDispatch, ParseRoundTripsAndRejectsJunk) {
   EXPECT_EQ(t, SimdTier::kSse2);
   EXPECT_TRUE(parse_simd_tier("avx2", &t));
   EXPECT_EQ(t, SimdTier::kAvx2);
-  EXPECT_FALSE(parse_simd_tier("avx512", &t));
+  EXPECT_TRUE(parse_simd_tier("AVX512", &t));
+  EXPECT_EQ(t, SimdTier::kAvx512);
+  EXPECT_FALSE(parse_simd_tier("avx1024", &t));
   EXPECT_FALSE(parse_simd_tier("", &t));
   for (SimdTier tier : available_tiers()) {
     SimdTier back = SimdTier::kScalar;
@@ -67,7 +70,7 @@ TEST(SimdDispatch, ScopedOverrideSetsAndRestores) {
 }
 
 TEST(SimdDispatch, RequestsAboveDetectedClampDown) {
-  ScopedSimdTier pin(SimdTier::kAvx2);
+  ScopedSimdTier pin(SimdTier::kAvx512);
   EXPECT_LE(static_cast<int>(simd_tier()),
             static_cast<int>(simd_tier_detected()));
 }
@@ -114,11 +117,11 @@ TEST(SimdBatchAlign, FuzzRaggedBatchesMatchScalarUnderEveryTier) {
   Rng rng(17);
   auto scheme = bio::ScoringScheme::blosum62();
   // Lengths chosen to hit: empty, single residue, lane-count boundaries
-  // (15/16/17 subjects), odd lengths, and wide ragged spreads.
-  const std::size_t batch_sizes[] = {1, 7, 15, 16, 17, 33};
-  for (std::size_t subjects : batch_sizes) {
-    auto query =
-        bio::random_residues(rng, 40 + rng.next_below(80), bio::Alphabet::kProtein);
+  // (half, full and two lane groups, each +-1), odd lengths, and wide
+  // ragged spreads.
+  const std::size_t batch_sizes[] = {1,  7,  15, 16, 17, 31,
+                                     32, 33, 63, 64, 65};
+  auto ragged_db = [&](std::size_t subjects, auto&& residues) {
     std::vector<std::string> db;
     for (std::size_t i = 0; i < subjects; ++i) {
       std::size_t len;
@@ -128,10 +131,28 @@ TEST(SimdBatchAlign, FuzzRaggedBatchesMatchScalarUnderEveryTier) {
         case 2: len = 2 + rng.next_below(7); break;       // short odd/even mix
         default: len = 20 + rng.next_below(180); break;   // ragged bulk
       }
-      db.push_back(bio::random_residues(rng, len, bio::Alphabet::kProtein));
+      db.push_back(residues(len));
     }
-    expect_all_tiers_match(query, db, scheme);
+    return db;
+  };
+  auto protein = [&](std::size_t len) {
+    return bio::random_residues(rng, len, bio::Alphabet::kProtein);
+  };
+  for (std::size_t subjects : batch_sizes) {
+    auto query = protein(40 + rng.next_below(80));
+    expect_all_tiers_match(query, ragged_db(subjects, protein), scheme);
   }
+
+  // Ambiguity codes and letters outside the 20 amino acids (B J O U X Z),
+  // plus characters that fall into the catch-all index ('*', lowercase):
+  // the top codes of the 32-slot substitution rows, next to pad slot 27.
+  const std::string_view exotic = "ACDEFGHIKLMNPQRSTVWYBJOUXZ*acxz";
+  auto mixed = [&](std::size_t len) {
+    std::string s(len, 'A');
+    for (char& c : s) c = exotic[rng.next_below(exotic.size())];
+    return s;
+  };
+  expect_all_tiers_match(mixed(90), ragged_db(45, mixed), scheme);
 }
 
 TEST(SimdBatchAlign, EmptyQueryAndEmptyDatabase) {
