@@ -1,20 +1,23 @@
 // Microbenchmarks of the likelihood machinery (DPRml's hot path): full-tree
 // log-likelihood evaluations and branch optimisations across substitution
-// models and rate-category counts. These calibrate DPRml's cost model
-// (pattern_cost x nodes x Brent evaluations).
+// models and rate-category counts. The engine reuses cached partials between
+// calls, so the full-tree benches call invalidate() before every evaluation;
+// the Brent benches time the incremental path DPRml actually runs.
 //
 // Two entry points:
 //   bench_likelihood [gbench flags]     full google-benchmark suite
 //   bench_likelihood --smoke [--out f]  asserts every SIMD dispatch tier
 //                                       returns the bit-identical
-//                                       log-likelihood, then times the
-//                                       partials loop per tier and writes
+//                                       log-likelihood, then times full
+//                                       evaluations per tier and the
+//                                       incremental Brent loop, and writes
 //                                       BENCH_LIKELIHOOD.json (same schema
 //                                       style as BENCH_ALIGN.json; gated
 //                                       in CI by scripts/bench_gate.py).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -62,6 +65,7 @@ void BM_LogLikelihood(benchmark::State& state) {
   auto c = make_case(taxa, 500, "HKY85", cats);
   LikelihoodEngine engine(c.patterns, c.model, c.rates);
   for (auto _ : state) {
+    engine.invalidate();
     benchmark::DoNotOptimize(engine.log_likelihood(c.tree));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -82,6 +86,7 @@ void BM_ModelComparison(benchmark::State& state) {
   auto c = make_case(15, 500, model, 1);
   LikelihoodEngine engine(c.patterns, c.model, c.rates);
   for (auto _ : state) {
+    engine.invalidate();
     benchmark::DoNotOptimize(engine.log_likelihood(c.tree));
   }
   state.SetLabel(model);
@@ -136,19 +141,41 @@ void BM_NeighborJoining(benchmark::State& state) {
 BENCHMARK(BM_NeighborJoining)->Arg(20)->Arg(50);
 
 // ---------------------------------------------------------------------------
-// --smoke: tier equivalence + scalar-vs-SIMD partials throughput, JSON
-// artifact (BENCH_LIKELIHOOD.json).
+// --smoke: tier equivalence, scalar-vs-SIMD full evaluations and the
+// incremental Brent loop, JSON artifact (BENCH_LIKELIHOOD.json).
 // ---------------------------------------------------------------------------
 
-double measure_evals_per_sec(LikelihoodEngine& engine, const Tree& tree) {
+// Each rate is the best of kRounds interleaved rounds of kMinSeconds: a
+// shared host's speed drifts over seconds, and timing scalar, SIMD and
+// Brent back to back in short rounds keeps that drift out of the ratios.
+constexpr int kRounds = 5;
+constexpr double kMinSeconds = 0.05;
+
+/// Full evaluations per second: every call recomputes every node.
+double measure_full_evals_per_sec(LikelihoodEngine& engine, const Tree& tree) {
   benchmark::DoNotOptimize(engine.log_likelihood(tree));  // warm-up
   hdcs::Stopwatch sw;
   std::size_t evals = 0;
   do {
+    engine.invalidate();
     benchmark::DoNotOptimize(engine.log_likelihood(tree));
     ++evals;
-  } while (sw.seconds() < 0.25);
+  } while (sw.seconds() < kMinSeconds);
   return static_cast<double>(evals) / sw.seconds();
+}
+
+/// Evaluations per second inside optimize_branches sweeps over every edge,
+/// the loop DPRml runs: each Brent step moves one branch, so each call
+/// recomputes the path from that branch's parent to the root.
+double measure_brent_evals_per_sec(LikelihoodEngine& engine, Tree tree) {
+  const auto edges = tree.edge_nodes();
+  engine.optimize_branches(tree, edges, 1, 1e-3);  // warm-up
+  const std::uint64_t first = engine.eval_count();
+  hdcs::Stopwatch sw;
+  do {
+    benchmark::DoNotOptimize(engine.optimize_branches(tree, edges, 1, 1e-3));
+  } while (sw.seconds() < kMinSeconds);
+  return static_cast<double>(engine.eval_count() - first) / sw.seconds();
 }
 
 int run_smoke(const std::string& out_path) {
@@ -178,19 +205,22 @@ int run_smoke(const std::string& out_path) {
     }
   }
 
-  double scalar_rate, simd_rate;
-  {
-    ScopedSimdTier pin(SimdTier::kScalar);
-    scalar_rate = measure_evals_per_sec(engine, c.tree);
-  }
+  double scalar_rate = 0, simd_rate = 0, brent_rate = 0;
   const SimdTier best = simd_tier_detected();
-  {
+  for (int round = 0; round < kRounds; ++round) {
+    {
+      ScopedSimdTier pin(SimdTier::kScalar);
+      scalar_rate = std::max(scalar_rate, measure_full_evals_per_sec(engine, c.tree));
+    }
     ScopedSimdTier pin(best);
-    simd_rate = measure_evals_per_sec(engine, c.tree);
+    simd_rate = std::max(simd_rate, measure_full_evals_per_sec(engine, c.tree));
+    brent_rate = std::max(brent_rate, measure_brent_evals_per_sec(engine, c.tree));
   }
   std::printf("partials   scalar %8.1f evals/s   %s %8.1f evals/s   %.2fx\n",
               scalar_rate, to_string(best), simd_rate,
               simd_rate / scalar_rate);
+  std::printf("brent      %s %8.1f evals/s   %.2fx over full evaluations\n",
+              to_string(best), brent_rate, brent_rate / simd_rate);
 
   char buf[512];
   std::string json;
@@ -205,10 +235,14 @@ int run_smoke(const std::string& out_path) {
   std::snprintf(buf, sizeof buf,
                 "  \"kernels_evals_per_sec\": {\n"
                 "    \"partials_scalar\": %.4g,\n"
-                "    \"partials_simd\": %.4g\n  },\n"
+                "    \"partials_simd\": %.4g,\n"
+                "    \"brent_incremental\": %.4g\n  },\n"
                 "  \"speedup_simd_over_scalar\": {\n"
-                "    \"partials\": %.3g\n  }\n}\n",
-                scalar_rate, simd_rate, simd_rate / scalar_rate);
+                "    \"partials\": %.3g\n  },\n"
+                "  \"speedup_incremental_over_full\": {\n"
+                "    \"brent\": %.3g\n  }\n}\n",
+                scalar_rate, simd_rate, brent_rate, simd_rate / scalar_rate,
+                brent_rate / simd_rate);
   json += buf;
 
   std::ofstream out(out_path);

@@ -136,15 +136,19 @@ int main() {
   }
 
   std::printf("\nwall-clock for the whole sweep: %.1f s\n", wall.seconds());
+  bool failed = false;
+  auto verdict = [&failed](bool pass) {
+    failed = failed || !pass;
+    return pass ? "PASS" : "FAIL";
+  };
   std::printf("\nacceptance checks (DESIGN.md):\n");
   std::printf("  results identical across fleet sizes ........ %s\n",
-              exact ? "PASS" : "FAIL");
+              verdict(exact));
   std::printf("  speedup monotone in processors ............... %s\n",
-              monotone ? "PASS" : "FAIL");
+              verdict(monotone));
   std::printf("  >= 0.9x linear at 32 procs .................... %s (%.2f)\n",
-              speedup_at_32 >= 0.9 * 32 ? "PASS" : "FAIL", speedup_at_32);
+              verdict(speedup_at_32 >= 0.9 * 32), speedup_at_32);
   std::printf("  60..78x at 83 procs (paper: ~70x) ............. %s (%.2f)\n",
-              speedup_at_83 >= 60 && speedup_at_83 <= 78 ? "PASS" : "FAIL",
-              speedup_at_83);
-  return 0;
+              verdict(speedup_at_83 >= 60 && speedup_at_83 <= 78), speedup_at_83);
+  return failed ? 1 : 0;
 }

@@ -116,6 +116,7 @@ int main() {
   double t1 = 0;
   double prev = 0;
   bool monotone = true;
+  bool same_trees = true;
   double speedup_at_40 = 0;
   std::vector<std::string> reference_trees;
 
@@ -133,7 +134,7 @@ int main() {
       t1 = out.makespan_s;
       reference_trees = trees;
     } else if (trees != reference_trees) {
-      std::printf("WARNING: trees changed with fleet size!\n");
+      same_trees = false;
     }
     double speedup = t1 / out.makespan_s;
     if (speedup < prev) monotone = false;
@@ -161,10 +162,17 @@ int main() {
   std::printf("\nwall-clock for the whole sweep: %.1f s\n", wall.seconds());
   std::printf("(candidate-evaluation cache: %zu entries)\n",
               dprml::EvalCache::global().size());
+  bool failed = false;
+  auto verdict = [&failed](bool pass) {
+    failed = failed || !pass;
+    return pass ? "PASS" : "FAIL";
+  };
   std::printf("\nacceptance checks (DESIGN.md):\n");
+  std::printf("  trees identical across fleet sizes ........... %s\n",
+              verdict(same_trees));
   std::printf("  speedup monotone in processors ............... %s\n",
-              monotone ? "PASS" : "FAIL");
+              verdict(monotone));
   std::printf("  >= 0.8x linear at 40 procs (paper ~35/40) ..... %s (%.2f)\n",
-              speedup_at_40 >= 0.8 * 40 ? "PASS" : "FAIL", speedup_at_40);
-  return 0;
+              verdict(speedup_at_40 >= 0.8 * 40), speedup_at_40);
+  return failed ? 1 : 0;
 }

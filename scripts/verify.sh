@@ -76,7 +76,8 @@ done
 python3 scripts/bench_gate.py --section kernels_evals_per_sec \
   --baseline build/BENCH_LIKELIHOOD.json \
   --current build/BENCH_LIKELIHOOD.json \
-  --min speedup_simd_over_scalar.partials=1.5
+  --min speedup_simd_over_scalar.partials=1.5 \
+  --min speedup_incremental_over_full.brent=2.0
 python3 scripts/bench_gate.py --ratchets-only \
   --current build/BENCH_NET.json \
   --min storm.joins_per_sec=300 \

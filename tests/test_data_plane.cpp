@@ -295,7 +295,9 @@ TEST(BlobCache, DiskFaultStormNeverServesCorruptBlobs) {
       for (const auto& [digest, blob] : blobs) cache.put(digest, blob);
       for (const auto& [digest, blob] : blobs) {
         auto hit = cache.get(digest);
-        if (hit) EXPECT_EQ(*hit, blob) << "seed " << seed;
+        if (hit) {
+          EXPECT_EQ(*hit, blob) << "seed " << seed;
+        }
       }
     }
     // And with the storm over, a revived cache over the same directory
@@ -303,7 +305,9 @@ TEST(BlobCache, DiskFaultStormNeverServesCorruptBlobs) {
     net::BlobCache revived(cfg);
     for (const auto& [digest, blob] : blobs) {
       auto hit = revived.get(digest);
-      if (hit) EXPECT_EQ(*hit, blob) << "seed " << seed;
+      if (hit) {
+        EXPECT_EQ(*hit, blob) << "seed " << seed;
+      }
     }
   }
 }

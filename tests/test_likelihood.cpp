@@ -185,7 +185,6 @@ TEST(Likelihood, EvalCountAccumulates) {
   engine.log_likelihood(tree);
   engine.log_likelihood(tree);
   EXPECT_EQ(engine.eval_count(), 2u);
-  EXPECT_GT(engine.cost_per_eval(2), 0.0);
 }
 
 TEST(Likelihood, ApiErrors) {

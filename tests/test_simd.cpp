@@ -21,6 +21,7 @@
 #include "phylo/likelihood.hpp"
 #include "phylo/partials_kernels.hpp"
 #include "phylo/simulate.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
@@ -265,6 +266,175 @@ TEST(SimdLikelihood, LogLikelihoodBitIdenticalAcrossTiers) {
       EXPECT_EQ(ll, ref) << "tier " << to_string(tier);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Incremental likelihood: one engine carried through random tree edits
+// reuses cached partials between calls, and must still agree bit for bit
+// with a fresh engine (whose first call recomputes every node).
+// ---------------------------------------------------------------------------
+
+struct EditCase {
+  phylo::Tree start;
+  phylo::PatternAlignment patterns;
+  std::shared_ptr<const phylo::SubstModel> model;
+  phylo::RateModel rates;
+  int taxa = 0;
+};
+
+EditCase make_edit_case(std::uint64_t seed, int taxa, double mean_branch,
+                        std::size_t sites, phylo::RateModel rates) {
+  Rng rng(seed);
+  EditCase c;
+  c.start = phylo::random_tree(rng, {taxa, mean_branch, "t"});
+  c.model = std::make_shared<phylo::SubstModel>(
+      phylo::SubstModel::hky85({0.3, 0.2, 0.2, 0.3}, 2.0));
+  c.rates = std::move(rates);
+  c.patterns = phylo::compress(
+      phylo::simulate_alignment(rng, c.start, *c.model, c.rates, {sites}));
+  c.taxa = taxa;
+  return c;
+}
+
+// Runs `steps` random edits under the current tier and returns the engine's
+// value after each; every value must == a fresh engine's on the same tree.
+std::vector<double> run_random_edits(const EditCase& c, int steps, std::uint64_t seed) {
+  Rng rng(seed);
+  phylo::LikelihoodEngine engine(c.patterns, c.model, c.rates);
+  auto fresh = [&c](const phylo::Tree& t) {
+    phylo::LikelihoodEngine e(c.patterns, c.model, c.rates);
+    return e.log_likelihood(t);
+  };
+  phylo::Tree tree = c.start;
+  std::vector<std::string> spare;  // alignment taxa not in `tree`
+  std::vector<double> values;
+  auto pick = [&rng](const std::vector<int>& v) {
+    return v[static_cast<std::size_t>(rng.next_below(v.size()))];
+  };
+
+  values.push_back(engine.log_likelihood(tree));
+  EXPECT_EQ(values.back(), fresh(tree)) << "initial tree";
+  for (int step = 0; step < steps; ++step) {
+    const auto op = rng.next_below(8);
+    switch (op) {
+      case 0:  // Brent moves one branch at a time
+        tree.set_branch_length(pick(tree.edge_nodes()), rng.exponential(0.3));
+        break;
+      case 1:
+        if (!spare.empty()) {
+          tree.insert_leaf_on_edge(pick(tree.edge_nodes()), spare.back(),
+                                   rng.exponential(0.3), rng.uniform(0.2, 0.8));
+          spare.pop_back();
+        }
+        break;
+      case 2:  // renumbers every node
+        if (tree.leaf_count() > 4) {
+          int leaf = pick(tree.leaves());
+          spare.push_back(tree.at(leaf).name);
+          tree.remove_leaf(leaf);
+        }
+        break;
+      case 3:
+        if (auto internal = tree.internal_edges(); !internal.empty()) {
+          tree.nni(pick(internal), static_cast<int>(rng.next_below(2)));
+        }
+        break;
+      case 4:  // same tree, parser's node numbering
+        tree = phylo::Tree::parse_newick(tree.to_newick());
+        break;
+      case 5: {  // an unrelated tree through the same engine
+        int n = 3 + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(c.taxa - 2)));
+        auto other = phylo::random_tree(rng, {n, 0.2, "t"});
+        EXPECT_EQ(engine.log_likelihood(other), fresh(other)) << "step " << step;
+        break;
+      }
+      case 6: {  // a taxon the alignment lacks: the call throws part-way
+        phylo::Tree bad = tree;
+        bad.insert_leaf_on_edge(pick(bad.edge_nodes()), "absent", 0.1);
+        EXPECT_THROW(engine.log_likelihood(bad), InputError);
+        break;
+      }
+      default: {  // a whole Brent search
+        double best = engine.optimize_branch(tree, pick(tree.edge_nodes()), 1e-3);
+        EXPECT_EQ(best, fresh(tree)) << "step " << step;
+        break;
+      }
+    }
+    values.push_back(engine.log_likelihood(tree));
+    EXPECT_EQ(values.back(), fresh(tree))
+        << "step " << step << " op " << op << " tree " << tree.to_newick();
+  }
+  return values;
+}
+
+void expect_incremental_matches_fresh(const EditCase& c, int steps) {
+  std::vector<double> ref;
+  for (SimdTier tier : available_tiers()) {
+    ScopedSimdTier pin(tier);
+    auto values = run_random_edits(c, steps, 77);
+    if (ref.empty()) {
+      ref = values;
+    } else {
+      EXPECT_EQ(values, ref) << "tier " << to_string(tier);
+    }
+  }
+}
+
+TEST(SimdLikelihood, IncrementalMatchesFreshEngineUnderRandomEdits) {
+  auto small = make_edit_case(51, 14, 0.1, 300, phylo::RateModel::gamma(0.5, 4));
+  expect_incremental_matches_fresh(small, 120);
+
+  // 300 taxa on long branches: a site's likelihood is far below 1e-100, so
+  // partials are rescaled at every node with more than ~170 leaves below
+  // it, and the cached per-node scale logs must add up to what a full
+  // recompute gets.
+  auto scaled = make_edit_case(53, 300, 1.0, 24, phylo::RateModel::uniform());
+  phylo::LikelihoodEngine engine(scaled.patterns, scaled.model, scaled.rates);
+  const double per_site = engine.log_likelihood(scaled.start) / scaled.patterns.site_count();
+  ASSERT_LT(per_site, -230.0);
+  expect_incremental_matches_fresh(scaled, 40);
+}
+
+TEST(SimdLikelihood, BranchChangeRecomputesOnlyThePathToTheRoot) {
+  auto c = make_edit_case(57, 16, 0.1, 200, phylo::RateModel::gamma(0.5, 4));
+  phylo::LikelihoodEngine engine(c.patterns, c.model, c.rates);
+  phylo::Tree tree = c.start;
+  const auto all = static_cast<std::uint64_t>(tree.node_count());
+
+  engine.log_likelihood(tree);
+  EXPECT_EQ(engine.nodes_recomputed(), all);
+  engine.log_likelihood(tree);
+  EXPECT_EQ(engine.nodes_recomputed(), all) << "unchanged tree recomputed a node";
+
+  for (int node : tree.edge_nodes()) {
+    std::uint64_t path = 0;
+    for (int n = tree.parent(node); n >= 0; n = tree.parent(n)) ++path;
+    const auto before = engine.nodes_recomputed();
+    tree.set_branch_length(node, tree.branch_length(node) * 1.5);
+    EXPECT_EQ(engine.log_likelihood(tree), phylo::LikelihoodEngine(c.patterns, c.model, c.rates)
+                                               .log_likelihood(tree));
+    EXPECT_EQ(engine.nodes_recomputed() - before, path) << "edge above node " << node;
+  }
+
+  // Switching the tier away and back, and invalidate(), each recompute
+  // every node.
+  const SimdTier home = simd_tier();
+  const auto tiers = available_tiers();
+  const SimdTier away = home == tiers.front() ? tiers.back() : tiers.front();
+  ASSERT_NE(away, home);
+  auto before = engine.nodes_recomputed();
+  {
+    ScopedSimdTier pin(away);
+    engine.log_likelihood(tree);
+    EXPECT_EQ(engine.nodes_recomputed() - before, all) << "to " << to_string(away);
+  }
+  before = engine.nodes_recomputed();
+  engine.log_likelihood(tree);
+  EXPECT_EQ(engine.nodes_recomputed() - before, all) << "back to " << to_string(home);
+  before = engine.nodes_recomputed();
+  engine.invalidate();
+  engine.log_likelihood(tree);
+  EXPECT_EQ(engine.nodes_recomputed() - before, all) << "after invalidate()";
 }
 
 }  // namespace
