@@ -155,8 +155,9 @@ std::string find_string(const std::string& json, const std::string& key) {
 }
 
 /// One-glance header above the pretty JSON: donor count, scheduler
-/// backlog, bulk-plane cache hit-rate, and the mean per-phase span costs
-/// from the unit profiles (absent until a donor submits).
+/// backlog, parked requests, bulk-plane cache hit-rate, and the mean
+/// per-phase span costs from the unit profiles (absent until a donor
+/// submits).
 void print_digest(const std::string& json) {
   double connected = find_number(json, "connected_clients");
   double pending = find_number(json, "units_pending");
@@ -181,6 +182,10 @@ void print_digest(const std::string& json) {
     std::printf("\n");
   }
   std::printf("donors %.0f | pending %.0f", connected, pending);
+  // RequestWork replies the server holds until work can exist (long-poll).
+  bool has_parked = false;
+  double parked = find_number(json, "parked_requests", 0, &has_parked);
+  if (has_parked) std::printf(" | parked %.0f", parked);
   if (!tier.empty()) std::printf(" | simd %s", tier.c_str());
   if (hits + sent > 0) {
     std::printf(" | blob cache hit-rate %.1f%% (%.0f hit / %.0f sent)",

@@ -90,6 +90,30 @@ LoopIoMetrics& loop_io_metrics() {
   static LoopIoMetrics m;
   return m;
 }
+
+// Long-poll instruments: requests held right now (summed over servers in
+// the process), how long each was held before its answer, and what
+// answered it — an event that can create work, or the deadline.
+struct ParkMetrics {
+  obs::Gauge& parked =
+      obs::Registry::global().gauge("server.parked_requests");
+  obs::Histogram& park_s = obs::Registry::global().histogram(
+      "server.park_s", obs::Histogram::latency_bounds());
+  obs::Counter& wakes = obs::Registry::global().counter("server.park_wakes");
+  obs::Counter& timeouts =
+      obs::Registry::global().counter("server.park_timeouts");
+};
+ParkMetrics& park_metrics() {
+  static ParkMetrics m;
+  return m;
+}
+
+constexpr std::size_t kAllParked = static_cast<std::size_t>(-1);
+
+std::chrono::steady_clock::duration steady_seconds(double s) {
+  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+      std::chrono::duration<double>(s));
+}
 }  // namespace
 
 // One hot standby's outbound record queue. Handlers push (under
@@ -143,6 +167,12 @@ struct Server::Conn {
   bool close_after_flush = false; // Goodbye: close once the queue drains
   std::uint32_t armed = 0;        // epoll mask currently registered
   std::atomic<ClientId> client_id{0};
+  /// Set by the loop when the connection closes (guarded by park_mutex_):
+  /// a worker must not park a request nobody can receive.
+  bool hung_up = false;
+  /// problem_gen_ when this connection was last told every problem is
+  /// complete (guarded by core_mutex_; 0 = never).
+  std::uint64_t told_complete_gen = 0;
 
   struct Chunk {
     std::vector<std::byte> bytes;
@@ -171,6 +201,7 @@ struct Server::HandlerOutcome {
   bool clear_client = false;         // Goodbye: drop the id before close
   bool close = false;                // close once chunks are flushed
   bool replica = false;              // detach into a replication session
+  bool parked = false;               // held: answered by whoever pops it
   net::Message request;              // original frame (replica detach)
 };
 
@@ -285,6 +316,10 @@ void Server::start() {
 
 void Server::stop() {
   if (!running_.exchange(false)) return;
+  {
+    std::lock_guard lock(park_mutex_);
+    park_cv_.notify_all();  // end the housekeeper's tick/deadline wait
+  }
   // Tear connections down on their own loop threads (each posts its
   // client_left to the workers), stop the loops, then drain the worker
   // queue — shutdown() runs what is queued before joining.
@@ -324,6 +359,8 @@ void Server::stop() {
 ProblemId Server::submit_problem(std::shared_ptr<DataManager> dm) {
   std::lock_guard lock(core_mutex_);
   ProblemId id = core_.submit_problem(std::move(dm));
+  problem_gen_ += 1;
+  wake_parked_locked();
   progress_cv_.notify_all();
   return id;
 }
@@ -420,6 +457,11 @@ std::string Server::stats_json(bool include_clients) {
   std::uint64_t term;
   std::uint64_t wal_lsn;
   double t;
+  std::size_t parked;
+  {
+    std::lock_guard lock(park_mutex_);
+    parked = parked_.size();
+  }
   {
     std::lock_guard lock(core_mutex_);
     s = core_.stats();
@@ -444,7 +486,8 @@ std::string Server::stats_json(bool include_clients) {
               : durability() == Durability::kDegraded ? "degraded" : "none")
       << "\""
       << ",\"epoch\":" << term << ",\"wal_lsn\":" << wal_lsn
-      << ",\"connected_clients\":" << connected_.load() << ",\"scheduler\":{"
+      << ",\"connected_clients\":" << connected_.load()
+      << ",\"parked_requests\":" << parked << ",\"scheduler\":{"
       << "\"units_issued\":" << s.units_issued
       << ",\"units_reissued\":" << s.units_reissued
       << ",\"units_hedged\":" << s.units_hedged
@@ -610,6 +653,7 @@ void Server::conn_pump(const std::shared_ptr<Conn>& c) {
   bool accepted = workers_->submit([this, self,
                                     request = std::move(request)]() mutable {
     HandlerOutcome out = handle_request(self, request);
+    if (out.parked) return;  // whoever pops the entry answers it
     self->io->loop.post([this, self, out = std::move(out)]() mutable {
       deliver(self, std::move(out));
     });
@@ -778,6 +822,15 @@ void Server::conn_disconnect(std::shared_ptr<Conn> c, const char* reason) {
   c->outq.clear();
   c->outq_bytes = 0;
   c->inbox.clear();
+  {
+    // A held request dies with its connection: it is nobody's to answer.
+    std::lock_guard lock(park_mutex_);
+    c->hung_up = true;
+    if (const auto dropped = std::erase_if(
+            parked_, [&c](const Parked& p) { return p.conn == c; })) {
+      park_metrics().parked.add(-static_cast<double>(dropped));
+    }
+  }
   c->stream.close();
   c->io->conns.erase(c);
   connected_gauge().set(connected_.fetch_sub(1) - 1);
@@ -799,6 +852,7 @@ void Server::client_left_async(ClientId id) {
       rec.now = t;
       rec.arg = id;
       log_record(std::move(rec));
+      wake_parked_locked();  // its leases went back to the queue
     }
     progress_cv_.notify_all();
   });
@@ -835,11 +889,16 @@ void Server::housekeeping_loop() {
   double last_checkpoint = now();
   double last_rearm = now();
   double last_budget_check = now();
+  const auto tick_every = steady_seconds(config_.tick_interval_s);
+  auto next_tick = std::chrono::steady_clock::now();
   while (running_.load()) {
+    const auto woke = std::chrono::steady_clock::now();
+    const bool tick_due = woke >= next_tick;
+    if (tick_due) next_tick = woke + tick_every;
     // A standby's shadow core is driven only by the primary's record
     // stream (which includes the primary's own Tick records with the
     // primary's clock); ticking it locally would double-expire leases.
-    if (!standby_.load()) {
+    if (tick_due && !standby_.load()) {
       {
         std::lock_guard lock(core_mutex_);
         double t = now();
@@ -848,6 +907,7 @@ void Server::housekeeping_loop() {
         rec.op = WalOp::kTick;
         rec.now = t;
         log_record(std::move(rec));  // doubles as a replication keepalive
+        wake_parked_locked();  // expired leases are back in the queue
         try {
           maybe_compact_locked(t);
         } catch (const Error& e) {
@@ -905,7 +965,24 @@ void Server::housekeeping_loop() {
         }
       }
     }
-    std::this_thread::sleep_for(std::chrono::duration<double>(config_.tick_interval_s));
+    bool expired;
+    {
+      std::lock_guard lock(park_mutex_);
+      expired = !parked_.empty() && parked_.front().deadline <= woke;
+    }
+    if (expired) {  // held to their no_work_retry_s deadline
+      std::lock_guard lock(core_mutex_);
+      answer_parked(kAllParked, core_.all_complete(), /*expired_only=*/true);
+    }
+    // Sleep until the next tick or the oldest parked request's deadline;
+    // park() cuts the wait short when it queues a new oldest entry.
+    std::unique_lock lock(park_mutex_);
+    auto until = next_tick;
+    if (!parked_.empty()) until = std::min(until, parked_.front().deadline);
+    park_cv_.wait_until(lock, until, [&] {
+      return !running_.load() ||
+             (!parked_.empty() && parked_.front().deadline < until);
+    });
   }
 }
 
@@ -916,7 +993,66 @@ std::uint64_t Server::epoch() {
 
 void Server::drain() {
   draining_.store(true);
+  answer_parked(kAllParked, false, false);  // draining: each gets kShutdown
   progress_cv_.notify_all();
+}
+
+bool Server::park(const std::shared_ptr<Conn>& c, std::uint64_t correlation) {
+  std::lock_guard lock(park_mutex_);
+  if (c->hung_up || draining_.load()) return false;
+  const auto t = std::chrono::steady_clock::now();
+  parked_.push_back(
+      Parked{c, correlation, t, t + steady_seconds(config_.no_work_retry_s)});
+  park_metrics().parked.add(1);
+  if (parked_.size() == 1) park_cv_.notify_one();  // a new nearest deadline
+  return true;
+}
+
+void Server::answer_parked(std::size_t max, bool all_complete,
+                           bool expired_only) {
+  const auto t = std::chrono::steady_clock::now();
+  std::vector<Parked> batch;
+  {
+    std::lock_guard lock(park_mutex_);
+    while (batch.size() < max && !parked_.empty() &&
+           (!expired_only || parked_.front().deadline <= t)) {
+      batch.push_back(std::move(parked_.front()));
+      parked_.pop_front();
+    }
+  }
+  if (batch.empty()) return;
+  auto& m = park_metrics();
+  m.parked.add(-static_cast<double>(batch.size()));
+  (expired_only ? m.timeouts : m.wakes).inc(batch.size());
+  for (Parked& p : batch) {
+    m.park_s.observe(std::chrono::duration<double>(t - p.since).count());
+    net::Message reply;
+    if (draining_.load()) {
+      reply.type = net::MessageType::kShutdown;
+      reply.correlation = p.correlation;
+    } else {
+      NoWorkPayload np;
+      np.retry_after_s = 0;  // ask again now
+      np.all_problems_complete = all_complete;
+      reply = encode_no_work(np, p.correlation);
+    }
+    HandlerOutcome out;
+    out.chunks.push_back(net::encode_frame(reply));
+    p.conn->io->loop.post([this, c = p.conn, out = std::move(out)]() mutable {
+      deliver(c, std::move(out));
+    });
+  }
+}
+
+void Server::wake_parked_locked() {
+  {
+    // Only a caller holding core_mutex_ parks, so an empty queue stays
+    // empty here; skip the scan over every problem.
+    std::lock_guard lock(park_mutex_);
+    if (parked_.empty()) return;
+  }
+  const bool done = core_.all_complete();
+  answer_parked(done ? kAllParked : 1, done, /*expired_only=*/false);
 }
 
 void Server::compact_wal() {
@@ -1030,6 +1166,7 @@ void Server::degrade_locked(const char* reason, double t) {
   if (config_.durability_mode == DurabilityMode::kFailStop) {
     storage_failed_.store(true);
     draining_.store(true);
+    answer_parked(kAllParked, false, false);  // draining: each gets kShutdown
     LOG_ERROR("durability lost (" << reason << "): fail-stop — draining, "
               << "epoch " << next);
   } else {
@@ -1176,12 +1313,24 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
           }
           if (unit) {
             response = encode_work_assignment(*unit, request.correlation);
-          } else {
-            NoWorkPayload p;
-            p.retry_after_s = config_.no_work_retry_s;
-            p.all_problems_complete = core_.all_complete();
-            response = encode_no_work(p, request.correlation);
+            wake_parked_locked();  // more units may be queued behind it
+            break;
           }
+          NoWorkPayload p;
+          p.retry_after_s = 0;  // sent when work can exist: ask again at once
+          p.all_problems_complete = core_.all_complete();
+          if (p.all_problems_complete && c->told_complete_gen != problem_gen_) {
+            // The first unserved request after completion is answered at
+            // once, so exit-when-idle donors leave promptly; a repeat on
+            // this connection (a persistent donor between jobs) parks
+            // until the next submit_problem.
+            c->told_complete_gen = problem_gen_;
+          } else if (park(c, request.correlation)) {
+            have_response = false;
+            out.parked = true;
+            break;
+          }
+          response = encode_no_work(p, request.correlation);
           break;
         }
         case net::MessageType::kSubmitResult: {
@@ -1213,6 +1362,7 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
                 degrade_locked("wal_sync", t);
               }
             }
+            wake_parked_locked();  // a merge can open a stage or finish
           }
           progress_cv_.notify_all();
           if (storage_failed_.load()) {
@@ -1312,6 +1462,7 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
             rec.now = t;
             rec.arg = id;
             log_record(std::move(rec));
+            wake_parked_locked();
           }
           progress_cv_.notify_all();
           // Client is gone: no response, drop the conn's id (the departure
@@ -1341,6 +1492,15 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
     LOG_WARN("request failed (client "
              << (client_id ? client_id : c->client_id.load())
              << "): " << e.what());
+    response = net::make_error(request.correlation, e.what());
+  } catch (const std::exception& e) {
+    // Anything else (a DataManager's std::out_of_range, bad_alloc) must not
+    // reach the worker pool's task loop, where it would terminate the
+    // server: answer it the same way, and count it.
+    obs::Registry::global().counter("server.handler_exceptions").inc();
+    LOG_ERROR("request handler threw (client "
+              << (client_id ? client_id : c->client_id.load())
+              << "): " << e.what());
     response = net::make_error(request.correlation, e.what());
   }
 

@@ -8,13 +8,22 @@
 //     ten thousand idle donors cost file descriptors, not OS threads,
 //   - worker_threads pool running everything that can block: scheduler
 //     calls under core_mutex_, WAL fsyncs, checkpoint saves, stats JSON,
-//   - one housekeeping thread (lease expiry ticks),
+//   - one housekeeping thread (lease expiry ticks, parked-request
+//     deadlines),
 //   - one dedicated thread per attached hot standby (replication sessions
 //     are long-lived, few, and intentionally blocking).
 // A loop thread never takes core_mutex_ and never touches disk; a worker
 // never touches a socket. Requests hop loop -> worker -> loop (post), with
 // at most one worker job in flight per connection so responses keep their
 // request order.
+//
+// Long-poll: a RequestWork with nothing to serve is *parked* — its NoWork
+// reply is held in a FIFO (no worker waits on it, the connection stays
+// busy) and sent with retry_after_s = 0, so the donor asks again at once,
+// when work can exist: the oldest entry on a SubmitResult, submit_problem,
+// tick, departure or served RequestWork; every entry once all problems are
+// complete, on drain() and on fail-stop; otherwise at its no_work_retry_s
+// deadline. Whoever pops an entry answers it, exactly once.
 
 #include <atomic>
 #include <chrono>
@@ -57,6 +66,9 @@ struct ServerConfig {
   SchedulerConfig scheduler;
   std::string policy_spec = "adaptive:15";
   double tick_interval_s = 0.5;
+  /// Longest a RequestWork with nothing to serve is held before it is
+  /// answered NoWork (it is answered sooner when work can exist; see the
+  /// long-poll note above).
   double no_work_retry_s = 0.2;
   double heartbeat_interval_s = 10.0;
   /// Durability: autosave SchedulerCore::checkpoint() to this path (tmp
@@ -221,6 +233,14 @@ class Server {
   struct Conn;         // per-connection state machine (loop-thread owned)
   struct HandlerOutcome;  // worker -> loop: encoded response chunks
 
+  /// A held RequestWork (see the long-poll note).
+  struct Parked {
+    std::shared_ptr<Conn> conn;
+    std::uint64_t correlation = 0;
+    std::chrono::steady_clock::time_point since;
+    std::chrono::steady_clock::time_point deadline;
+  };
+
   // Event-loop path. All conn_* methods run on the connection's loop
   // thread; handle_request runs on a worker.
   void accept_ready();
@@ -239,6 +259,14 @@ class Server {
   void deliver(const std::shared_ptr<Conn>& c, HandlerOutcome out);
   void detach_replica(const std::shared_ptr<Conn>& c, net::Message hello);
   void client_left_async(ClientId id);
+
+  // Long-poll. park() queues c's RequestWork (false: c hung up or the
+  // server drains, so answer now); answer_parked() pops up to `max` entries
+  // (only those past their deadline when expired_only) and answers each
+  // NoWork(retry_after_s = 0, all_complete), or kShutdown while draining.
+  bool park(const std::shared_ptr<Conn>& c, std::uint64_t correlation);
+  void answer_parked(std::size_t max, bool all_complete, bool expired_only);
+  void wake_parked_locked();  // requires core_mutex_: work may exist now
 
   void housekeeping_loop();
   void serve_replica(net::TcpStream& stream, const net::Message& hello);
@@ -261,6 +289,18 @@ class Server {
   std::mutex core_mutex_;
   SchedulerCore core_;
   std::condition_variable progress_cv_;
+  /// Bumped by submit_problem (guarded by core_mutex_). A connection told
+  /// all_problems_complete in this generation parks its repeat requests.
+  std::uint64_t problem_gen_ = 1;
+
+  // Parked RequestWork replies, oldest first; every entry holds the same
+  // no_work_retry_s, so the front also has the nearest deadline. Lock
+  // order: core_mutex_ before park_mutex_; loop threads take only the
+  // latter. park_cv_ wakes the housekeeper for a new front deadline or
+  // stop().
+  std::mutex park_mutex_;
+  std::condition_variable park_cv_;
+  std::deque<Parked> parked_;
 
   std::atomic<bool> running_{false};
   std::atomic<int> connected_{0};

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
+#include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "dist/client.hpp"
 #include "dist/local_runner.hpp"
 #include "dist/server.hpp"
+#include "dist/wire.hpp"
+#include "net/bulk.hpp"
+#include "obs/metrics.hpp"
 #include "tests/toy_problem.hpp"
 #include "util/logging.hpp"
 
@@ -31,6 +38,99 @@ ClientConfig client_config(std::uint16_t port, const std::string& name) {
   cfg.server_port = port;
   cfg.name = name;
   return cfg;
+}
+
+// Long-poll tests hold an unserved RequestWork for up to 30 s, so a wake
+// that never comes shows up as a park timeout (asserted absent), not as a
+// test that merely runs slowly. Ticks also wake the oldest parked donor,
+// so they come only after that deadline unless a test needs lease expiry.
+ServerConfig long_poll_config() {
+  auto cfg = quick_server_config();
+  cfg.no_work_retry_s = 30.0;
+  cfg.tick_interval_s = 60.0;
+  return cfg;
+}
+
+std::uint64_t counter(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+double parked_requests() {
+  return obs::Registry::global().gauge("server.parked_requests").value();
+}
+
+// Poll `done` for up to 10 s; false if it never held.
+bool eventually(const std::function<bool()>& done) {
+  for (int i = 0; i < 1000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return done();
+}
+
+// A donor driven frame by frame over its own connection.
+struct RawDonor {
+  net::TcpStream stream;
+  ClientId id = 0;
+  std::uint64_t corr = 1;
+
+  RawDonor(const Server& server, const std::string& name)
+      : stream(net::TcpStream::connect("127.0.0.1", server.port())) {
+    net::write_message(stream, encode_hello({name, 1, 1e6}, corr++));
+    id = decode_hello_ack(net::read_message(stream)).client_id;
+  }
+  /// A second connection for an existing client, without a Hello of its
+  /// own: closing it records no departure, so nothing else wakes.
+  RawDonor(const Server& server, ClientId existing)
+      : stream(net::TcpStream::connect("127.0.0.1", server.port())),
+        id(existing) {}
+  void send_request_work() {
+    net::write_message(stream, encode_request_work(id, corr++));
+  }
+  net::Message request_work() {
+    send_request_work();
+    return net::read_message(stream);
+  }
+  /// The next reply that is not a NoWork without completion, asking again
+  /// after each such reply (a tick's wake), as a donor would.
+  net::Message next_answer() {
+    auto reply = net::read_message(stream);
+    while (reply.type == net::MessageType::kNoWorkAvailable &&
+           !decode_no_work(reply).all_problems_complete) {
+      reply = request_work();
+    }
+    return reply;
+  }
+  /// Submit the toy sum for `unit`; returns the server's reply.
+  net::Message submit(const WorkUnit& unit) {
+    test::ToySumAlgorithm algo;
+    algo.initialize(test::ToySumDataManager(0).problem_data());
+    ResultUnit result;
+    result.problem_id = unit.problem_id;
+    result.unit_id = unit.unit_id;
+    result.stage = unit.stage;
+    result.epoch = unit.epoch;
+    result.payload = algo.process(unit);
+    result.payload_crc = net::crc32(result.payload);
+    net::write_message(stream, encode_submit_result(id, result, corr++));
+    return net::read_message(stream);
+  }
+};
+
+// Wait until `n` requests are parked server-wide. A raw donor whose held
+// request was answered anyway (a tick's wake) asks again, as a donor would.
+bool settle(const std::vector<RawDonor*>& raws, double n) {
+  return eventually([&] {
+    bool quiet = true;
+    for (RawDonor* d : raws) {
+      if (d->stream.readable(0)) {
+        net::read_message(d->stream);
+        d->send_request_work();
+        quiet = false;
+      }
+    }
+    return quiet && parked_requests() == n;
+  });
 }
 
 TEST(LocalRunner, MatchesDirectComputation) {
@@ -225,6 +325,263 @@ TEST(ServerClient, DonorPoolContributesAllCpus) {
   EXPECT_EQ(test::read_u64_result(server.final_result(pid)), dm->expected());
   EXPECT_GT(stats[0].units_processed + stats[1].units_processed, 0u);
   EXPECT_THROW(Client::run_pool(base, 0), InputError);
+  server.stop();
+}
+
+TEST(ServerClient, LongPollDonorWaitingBeforeSubmitIsServedBySubmit) {
+  Server server(long_poll_config());
+  server.start();
+  const auto timeouts = counter("server.park_timeouts");
+  // A persistent donor joins an empty server: told once that everything
+  // is complete, it asks again and parks.
+  auto ccfg = client_config(server.port(), "early");
+  ccfg.exit_when_idle = false;
+  Client client(ccfg);
+  ClientRunStats stats;
+  std::thread donor([&] { stats = client.run(); });
+  EXPECT_TRUE(eventually([] { return parked_requests() == 1; }));
+
+  auto dm = std::make_shared<ToySumDataManager>(500000);
+  auto pid = server.submit_problem(dm);
+  EXPECT_TRUE(server.wait_for_problem(pid, 10.0));
+  server.drain();  // parked again between jobs: kShutdown releases it
+  donor.join();
+  EXPECT_EQ(test::read_u64_result(server.final_result(pid)), dm->expected());
+  EXPECT_GT(stats.units_processed, 0u);
+  EXPECT_EQ(counter("server.park_timeouts"), timeouts);
+  server.stop();
+}
+
+TEST(ServerClient, LongPollStageMergesWakeParkedDonors) {
+  auto cfg = long_poll_config();
+  cfg.policy_spec = "fixed:1000000";  // one unit per stage
+  Server server(cfg);
+  server.start();
+  const auto timeouts = counter("server.park_timeouts");
+  const auto wakes = counter("server.park_wakes");
+  auto dm = std::make_shared<ToySumDataManager>(4000000, 0, /*stages=*/4);
+  auto pid = server.submit_problem(dm);
+
+  // Slowed units keep each stage open long enough for the two donors
+  // without its unit to park at the barrier.
+  std::vector<std::thread> donors;
+  for (const char* name : {"a", "b", "c"}) {
+    donors.emplace_back([&server, name] {
+      auto ccfg = client_config(server.port(), name);
+      ccfg.throttle = 10.0;
+      Client(ccfg).run();
+    });
+  }
+  for (auto& t : donors) t.join();
+  ASSERT_TRUE(server.wait_for_problem(pid, 1.0));
+  EXPECT_EQ(test::read_u64_result(server.final_result(pid)), dm->expected());
+  // Donors waited at the barriers, and a merge (not the deadline) woke them.
+  EXPECT_GT(counter("server.park_wakes"), wakes);
+  EXPECT_EQ(counter("server.park_timeouts"), timeouts);
+  server.stop();
+}
+
+TEST(ServerClient, LongPollExpiredLeaseReachesParkedDonor) {
+  auto cfg = long_poll_config();
+  cfg.tick_interval_s = 0.05;
+  cfg.scheduler.lease_timeout = 0.3;
+  cfg.policy_spec = "fixed:100000";  // the whole problem is one unit
+  Server server(cfg);
+  server.start();
+  const auto timeouts = counter("server.park_timeouts");
+  auto dm = std::make_shared<ToySumDataManager>(100000);
+  auto pid = server.submit_problem(dm);
+
+  // A hung donor takes the only unit and never answers; its connection
+  // stays open, so only the tick's lease expiry can requeue the unit.
+  RawDonor hung(server, "hung");
+  ASSERT_EQ(hung.request_work().type, net::MessageType::kWorkAssignment);
+
+  Client(client_config(server.port(), "survivor")).run();
+  ASSERT_TRUE(server.wait_for_problem(pid, 1.0));
+  EXPECT_EQ(test::read_u64_result(server.final_result(pid)), dm->expected());
+  EXPECT_GE(server.stats().units_reissued, 1u);
+  EXPECT_EQ(counter("server.park_timeouts"), timeouts);
+  server.stop();
+}
+
+TEST(ServerClient, LongPollBurstOfUnitsWakesParkedDonorsInTurn) {
+  auto cfg = long_poll_config();
+  cfg.policy_spec = "fixed:100000";
+  Server server(cfg);
+  server.start();
+  const auto timeouts = counter("server.park_timeouts");
+  RawDonor r(server, "r"), s(server, "s"), t(server, "t");
+  const std::vector<RawDonor*> donors{&r, &s, &t};
+  for (RawDonor* d : donors) d->send_request_work();
+  ASSERT_TRUE(settle(donors, 3));
+  // Three units at once: the submit wakes the oldest donor, and each
+  // served request wakes the next.
+  server.submit_problem(std::make_shared<ToySumDataManager>(300000));
+  std::set<RawDonor*> served;
+  EXPECT_TRUE(eventually([&] {
+    for (RawDonor* d : donors) {
+      if (!d->stream.readable(0)) continue;
+      if (net::read_message(d->stream).type ==
+          net::MessageType::kWorkAssignment) {
+        served.insert(d);
+      } else {
+        d->send_request_work();  // woken: ask again, in whatever order
+      }
+    }
+    return served.size() == donors.size();
+  }));
+  EXPECT_EQ(counter("server.park_timeouts"), timeouts);
+  server.stop();
+}
+
+TEST(ServerClient, LongPollExitWhenIdleDonorsReturnAtCompletion) {
+  auto cfg = long_poll_config();
+  cfg.policy_spec = "fixed:100000";
+  Server server(cfg);
+  server.start();
+  const auto timeouts = counter("server.park_timeouts");
+  const auto wakes = counter("server.park_wakes");
+  auto dm = std::make_shared<ToySumDataManager>(100000);
+  auto pid = server.submit_problem(dm);
+  RawDonor holder(server, "holder");
+  auto assignment = holder.request_work();
+  ASSERT_EQ(assignment.type, net::MessageType::kWorkAssignment);
+
+  // First in line, a donor that stays; then two exit-when-idle donors.
+  // All find nothing to do and park.
+  RawDonor stays(server, "stays");
+  stays.send_request_work();
+  ASSERT_TRUE(settle({&stays}, 1));
+  std::vector<std::thread> donors;
+  for (const char* name : {"x", "y"}) {
+    donors.emplace_back(
+        [&server, name] { Client(client_config(server.port(), name)).run(); });
+  }
+  EXPECT_TRUE(settle({&stays}, 3));
+  // The last result completes every problem: all three are told at once.
+  auto ack = holder.submit(decode_work_assignment(assignment));
+  EXPECT_TRUE(decode_result_ack(ack).accepted);
+  auto told = stays.next_answer();
+  EXPECT_TRUE(told.type == net::MessageType::kNoWorkAvailable &&
+              decode_no_work(told).all_problems_complete);
+  for (auto& t : donors) t.join();
+  EXPECT_TRUE(server.wait_for_problem(pid, 1.0));
+  EXPECT_EQ(test::read_u64_result(server.final_result(pid)), dm->expected());
+  EXPECT_GE(counter("server.park_wakes"), wakes + 3);
+  EXPECT_EQ(counter("server.park_timeouts"), timeouts);
+  server.stop();
+}
+
+TEST(ServerClient, LongPollDrainShutsDownParkedDonors) {
+  Server server(long_poll_config());
+  server.start();
+  const auto timeouts = counter("server.park_timeouts");
+  // Nothing submitted: a donor's first request is told "all complete" at
+  // once, with no wait before asking again...
+  RawDonor raw(server, "raw");
+  auto first = raw.request_work();
+  ASSERT_EQ(first.type, net::MessageType::kNoWorkAvailable);
+  EXPECT_TRUE(decode_no_work(first).all_problems_complete);
+  EXPECT_EQ(decode_no_work(first).retry_after_s, 0.0);
+  // ...and persistent donors, which do ask again, park. Only kShutdown
+  // ends their run.
+  std::vector<std::thread> donors;
+  for (const char* name : {"p", "q"}) {
+    donors.emplace_back([&server, name] {
+      auto ccfg = client_config(server.port(), name);
+      ccfg.exit_when_idle = false;
+      Client(ccfg).run();
+    });
+  }
+  EXPECT_TRUE(eventually([] { return parked_requests() == 2; }));
+  server.drain();
+  for (auto& t : donors) t.join();
+  EXPECT_EQ(parked_requests(), 0);
+  EXPECT_EQ(counter("server.park_timeouts"), timeouts);
+  server.stop();
+}
+
+TEST(ServerClient, LongPollClosedConnectionLeavesNothingParked) {
+  Server server(long_poll_config());
+  server.start();
+  const auto timeouts = counter("server.park_timeouts");
+  RawDonor owner(server, "owner");
+  {
+    RawDonor gone(server, owner.id);
+    gone.send_request_work();
+    ASSERT_TRUE(settle({&gone}, 1));
+  }  // closed while parked
+  ASSERT_TRUE(eventually([] { return parked_requests() == 0; }));
+
+  // A later persistent donor parks in its place and the next submit
+  // reaches it, not the dead connection.
+  auto ccfg = client_config(server.port(), "later");
+  ccfg.exit_when_idle = false;
+  Client client(ccfg);
+  std::thread donor([&] { client.run(); });
+  EXPECT_TRUE(eventually([] { return parked_requests() == 1; }));
+  auto dm = std::make_shared<ToySumDataManager>(200000);
+  auto pid = server.submit_problem(dm);
+  EXPECT_TRUE(server.wait_for_problem(pid, 10.0));
+  server.drain();
+  donor.join();
+  EXPECT_EQ(test::read_u64_result(server.final_result(pid)), dm->expected());
+  EXPECT_EQ(counter("server.park_timeouts"), timeouts);
+  server.stop();
+  EXPECT_EQ(parked_requests(), 0);
+}
+
+// A problem whose result decoder fails with a standard-library exception
+// rather than an hdcs::Error.
+class ThrowingToyDataManager final : public DataManager {
+ public:
+  explicit ThrowingToyDataManager(std::uint64_t n) : inner_(n) {}
+  [[nodiscard]] std::string algorithm_name() const override {
+    return inner_.algorithm_name();
+  }
+  [[nodiscard]] std::vector<std::byte> problem_data() const override {
+    return inner_.problem_data();
+  }
+  std::optional<WorkUnit> next_unit(const SizeHint& hint) override {
+    return inner_.next_unit(hint);
+  }
+  void accept_result(const ResultUnit&) override {
+    throw std::out_of_range("result decoder read past the end");
+  }
+  [[nodiscard]] bool is_complete() const override { return false; }
+  [[nodiscard]] std::vector<std::byte> final_result() const override {
+    return {};
+  }
+
+ private:
+  ToySumDataManager inner_;
+};
+
+TEST(ServerClient, NonErrorExceptionFromDataManagerAnswersErrorFrame) {
+  Server server(quick_server_config());
+  server.start();
+  const auto exceptions = counter("server.handler_exceptions");
+  server.submit_problem(std::make_shared<ThrowingToyDataManager>(100000));
+  RawDonor raw(server, "raw");
+  auto assignment = raw.request_work();
+  ASSERT_EQ(assignment.type, net::MessageType::kWorkAssignment);
+  EXPECT_EQ(raw.submit(decode_work_assignment(assignment)).type,
+            net::MessageType::kError);
+  EXPECT_EQ(counter("server.handler_exceptions"), exceptions + 1);
+
+  // The server lives on and finishes a healthy problem for other donors.
+  auto dm = std::make_shared<ToySumDataManager>(2000000, 7);
+  auto pid = server.submit_problem(dm);
+  std::vector<std::thread> donors;
+  for (const char* name : {"d", "e"}) {
+    donors.emplace_back(
+        [&server, name] { Client(client_config(server.port(), name)).run(); });
+  }
+  EXPECT_TRUE(server.wait_for_problem(pid, 30.0));
+  server.drain();  // the broken problem never completes
+  for (auto& t : donors) t.join();
+  EXPECT_EQ(test::read_u64_result(server.final_result(pid)), dm->expected());
   server.stop();
 }
 
