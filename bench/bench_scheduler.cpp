@@ -45,6 +45,7 @@ void BM_RequestSubmitCycle(benchmark::State& state) {
     r.problem_id = unit->problem_id;
     r.unit_id = unit->unit_id;
     r.stage = unit->stage;
+    r.epoch = unit->epoch;
     // A canned tiny result: the bench measures scheduling, not the sum.
     ByteWriter w;
     w.u64(0);
@@ -86,6 +87,7 @@ void BM_MultiProblemRoundRobin(benchmark::State& state) {
     ResultUnit r;
     r.problem_id = unit->problem_id;
     r.unit_id = unit->unit_id;
+    r.epoch = unit->epoch;
     ByteWriter w;
     w.u64(0);
     r.payload = w.take();

@@ -8,7 +8,6 @@
 // Usage:
 //   hdcs_submit --app dsearch --db db.fasta --queries q.fasta
 //               [--config search.cfg] [--port 4090] [--output hits.txt]
-//               [--checkpoint state.ckpt] [--checkpoint-interval 30]
 //               [--replicas 2] [--quorum 2] [--spot-check 0.05]
 //               [--wal-dir state.wal] [--standby-of HOST:PORT]
 //               [--failover-timeout 2]
@@ -18,29 +17,27 @@
 //   hdcs_submit --app dprml  --alignment aln.fasta [--config ml.cfg] ...
 //   hdcs_submit --app dboot  --alignment aln.fasta [--config boot.cfg] ...
 //
-// --checkpoint PATH makes the server autosave its scheduling state
-// (durable tmp+fsync+rename writes) every --checkpoint-interval seconds;
-// rerunning the same hdcs_submit command after a crash restores from the
-// file and finishes the remaining units instead of starting over. The
-// config file can also set max_attempts_per_unit to quarantine "poison"
-// units that repeatedly kill donors (see docs/ROBUSTNESS.md).
+// --wal-dir DIR turns on the write-ahead log, the server's durability:
+// every accepted result is fsynced durable before its ack, so a kill -9
+// loses nothing, and rerunning the same command replays the log and
+// finishes the remaining units instead of starting over. The config file
+// can also set max_attempts_per_unit to quarantine "poison" units that
+// repeatedly kill donors (see docs/ROBUSTNESS.md).
 //
-// --wal-dir DIR turns on the write-ahead log: every accepted result is
-// fsynced durable before its ack, so a kill -9 loses nothing (rerun the
-// same command to replay). --standby-of HOST:PORT starts this process as a
-// hot standby of a primary running with the same problems: it mirrors the
-// primary's state live and promotes itself — bumping the fencing epoch —
-// once the primary has been silent for --failover-timeout seconds. Point
-// donors at both with  hdcs_donor --servers primary:P,standby:P.
+// --standby-of HOST:PORT starts this process as a hot standby of a
+// primary running with the same problems: it mirrors the primary's state
+// live and promotes itself — bumping the fencing epoch — once the primary
+// has been silent for --failover-timeout seconds. Point donors at both
+// with  hdcs_donor --servers primary:P,standby:P.
 //
-// SIGINT/SIGTERM shut down gracefully: a final durable checkpoint is
-// written and connected donors are told to stop (kShutdown on their next
-// request) instead of relying on the autosave window.
+// SIGINT/SIGTERM shut down gracefully: connected donors are told to stop
+// (kShutdown on their next request). Nothing is left to save — every
+// acked result is already in the WAL.
 //
-// --durability picks what a WAL/checkpoint disk fault does: "continue"
-// (default) keeps scheduling non-durably and re-arms when the disk
-// recovers; "fail-stop" drains and exits with status 3 so an operator (or
-// a supervisor) restarts onto healthy storage. --wal-budget-mb caps the
+// --durability picks what a WAL disk fault does: "continue" (default)
+// keeps scheduling non-durably and re-arms when the disk recovers;
+// "fail-stop" drains and exits with status 3 so an operator (or a
+// supervisor) restarts onto healthy storage. --wal-budget-mb caps the
 // WAL directory (forced compaction sheds folded segments before ENOSPC);
 // --max-clients and --blob-budget-mb shed load with RetryLater NACKs that
 // v7 donors honour with backoff. See docs/ROBUSTNESS.md.
@@ -74,9 +71,8 @@ using namespace hdcs;
 
 namespace {
 
-/// Set by the SIGINT/SIGTERM handler; the wait loop polls it and runs the
-/// graceful-shutdown path (final checkpoint + drain) instead of dying with
-/// up to checkpoint_interval_s of un-saved bookkeeping.
+/// Set by the SIGINT/SIGTERM handler; the wait loop polls it and drains
+/// (donors get a clean kShutdown) instead of dying mid-exchange.
 std::atomic<int> g_signal{0};
 
 void on_signal(int sig) { g_signal.store(sig); }
@@ -154,8 +150,6 @@ int run(int argc, char** argv) {
       parse_i64(args.get("quorum", file_cfg.get_str("quorum", "0"))));
   scfg.scheduler.spot_check_rate = parse_f64(args.get(
       "spot-check", file_cfg.get_str("spot_check_rate", "0.05")));
-  scfg.checkpoint_path = args.get("checkpoint", "");
-  scfg.checkpoint_interval_s = parse_f64(args.get("checkpoint-interval", "30"));
   // Durability + failover (docs/ROBUSTNESS.md): --wal-dir logs every core
   // mutation (results fsynced before ack); --standby-of makes this process
   // a hot standby that mirrors the named primary and promotes when its
@@ -224,47 +218,36 @@ int run(int argc, char** argv) {
     throw InputError("unknown --app '" + app + "' (dsearch | dprml | dboot)");
   }
 
+  // The problem is registered before start(): WAL recovery and a
+  // standby's snapshot sync restore onto the same problems.
   dist::Server server(scfg);
+  auto keep_dm = dm;  // results are read back through the concrete manager
+  auto pid = server.submit_problem(dm);
   server.start();
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
-  auto keep_dm = dm;  // results are read back through the concrete manager
-  auto pid = server.submit_problem(dm);
   std::printf("serving problem %llu on 127.0.0.1:%u%s — point donors here "
               "(hdcs_donor --host 127.0.0.1 --port %u)\n",
               static_cast<unsigned long long>(pid), server.port(),
               server.is_standby() ? " [standby]" : "",
               server.port());
 
-  // Poll so SIGINT/SIGTERM can interrupt the wait: on a signal, write a
-  // final durable checkpoint (best effort) and drain — donors get a clean
-  // kShutdown instead of a dead socket, and nothing depends on the last
-  // autosave having happened recently.
+  // Poll so SIGINT/SIGTERM can interrupt the wait: on a signal, drain —
+  // donors get a clean kShutdown instead of a dead socket.
   while (!server.wait_for_problem(pid, 0.2)) {
     if (server.storage_failed()) {
       // Fail-stop tripped: the server is already draining (donors keep
-      // their buffered results). Save what the (possibly dead) disk will
-      // take, stop, and exit distinctly so supervisors can tell "disk
-      // gone" from an ordinary crash.
+      // their buffered results). Stop and exit distinctly so supervisors
+      // can tell "disk gone" from an ordinary crash.
       std::fprintf(stderr,
                    "storage failure (fail-stop): draining and exiting\n");
-      try {
-        server.save_checkpoint();
-      } catch (const Error& e) {
-        std::fprintf(stderr, "final checkpoint failed: %s\n", e.what());
-      }
       std::this_thread::sleep_for(std::chrono::milliseconds(300));
       server.stop();
       return 3;
     }
     int sig = g_signal.load();
     if (sig != 0) {
-      std::fprintf(stderr, "signal %d: checkpointing and draining\n", sig);
-      try {
-        server.save_checkpoint();
-      } catch (const Error& e) {
-        std::fprintf(stderr, "final checkpoint failed: %s\n", e.what());
-      }
+      std::fprintf(stderr, "signal %d: draining\n", sig);
       server.drain();
       std::this_thread::sleep_for(std::chrono::milliseconds(300));
       server.stop();

@@ -7,7 +7,7 @@
 # The chaos suite (server kill/restart + donor churn + injected frame
 # faults, tests/test_chaos.cpp) runs under BOTH sanitizers: it is the
 # test most likely to expose races and lifetime bugs in the
-# reconnect/checkpoint paths, and it must stay clean there, not just in
+# reconnect/WAL-restart paths, and it must stay clean there, not just in
 # the plain build. The Simd/BatchKernel suites additionally run with
 # HDCS_SIMD pinned to scalar, sse2 and avx2, so every tier below the
 # detected one stays exercised on hosts that would dispatch higher.

@@ -1,8 +1,6 @@
 #include "dist/checkpoint_file.hpp"
 
 #include "net/bulk.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/byte_buffer.hpp"
 #include "util/error.hpp"
 #include "util/vfs.hpp"
@@ -11,13 +9,8 @@ namespace hdcs::dist {
 
 namespace {
 constexpr std::uint32_t kCheckpointMagic = 0x484b4350;  // "HKCP"
-// v2: SchedulerCore layout gained replication/vote state per in-flight
-// unit and the donor reputation ledger.
-// v3: content-addressed bulk-data plane — per-unit blob references plus a
-// global digest -> bytes table (problem-data blobs excluded; they are
-// re-interned when the problems are re-submitted before restore()).
-// v4: the scheduler epoch (server term, WAL/failover fencing) leads the
-// payload; restore enters a new term past it.
+// Versions the envelope; the payload carries its own (the WAL base holds
+// a versioned exact snapshot).
 constexpr std::uint32_t kCheckpointFileVersion = 4;
 }  // namespace
 
@@ -74,20 +67,6 @@ std::optional<std::vector<std::byte>> read_checkpoint_file(
     throw ProtocolError("checkpoint file " + path + ": CRC mismatch");
   }
   return payload;
-}
-
-void record_checkpoint_saved(obs::Tracer* tracer, double t, std::size_t bytes,
-                             std::size_t problems,
-                             std::size_t units_in_flight) {
-  auto& reg = obs::Registry::global();
-  reg.counter("checkpoint.saves").inc();
-  reg.gauge("checkpoint.bytes").set(static_cast<double>(bytes));
-  if (tracer) {
-    tracer->event(t, "checkpoint_saved")
-        .u64("bytes", bytes)
-        .u64("problems", problems)
-        .u64("units_in_flight", units_in_flight);
-  }
 }
 
 }  // namespace hdcs::dist

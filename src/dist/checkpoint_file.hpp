@@ -1,8 +1,8 @@
 #pragma once
 // Durable checkpoint files.
 //
-// A server checkpoint (SchedulerCore::checkpoint() bytes) becomes crash-
-// safe on disk via the classic recipe: write to a ".tmp" sibling, fsync the
+// The WAL's base snapshot (base.ckpt: start lsn + SchedulerCore::
+// snapshot_exact() bytes) becomes crash-safe on disk via the classic recipe: write to a ".tmp" sibling, fsync the
 // file, rename() over the destination, fsync the directory. A reader after
 // kill -9 sees either the previous complete checkpoint or the new complete
 // checkpoint — never a torn mix.
@@ -10,17 +10,13 @@
 // File layout: magic "HKCP"(u32) version(u32) payload_len(u64)
 //              payload[payload_len] crc32(u32)
 // The CRC covers the payload; a torn or bit-rotted file surfaces as
-// ProtocolError instead of feeding garbage into restore().
+// ProtocolError instead of feeding garbage into restore_exact().
 
 #include <cstddef>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
-
-namespace hdcs::obs {
-class Tracer;
-}
 
 namespace hdcs::dist {
 
@@ -34,12 +30,5 @@ void write_checkpoint_file(const std::string& path,
 /// on I/O failure.
 std::optional<std::vector<std::byte>> read_checkpoint_file(
     const std::string& path);
-
-/// Shared observability for a durable save: bump checkpoint.saves, set the
-/// checkpoint.bytes gauge, and emit a checkpoint_saved trace event (if
-/// `tracer` is non-null) with the caller's clock — the TCP server (wall
-/// time) and the simulator (virtual time) emit the identical schema.
-void record_checkpoint_saved(obs::Tracer* tracer, double t, std::size_t bytes,
-                             std::size_t problems, std::size_t units_in_flight);
 
 }  // namespace hdcs::dist

@@ -410,8 +410,8 @@ ClientRunStats Client::run() {
           continue;
         }
         if (reply.type == net::MessageType::kError) {
-          // Our id is stale (client timeout, or the server restarted from a
-          // checkpoint): re-register on this same connection and carry on.
+          // Our id is stale (client timeout, or the server restarted from
+          // its WAL): re-register on this same connection and carry on.
           auto r = reply.reader();
           LOG_WARN("server rejected request for client '" << config_.name
                    << "': " << r.str() << " — re-registering");

@@ -65,15 +65,16 @@ class DataManager {
   /// size policies like guided self-scheduling; return 0 if unknown.
   [[nodiscard]] virtual double remaining_ops_estimate() const { return 0; }
 
-  // ---- optional persistence (server checkpoint/restart) ----
+  // ---- optional persistence (WAL base snapshot, standby sync) ----
   //
-  // A long-lived server checkpoints problem progress to disk so a restart
-  // does not lose days of donated cycles. A DataManager that opts in
-  // serializes its *mutable* state only; the immutable inputs are supplied
-  // again at reconstruction time. In-flight units are preserved by the
-  // scheduler itself (it keeps their payloads) and re-delivered after the
-  // restore, so implementations must persist whatever book-keeping counts
-  // those units as outstanding.
+  // A long-lived server keeps problem progress on disk (the WAL's base
+  // snapshot, SchedulerCore::snapshot_exact) so a restart does not lose
+  // days of donated cycles. A DataManager that opts in serializes its
+  // *mutable* state only; the immutable inputs are supplied again at
+  // reconstruction time. In-flight units are preserved by the scheduler
+  // itself (it keeps their payloads) and re-delivered after the restart,
+  // so implementations must persist whatever book-keeping counts those
+  // units as outstanding.
 
   [[nodiscard]] virtual bool supports_snapshot() const { return false; }
   virtual void snapshot(ByteWriter& /*w*/) const {

@@ -554,12 +554,12 @@ bool SchedulerCore::submit_result(ClientId client, const ResultUnit& result,
     return false;
   }
 
-  // Epoch fence (protocol v6): a lease stamped with an older term was
-  // issued by a server incarnation this core has superseded — a deposed
-  // primary, or a pre-recovery life whose unsynced tail may have reused
-  // ids. Its results must never merge. Epoch 0 is a legacy (pre-v6)
-  // donor: no fence, the kRestoreIdGap machinery still protects it.
-  if (result.epoch != 0 && result.epoch != epoch_) {
+  // Epoch fence: a result must echo the term of the lease it answers. An
+  // older term was issued by a server incarnation this core has
+  // superseded — a deposed primary, or a pre-recovery life whose unsynced
+  // tail may have reused ids — and an unstamped (0) result answers no
+  // lease at all. Neither may merge.
+  if (result.epoch != epoch_) {
     stats_.results_rejected_stale_epoch += 1;
     LOG_WARN("result from client " << client << " (" << voter
                                    << ") fenced: lease epoch " << result.epoch
@@ -593,7 +593,7 @@ bool SchedulerCore::submit_result(ClientId client, const ResultUnit& result,
   ProblemId pid = pit->first;
   ProblemState& ps = pit->second;
 
-  if (ps.completed.count(result.unit_id)) {
+  if (ps.merged(result.unit_id)) {
     stats_.duplicate_results_dropped += 1;
     return drop("duplicate");
   }
@@ -711,7 +711,6 @@ bool SchedulerCore::submit_result(ClientId client, const ResultUnit& result,
     double cost_ops = us.unit.cost_ops;
     release_unit_blobs(us.unit);
     ps.in_flight.erase(uit);  // queued copies become stale queue entries
-    ps.completed.insert(result.unit_id);
     if (cit != clients_.end()) cit->second.stats.units_completed += 1;
     stats_.results_accepted += 1;
     if (tracer_) {
@@ -793,7 +792,6 @@ void SchedulerCore::accept_unit(ProblemId pid, ProblemState& ps, UnitId uid,
   auto node = ps.in_flight.extract(uid);
   UnitState us = std::move(node.mapped());
   release_unit_blobs(us.unit);
-  ps.completed.insert(uid);
   stats_.results_accepted += 1;
   stats_.vote_quorums += 1;
   auto cit = clients_.find(client);
@@ -1007,239 +1005,21 @@ void SchedulerCore::move_to_quarantine(ProblemId pid, ProblemState& ps,
   ps.quarantined.emplace(uid, std::move(node.mapped()));
 }
 
-void SchedulerCore::checkpoint(ByteWriter& w) const {
-  if (tracer_) {
-    tracer_->event(last_now_, "checkpoint")
-        .u64("problems", problems_.size())
-        .u64("units_in_flight", in_flight_units());
-  }
-  auto write_unit = [&w](const UnitState& us) {
-    w.u64(us.unit.unit_id);
-    w.u32(us.unit.stage);
-    w.f64(us.unit.cost_ops);
-    w.bytes(us.unit.payload);
-    w.u32(static_cast<std::uint32_t>(us.unit.blobs.size()));
-    for (const WorkBlob& blob : us.unit.blobs) {
-      w.u64(blob.digest);
-      w.u64(blob.size);
-    }
-    w.u32(static_cast<std::uint32_t>(us.attempt));
-    w.u32(static_cast<std::uint32_t>(us.replicas_wanted));
-    w.u32(static_cast<std::uint32_t>(us.quorum_needed));
-    w.u32(static_cast<std::uint32_t>(us.tie_breakers));
-    w.boolean(us.spot_check);
-    w.u32(static_cast<std::uint32_t>(us.votes.size()));
-    for (const auto& [name, digest] : us.votes) {
-      w.str(name);
-      w.u32(digest);
-    }
-    w.u32(static_cast<std::uint32_t>(us.payload_by_digest.size()));
-    for (const auto& [digest, payload] : us.payload_by_digest) {
-      w.u32(digest);
-      w.bytes(payload);
-    }
-  };
-  w.u64(epoch_);
-  w.u64(next_client_id_);
-  // Blob table: bytes for every digest referenced by a persisted unit.
-  // Pinned problem-data blobs are excluded — they are re-interned when the
-  // problems are re-submitted before restore().
-  std::map<std::uint64_t, const std::vector<std::byte>*> blob_table;
-  for (const auto& [pid, ps] : problems_) {
-    auto collect = [&](const std::map<UnitId, UnitState>& units) {
-      for (const auto& [uid, us] : units) {
-        for (const WorkBlob& blob : us.unit.blobs) {
-          auto it = blob_store_.find(blob.digest);
-          if (it != blob_store_.end() && !it->second.pinned) {
-            blob_table.emplace(blob.digest, it->second.bytes.get());
-          }
-        }
-      }
-    };
-    collect(ps.in_flight);
-    collect(ps.quarantined);
-  }
-  w.u32(static_cast<std::uint32_t>(blob_table.size()));
-  for (const auto& [digest, bytes] : blob_table) {
-    w.u64(digest);
-    w.bytes(*bytes);
-  }
-  w.u32(static_cast<std::uint32_t>(problems_.size()));
-  for (const auto& [pid, ps] : problems_) {
-    w.u64(pid);
-    ByteWriter dm_state;
-    ps.dm->snapshot(dm_state);
-    w.bytes(dm_state.data());
-    w.u64(ps.next_unit_id);
-    std::vector<std::uint64_t> completed(ps.completed.begin(), ps.completed.end());
-    w.u64_vec(completed);
-
-    // In-flight work: every incomplete issued unit is persisted with its
-    // payload, attempt count, and any partial digest votes (with the
-    // candidate payloads), so a restart resumes the vote instead of
-    // re-trusting a single donor.
-    w.u32(static_cast<std::uint32_t>(ps.in_flight.size()));
-    for (const auto& [uid, us] : ps.in_flight) write_unit(us);
-    w.u32(static_cast<std::uint32_t>(ps.quarantined.size()));
-    for (const auto& [uid, us] : ps.quarantined) write_unit(us);
-  }
-  // The reputation ledger survives restarts: a liar must not launder its
-  // record by crashing the server.
-  w.u32(static_cast<std::uint32_t>(reputation_.size()));
-  for (const auto& [name, rep] : reputation_) {
-    w.str(name);
-    w.f64(rep.score);
-    w.u64(rep.vote_wins);
-    w.u64(rep.vote_losses);
-    w.boolean(rep.blacklisted);
-  }
-}
-
-std::size_t SchedulerCore::restore(ByteReader& r) {
-  std::uint64_t saved_epoch = r.u64();
-  std::uint64_t saved_next_client = r.u64();
-  // Re-intern the checkpointed blob table before any unit references it.
-  std::uint32_t blob_count = r.u32();
-  for (std::uint32_t i = 0; i < blob_count; ++i) {
-    std::uint64_t digest = r.u64();
-    auto bytes = r.bytes();
-    BlobEntry& entry = blob_store_[digest];
-    if (!entry.bytes) {
-      entry.bytes =
-          std::make_shared<const std::vector<std::byte>>(std::move(bytes));
-    }
-  }
-  std::uint32_t count = r.u32();
-  if (count != problems_.size()) {
-    throw ProtocolError("restore: checkpoint has " + std::to_string(count) +
-                        " problems, core has " + std::to_string(problems_.size()));
-  }
-  auto read_unit = [this, &r](ProblemId pid) {
-    UnitState us;
-    us.unit.problem_id = pid;
-    us.unit.unit_id = r.u64();
-    us.unit.stage = r.u32();
-    us.unit.cost_ops = r.f64();
-    us.unit.payload = r.bytes();
-    std::uint32_t blobs = r.u32();
-    us.unit.blobs.reserve(blobs);
-    for (std::uint32_t b = 0; b < blobs; ++b) {
-      WorkBlob blob;
-      blob.digest = r.u64();
-      blob.size = r.u64();
-      us.unit.blobs.push_back(std::move(blob));
-    }
-    intern_unit_blobs(us.unit);  // byte-less refs: bump store refcounts
-    us.attempt = static_cast<int>(r.u32());
-    us.replicas_wanted = static_cast<int>(r.u32());
-    us.quorum_needed = static_cast<int>(r.u32());
-    us.tie_breakers = static_cast<int>(r.u32());
-    us.spot_check = r.boolean();
-    std::uint32_t votes = r.u32();
-    for (std::uint32_t v = 0; v < votes; ++v) {
-      std::string name = r.str();
-      std::uint32_t digest = r.u32();
-      us.votes.emplace(std::move(name), digest);
-    }
-    std::uint32_t payloads = r.u32();
-    for (std::uint32_t p = 0; p < payloads; ++p) {
-      std::uint32_t digest = r.u32();
-      us.payload_by_digest.emplace(digest, r.bytes());
-    }
-    return us;
-  };
-  std::size_t requeued = 0;
-  std::size_t quarantined = 0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    ProblemId pid = r.u64();
-    auto it = problems_.find(pid);
-    if (it == problems_.end()) {
-      throw ProtocolError("restore: unknown problem id " + std::to_string(pid));
-    }
-    ProblemState& ps = it->second;
-    if (!ps.in_flight.empty() || !ps.issue_queue.empty() ||
-        !ps.completed.empty()) {
-      throw ProtocolError("restore: problem " + std::to_string(pid) +
-                          " already has progress");
-    }
-    auto dm_state = r.bytes();
-    ByteReader dm_reader{std::span<const std::byte>(dm_state)};
-    ps.dm->restore(dm_reader);
-    dm_reader.expect_end();
-    ps.next_unit_id = r.u64() + kRestoreIdGap;
-    for (auto uid : r.u64_vec()) ps.completed.insert(uid);
-
-    std::uint32_t units = r.u32();
-    for (std::uint32_t u = 0; u < units; ++u) {
-      UnitState us = read_unit(pid);
-      UnitId uid = us.unit.unit_id;
-      // Queue the copies the unit is still owed: everything for a fresh
-      // vote, the missing voters for a vote already underway, and always
-      // at least one (the pending tie-breaker case). The first copy of an
-      // un-voted unit counts as a reissue so the quarantine cap still sees
-      // pre-crash attempts.
-      int copies = std::max(
-          us.replicas_wanted - static_cast<int>(us.votes.size()), 1);
-      auto [uit, inserted] = ps.in_flight.emplace(uid, std::move(us));
-      UnitState& ref = uit->second;
-      if (ref.votes.empty()) {
-        queue_copies(ps, ref, 1, /*reissue=*/true);
-        copies -= 1;
-      }
-      if (copies > 0) queue_copies(ps, ref, copies, /*reissue=*/false);
-      requeued += 1;
-    }
-    std::uint32_t q = r.u32();
-    for (std::uint32_t u = 0; u < q; ++u) {
-      UnitState us = read_unit(pid);
-      UnitId uid = us.unit.unit_id;
-      ps.quarantined.emplace(uid, std::move(us));
-      quarantined += 1;
-    }
-  }
-  std::uint32_t reps = r.u32();
-  for (std::uint32_t i = 0; i < reps; ++i) {
-    std::string name = r.str();
-    DonorReputation rep;
-    rep.score = r.f64();
-    rep.vote_wins = r.u64();
-    rep.vote_losses = r.u64();
-    rep.blacklisted = r.boolean();
-    reputation_[std::move(name)] = rep;
-  }
-  // Client ids jump the same gap as unit ids: a heartbeat or result frame
-  // carrying a pre-crash client id must read as unknown, not as some newly
-  // registered donor.
-  next_client_id_ = std::max(next_client_id_, saved_next_client + kRestoreIdGap);
-  // Crash recovery enters a new term: leases handed out by the dead
-  // incarnation (post-checkpoint, so unknown to us) are fenced by epoch in
-  // addition to the id gap above.
-  epoch_ = std::max(epoch_, saved_epoch) + 1;
-  obs::Registry::global()
-      .counter("checkpoint.restore_units_requeued")
-      .inc(requeued);
-  if (tracer_) {
-    tracer_->event(last_now_, "checkpoint_restored")
-        .u64("problems", count)
-        .u64("units_requeued", requeued)
-        .u64("units_quarantined", quarantined);
-  }
-  return requeued;
-}
-
 // ---- exact snapshot / restore ------------------------------------------
 //
-// Unlike checkpoint()/restore() above (which deliberately requeue leases
-// and gap the id counters), this pair transfers *every* member verbatim so
-// a standby replaying the primary's WAL lands in the identical state.
+// The one state image: every member is transferred verbatim, so a restart
+// or a standby replaying the primary's WAL lands in the identical state.
 // Containers are ordered maps, so serialisation order — and therefore the
 // snapshot bytes — is a pure function of state: byte-equal snapshots <=>
 // equal cores. config_/policy_/tracer_ are runtime wiring, supplied by the
-// restoring host, and deliberately excluded.
+// restoring host, and deliberately excluded. Merged units are not listed:
+// ids are issued densely, so merged = below next_unit_id and neither in
+// flight nor quarantined, and the image does not grow with the job.
 
 namespace {
 constexpr std::uint32_t kExactSnapshotMagic = 0x48455853;  // "XSEH"
-constexpr std::uint32_t kExactSnapshotVersion = 1;
+// v2: merged unit ids are derived (see above), not listed per problem.
+constexpr std::uint32_t kExactSnapshotVersion = 2;
 }  // namespace
 
 void SchedulerCore::bump_epoch(std::uint64_t new_epoch) {
@@ -1371,9 +1151,6 @@ void SchedulerCore::snapshot_exact(ByteWriter& w) const {
     w.boolean(ps.barrier_flagged);
     w.u64(ps.data_digest);
     w.u64(ps.data_bytes);
-    std::vector<std::uint64_t> completed(ps.completed.begin(),
-                                         ps.completed.end());
-    w.u64_vec(completed);
     w.u32(static_cast<std::uint32_t>(ps.in_flight.size()));
     for (const auto& [uid, us] : ps.in_flight) write_unit(us);
     w.u32(static_cast<std::uint32_t>(ps.quarantined.size()));
@@ -1544,8 +1321,6 @@ void SchedulerCore::restore_exact(ByteReader& r) {
     ps.barrier_flagged = r.boolean();
     ps.data_digest = r.u64();
     ps.data_bytes = r.u64();
-    ps.completed.clear();
-    for (auto uid : r.u64_vec()) ps.completed.insert(uid);
     ps.in_flight.clear();
     std::uint32_t units = r.u32();
     for (std::uint32_t u = 0; u < units; ++u) {

@@ -27,7 +27,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -111,7 +110,7 @@ struct SchedulerConfig {
 };
 
 /// Per-donor trust state, keyed by donor *name* (client ids are ephemeral
-/// across reconnects). Persisted in checkpoints.
+/// across reconnects). Persisted in the exact snapshot.
 struct DonorReputation {
   double score = 0.5;  // EWMA of vote outcomes in [0, 1]
   std::uint64_t vote_wins = 0;
@@ -231,62 +230,34 @@ class SchedulerCore {
   /// Housekeeping: expire leases and dead clients. Call periodically.
   void tick(double now);
 
-  // ---- checkpoint / restore ----
-
-  /// Added to next_unit_id and next_client_id by restore(). Ids handed out
-  /// after the checkpoint was taken (and so lost with the crash) can never
-  /// collide with ids the restored core issues: a reconnecting donor's
-  /// buffered pre-crash result is either resumed (pre-checkpoint id) or
-  /// safely dropped as stale — never merged into the wrong unit.
-  static constexpr std::uint64_t kRestoreIdGap = 1ull << 32;
-
-  /// Serialize every problem's progress, including units in flight (their
-  /// payloads are retained by the scheduler, so nothing computed is lost),
-  /// quarantined units, partial digest votes, and the donor reputation
-  /// table. Clients are not persisted — donors simply re-register after a
-  /// restart. Requires every DataManager to support snapshots.
-  void checkpoint(ByteWriter& w) const;
-
-  /// Restore a checkpoint into this core. The same problems must already
-  /// have been re-submitted (same inputs, same order, hence same ids);
-  /// their DataManagers are rewound and all in-flight units are queued for
-  /// reissue (units mid-vote keep their recorded votes and are queued for
-  /// the replicas still missing). Id counters jump by kRestoreIdGap (see
-  /// above). Returns the number of units requeued; emits a
-  /// checkpoint_restored trace event and bumps
-  /// checkpoint.restore_units_requeued. Throws ProtocolError on id
-  /// mismatch or pre-existing progress.
-  std::size_t restore(ByteReader& r);
-
   // ---- exact snapshot / restore (WAL base image, hot-standby sync) ----
   //
-  // checkpoint()/restore() above are intentionally lossy: restore requeues
-  // every in-flight lease, drops the client table, and jumps the id
-  // counters by kRestoreIdGap. The WAL and the replication stream instead
-  // need a byte-exact state transfer: a standby replaying the primary's
-  // operation log must land in the *same* state the primary was in, field
-  // for field, or replay diverges. snapshot_exact() serialises every
-  // member — leases, client rows, stats, the RR cursor, the integrity
-  // RNG's raw state, the epoch — and restore_exact() overwrites a live
-  // core with it. The same problems must already be registered (same
-  // inputs, same order); their DataManagers are rewound to the snapshot.
-  // Because all core containers are ordered maps, two cores are in
-  // identical states iff their snapshot_exact() bytes are identical —
-  // the equivalence tests rely on this.
+  // The scheduler's one state image. The WAL's base snapshot, a standby's
+  // initial sync and the simulator's failover all need a byte-exact state
+  // transfer: a core replaying the primary's operation log must land in
+  // the *same* state the primary was in, field for field, or replay
+  // diverges. snapshot_exact() serialises every member — leases, client
+  // rows, stats, the RR cursor, the integrity RNG's raw state, the epoch —
+  // and restore_exact() overwrites a live core with it. The same problems
+  // must already be registered (same inputs, same order); their
+  // DataManagers are rewound to the snapshot. Because all core containers
+  // are ordered maps, two cores are in identical states iff their
+  // snapshot_exact() bytes are identical — the equivalence tests rely on
+  // this. A restart from disk is restore_exact + WAL replay + a new term
+  // (bump_epoch, then client_left for every client of the dead
+  // incarnation, which requeues its leases).
 
   /// Current server term. Starts at 1; bumped via bump_epoch() on WAL
   /// recovery and standby promotion. Stamped into every issued lease.
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   /// Enter a new term (monotonic; throws ProtocolError on regression).
   /// Leases issued from now on carry the new epoch; results stamped with
-  /// an older non-zero epoch are rejected by submit_result.
+  /// any other epoch are rejected by submit_result.
   void bump_epoch(std::uint64_t new_epoch);
 
   void snapshot_exact(ByteWriter& w) const;
   void restore_exact(ByteReader& r);
 
-  /// Registered problem count (for checkpoint observability).
-  [[nodiscard]] std::size_t problem_count() const { return problems_.size(); }
   /// Units currently leased or awaiting reissue across all problems.
   [[nodiscard]] std::size_t in_flight_units() const;
   /// Queued unit copies waiting for a donor to ask (reissues + replica
@@ -300,10 +271,9 @@ class SchedulerCore {
 
   /// Attach a structured event trace (see obs/trace.hpp). Every scheduling
   /// decision — issue, reissue, hedge, replica, vote, completion,
-  /// duplicate, rejection, blacklist, join/leave, stage barrier,
-  /// checkpoint — is emitted with the caller's timestamps, so the
-  /// simulator (virtual time) and the Server (wall time) produce the same
-  /// schema. nullptr (the default) disables tracing; the tracer must
+  /// duplicate, rejection, blacklist, join/leave, stage barrier — is
+  /// emitted with the caller's timestamps, so the simulator (virtual time)
+  /// and the Server (wall time) produce the same schema. nullptr (the default) disables tracing; the tracer must
   /// outlive this core. The caller's serialisation rules apply (the core
   /// is not thread-safe, and neither is its use of the tracer).
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
@@ -359,11 +329,17 @@ class SchedulerCore {
     std::map<UnitId, UnitState> in_flight;  // every incomplete issued unit
     std::deque<QueueEntry> issue_queue;     // copies awaiting a donor
     std::map<UnitId, UnitState> quarantined;  // poison units, never reissued
-    std::set<UnitId> completed;               // for duplicate detection
     UnitId next_unit_id = 1;
     bool barrier_flagged = false;  // one stage_barrier event per dry spell
     std::uint64_t data_digest = 0;  // content digest of dm->problem_data()
     std::uint64_t data_bytes = 0;
+
+    /// Ids are issued densely from 1, so an issued id that is neither in
+    /// flight nor quarantined has been merged (duplicate detection).
+    [[nodiscard]] bool merged(UnitId uid) const {
+      return uid != 0 && uid < next_unit_id && !in_flight.count(uid) &&
+             !quarantined.count(uid);
+    }
   };
 
   struct BlobEntry {

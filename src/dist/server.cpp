@@ -9,7 +9,6 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "dist/checkpoint_file.hpp"
 #include "dist/wire.hpp"
 #include "net/bulk.hpp"
 #include "net/fault.hpp"
@@ -225,7 +224,6 @@ double Server::now() const {
 
 void Server::start() {
   if (running_.exchange(true)) return;
-  bool wal_recovered = false;
   if (!config_.wal_dir.empty()) {
     WalConfig wc;
     wc.dir = config_.wal_dir;
@@ -248,10 +246,10 @@ void Server::start() {
       double t = now();
       // New term: the torn-off tail may have held unsynced RequestWork
       // records whose unit ids this core will reuse — fence their stale
-      // results by epoch, and sweep the dead connections' client rows.
+      // results by epoch, and sweep the dead connections' client rows
+      // (which requeues every lease they held).
       enter_new_term("wal_recovery", t);
       last_compact_lsn_ = wal_->next_lsn();
-      wal_recovered = true;
       if (config_.tracer) {
         config_.tracer->event(t, "wal_recovered")
             .u64("records", rec.records_replayable)
@@ -266,18 +264,9 @@ void Server::start() {
       progress_cv_.notify_all();
     }
   }
-  if (!wal_recovered && !config_.checkpoint_path.empty() &&
-      config_.restore_on_start) {
-    if (auto blob = read_checkpoint_file(config_.checkpoint_path)) {
-      LOG_INFO("restoring checkpoint from " << config_.checkpoint_path << " ("
-                                            << blob->size() << " bytes)");
-      restore_checkpoint(*blob);
-    }
-  }
   if (wal_) repl_lsn_ = wal_->next_lsn();
-  durability_.store(static_cast<int>(
-      wal_ || !config_.checkpoint_path.empty() ? Durability::kDurable
-                                               : Durability::kNone));
+  durability_.store(
+      static_cast<int>(wal_ ? Durability::kDurable : Durability::kNone));
   obs::Registry::global().gauge("server.durability")
       .set(static_cast<double>(durability_.load()));
   listener_ = net::TcpListener::bind(config_.port);
@@ -390,41 +379,6 @@ bool Server::wait_for_all(double timeout_s) {
 std::vector<std::byte> Server::final_result(ProblemId id) {
   std::lock_guard lock(core_mutex_);
   return core_.final_result(id);
-}
-
-std::vector<std::byte> Server::checkpoint() {
-  std::lock_guard lock(core_mutex_);
-  ByteWriter w;
-  core_.checkpoint(w);
-  return w.take();
-}
-
-void Server::restore_checkpoint(std::span<const std::byte> data) {
-  std::lock_guard lock(core_mutex_);
-  ByteReader r(data);
-  core_.restore(r);
-  r.expect_end();
-  progress_cv_.notify_all();
-}
-
-bool Server::save_checkpoint() {
-  if (config_.checkpoint_path.empty()) return false;
-  std::vector<std::byte> blob;
-  std::size_t problems = 0;
-  std::size_t in_flight = 0;
-  double t = 0;
-  {
-    std::lock_guard lock(core_mutex_);
-    ByteWriter w;
-    core_.checkpoint(w);
-    blob = w.take();
-    problems = core_.problem_count();
-    in_flight = core_.in_flight_units();
-    t = now();
-  }
-  write_checkpoint_file(config_.checkpoint_path, blob);
-  record_checkpoint_saved(config_.tracer, t, blob.size(), problems, in_flight);
-  return true;
 }
 
 SchedulerStats Server::stats() {
@@ -886,7 +840,6 @@ void Server::detach_replica(const std::shared_ptr<Conn>& c,
 }
 
 void Server::housekeeping_loop() {
-  double last_checkpoint = now();
   double last_rearm = now();
   double last_budget_check = now();
   const auto tick_every = steady_seconds(config_.tick_interval_s);
@@ -916,23 +869,8 @@ void Server::housekeeping_loop() {
         }
       }
       progress_cv_.notify_all();
-      if (!config_.checkpoint_path.empty() &&
-          now() - last_checkpoint >= config_.checkpoint_interval_s) {
-        last_checkpoint = now();
-        try {
-          save_checkpoint();
-        } catch (const Error& e) {
-          LOG_ERROR("checkpoint autosave failed: " << e.what());
-          // Checkpoint-only durability: a failed autosave IS the
-          // durability loss (there is no WAL underneath to catch it).
-          if (!wal_) {
-            std::lock_guard lock(core_mutex_);
-            degrade_locked("checkpoint_save", now());
-          }
-        }
-      }
-      // Degraded -> durable re-arm: rebuild the WAL (or prove a
-      // checkpoint lands) on a steady cadence until the disk recovers.
+      // Degraded -> durable re-arm: rebuild the WAL on a steady cadence
+      // until the disk recovers.
       if (static_cast<Durability>(durability_.load()) ==
               Durability::kDegraded &&
           !storage_failed_.load() &&
@@ -1184,24 +1122,16 @@ bool Server::try_rearm() {
   }
   const double t = now();
   try {
-    if (wal_) {
-      // Rebuild: fresh base snapshot at the feeds' lsn, fresh segment. A
-      // still-broken disk throws out of the checkpoint write and we stay
-      // degraded for the next retry.
-      ByteWriter w;
-      core_.snapshot_exact(w);
-      auto snap = w.take();
-      wal_->reset(snap, repl_lsn_, t);
-      wal_->sync();
-      last_compact_lsn_ = wal_->next_lsn();
-    } else {
-      ByteWriter w;
-      core_.checkpoint(w);
-      auto blob = w.take();
-      write_checkpoint_file(config_.checkpoint_path, blob);
-      record_checkpoint_saved(config_.tracer, t, blob.size(),
-                              core_.problem_count(), core_.in_flight_units());
-    }
+    // Rebuild: fresh base snapshot at the feeds' lsn, fresh segment (only
+    // a WAL'd server is ever durable, so only one can be degraded). A
+    // still-broken disk throws out of the base write and we stay degraded
+    // for the next retry.
+    ByteWriter w;
+    core_.snapshot_exact(w);
+    auto snap = w.take();
+    wal_->reset(snap, repl_lsn_, t);
+    wal_->sync();
+    last_compact_lsn_ = wal_->next_lsn();
   } catch (const Error& e) {
     LOG_WARN("durability re-arm failed: " << e.what());
     return false;

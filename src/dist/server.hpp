@@ -7,7 +7,7 @@
 //     FrameReader, and writes through a bounded per-connection queue —
 //     ten thousand idle donors cost file descriptors, not OS threads,
 //   - worker_threads pool running everything that can block: scheduler
-//     calls under core_mutex_, WAL fsyncs, checkpoint saves, stats JSON,
+//     calls under core_mutex_, WAL fsyncs, stats JSON,
 //   - one housekeeping thread (lease expiry ticks, parked-request
 //     deadlines),
 //   - one dedicated thread per attached hot standby (replication sessions
@@ -44,15 +44,15 @@
 
 namespace hdcs::dist {
 
-/// What a primary does when its durable storage (WAL append/fsync,
-/// checkpoint save) fails.
+/// What a primary does when its durable storage (WAL append or fsync)
+/// fails.
 enum class DurabilityMode {
   /// Keep scheduling with durability degraded: results are accepted but a
   /// crash before the disk recovers loses them (donors were told they
   /// could drop their copies). The epoch is bumped so a later restart
   /// from the stale durable state fences everything issued during the
-  /// degraded window, and a watchdog re-arms durability (WAL rebuild /
-  /// checkpoint save) once the disk takes writes again.
+  /// degraded window, and a watchdog re-arms durability (WAL rebuild)
+  /// once the disk takes writes again.
   kContinue,
   /// Stop cleanly instead: refuse new sessions and result submissions
   /// (donors get RetryLater and keep their buffered results), drain,
@@ -71,17 +71,6 @@ struct ServerConfig {
   /// long-poll note above).
   double no_work_retry_s = 0.2;
   double heartbeat_interval_s = 10.0;
-  /// Durability: autosave SchedulerCore::checkpoint() to this path (tmp
-  /// file + fsync + atomic rename, see checkpoint_file.hpp) every
-  /// checkpoint_interval_s from the housekeeping thread, so kill -9 loses
-  /// at most one interval of bookkeeping and nothing already computed.
-  /// Empty = no durability (the default).
-  std::string checkpoint_path;
-  double checkpoint_interval_s = 30.0;
-  /// On start(), restore checkpoint_path if the file exists. The caller
-  /// must have re-submitted the same problems (same inputs, same order)
-  /// first; see SchedulerCore::restore().
-  bool restore_on_start = true;
   /// Optional structured event trace. The server stamps events with wall
   /// time (seconds since start()); must outlive the server. Not owned.
   obs::Tracer* tracer = nullptr;
@@ -91,12 +80,14 @@ struct ServerConfig {
 
   // ---- write-ahead log (see dist/wal.hpp) ----
 
-  /// WAL directory. Empty = no WAL (the 30 s checkpoint window applies).
-  /// When set, every SchedulerCore mutation is logged under the core lock
-  /// and a result is fsynced durable *before* its ack is sent — a kill -9
-  /// then loses zero accepted results. start() recovers base snapshot +
-  /// tail, replays, and enters a new epoch; the legacy checkpoint_path
-  /// restore is skipped when the WAL held anything.
+  /// WAL directory: the server's only durability. Empty = none (the
+  /// default; a restart starts over). When set, every SchedulerCore
+  /// mutation is logged under the core lock and a result is fsynced
+  /// durable *before* its ack is sent — a kill -9 then loses zero accepted
+  /// results. start() recovers base snapshot + tail, replays, and enters
+  /// a new epoch, whose client sweep requeues every lease of the dead
+  /// incarnation. The caller must have submitted the same problems (same
+  /// inputs, same order) before start().
   std::string wal_dir;
   std::size_t wal_segment_bytes = 4u << 20;
   /// Fold the log into a fresh base snapshot every this many records
@@ -107,8 +98,7 @@ struct ServerConfig {
 
   DurabilityMode durability_mode = DurabilityMode::kContinue;
   /// Degraded-state re-arm cadence: every this many seconds the
-  /// housekeeping thread tries to rebuild the WAL (or save a checkpoint)
-  /// and restore `durable`.
+  /// housekeeping thread tries to rebuild the WAL and restore `durable`.
   double rearm_retry_s = 1.0;
   /// Disk-budget watchdog: when the WAL directory exceeds this many
   /// bytes, force a compaction to shed folded segments before the disk
@@ -133,8 +123,8 @@ struct ServerConfig {
   /// Epoll loops driving connection I/O. One loop handles thousands of
   /// donors; add loops only when a single core saturates on framing.
   int io_threads = 1;
-  /// Workers running scheduler calls, WAL fsyncs and checkpoint saves so
-  /// the loop threads never block on the core mutex or on disk.
+  /// Workers running scheduler calls and WAL fsyncs so the loop threads
+  /// never block on the core mutex or on disk.
   int worker_threads = 4;
   /// Per-connection write-queue bound. Above it the connection's reads are
   /// paused (backpressure) until the donor drains half; a donor that stops
@@ -181,18 +171,6 @@ class Server {
 
   [[nodiscard]] std::vector<std::byte> final_result(ProblemId id);
 
-  /// Snapshot all problem progress (thread-safe); see SchedulerCore.
-  [[nodiscard]] std::vector<std::byte> checkpoint();
-  /// Restore a checkpoint taken by an earlier server instance. Call after
-  /// re-submitting the same problems (same inputs, same order), before
-  /// donors connect.
-  void restore_checkpoint(std::span<const std::byte> data);
-  /// Write a durable checkpoint to config.checkpoint_path right now (the
-  /// autosave cadence calls this too). Returns false when no path is
-  /// configured. Thread-safe; serialization holds the core lock, disk I/O
-  /// does not.
-  bool save_checkpoint();
-
   [[nodiscard]] std::uint16_t port() const { return port_; }
   [[nodiscard]] SchedulerStats stats();
   /// Per-client scheduler view (includes departed clients), thread-safe.
@@ -203,14 +181,14 @@ class Server {
   [[nodiscard]] std::string stats_json(bool include_clients = true);
 
   /// Durability state surfaced in MSG_STATS and hdcs_top. kNone = no WAL
-  /// and no checkpoint path configured (nothing to degrade from).
+  /// configured (nothing to degrade from).
   enum class Durability { kNone = 0, kDurable = 1, kDegraded = 2 };
   [[nodiscard]] Durability durability() const {
     return static_cast<Durability>(durability_.load());
   }
   /// True once a fail-stop server has hit a storage fault: it is draining
-  /// and the embedding process should checkpoint what it can and exit
-  /// non-zero.
+  /// and the embedding process should exit non-zero (every acked result is
+  /// already durable).
   [[nodiscard]] bool storage_failed() const { return storage_failed_.load(); }
 
   /// True while running as a hot standby that has not yet promoted.
@@ -277,8 +255,8 @@ class Server {
   void enter_new_term(const char* reason, double t);
   void maybe_compact_locked(double t);
   void degrade_locked(const char* reason, double t);
-  /// Housekeeping: attempt the degraded -> durable transition (WAL rebuild
-  /// or checkpoint save). Takes the core lock itself.
+  /// Housekeeping: attempt the degraded -> durable transition (WAL
+  /// rebuild). Takes the core lock itself.
   bool try_rearm();
   double now() const;
 

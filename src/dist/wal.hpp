@@ -1,8 +1,6 @@
 #pragma once
-// Write-ahead log for SchedulerCore mutations.
-//
-// PR 3's checkpoints bound a crash's damage to checkpoint_interval_s of
-// accepted results; the WAL closes that window to zero. The scheduler is a
+// Write-ahead log for SchedulerCore mutations: the server's one durability
+// path. A crash loses zero accepted results. The scheduler is a
 // deterministic state machine (seeded integrity RNG, stateless granularity
 // policies, deterministic DataManagers), so logging its mutating calls —
 // client join/leave, heartbeat, work request, result submission, tick,
@@ -98,8 +96,7 @@ struct WalConfig {
 /// the snapshot with restore_exact(), replays `tail` with
 /// apply_wal_record(), then bumps the epoch (the truncated tail may have
 /// contained unsynced RequestWork records whose unit ids the revived core
-/// will reuse — stale results for them are fenced by term, exactly like
-/// kRestoreIdGap fences post-checkpoint ids).
+/// will reuse — stale results for them are fenced by term).
 struct WalRecovery {
   std::optional<std::vector<std::byte>> base_snapshot;
   std::vector<WalRecord> tail;

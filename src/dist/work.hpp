@@ -54,11 +54,11 @@ struct WorkUnit {
   /// Content-addressed bulk inputs shared across units (database chunks,
   /// stage trees). Algorithms see them with bytes materialized.
   std::vector<WorkBlob> blobs;
-  /// Server term that issued this lease. A standby that promotes itself
-  /// bumps the epoch, so results computed against a deposed primary's
-  /// leases are fenced and rejected — the same hazard
-  /// SchedulerCore::kRestoreIdGap guards against, closed without an id
-  /// gap. Every unit SchedulerCore issues carries its term (>= 1).
+  /// Server term that issued this lease. WAL recovery and standby
+  /// promotion bump the epoch, so results computed against a dead or
+  /// deposed incarnation's leases are fenced and rejected, even where the
+  /// new term reuses their unit ids. Every unit SchedulerCore issues
+  /// carries its term (>= 1).
   std::uint64_t epoch = 0;
 };
 
@@ -76,9 +76,9 @@ struct ResultUnit {
   /// `unit_profile` trace event when present.
   std::optional<obs::UnitProfile> profile;
   /// Epoch echoed back from the WorkUnit this result answers. The
-  /// scheduler rejects results whose epoch predates its own — fencing a
-  /// deposed primary's late submissions. 0 = not fenced (results built
-  /// by hand, e.g. in tests).
+  /// scheduler rejects any result whose epoch is not its current term —
+  /// fencing a deposed primary's late submissions; an unstamped 0 is
+  /// rejected too.
   std::uint64_t epoch = 0;
 };
 

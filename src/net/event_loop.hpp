@@ -5,7 +5,7 @@
 // registered with a callback, epoll_wait dispatches readiness, and an
 // eventfd lets any thread wake the loop to run posted tasks. The dist
 // server runs one loop per --io-thread and keeps every blocking operation
-// (scheduler calls, WAL fsyncs, checkpoint saves) on a worker pool, so ten
+// (scheduler calls, WAL fsyncs, WAL compactions) on a worker pool, so ten
 // thousand idle donor connections cost file descriptors, not OS threads.
 //
 // Threading contract:

@@ -14,7 +14,7 @@
 //
 // Event types and their fields are listed in docs/OBSERVABILITY.md:
 //   unit_issued unit_completed unit_reissued unit_hedged result_duplicate
-//   unit_profile client_joined client_left stage_barrier checkpoint log
+//   unit_profile client_joined client_left stage_barrier wal_compacted log
 //
 // Schema history: v2 added the unit_profile event (donor-measured span
 // profile merged with the scheduler's lease timeline). v1 lines are still

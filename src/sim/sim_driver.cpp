@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "dist/checkpoint_file.hpp"
 #include "net/bulk.hpp"
 #include "net/compress.hpp"
 #include "obs/metrics.hpp"
@@ -558,25 +557,22 @@ void SimDriver::schedule_tick() {
   });
 }
 
-void SimDriver::schedule_checkpoint() {
-  queue_.schedule(queue_.now() + config_.checkpoint_interval_s, [this] {
+void SimDriver::schedule_compaction() {
+  queue_.schedule(queue_.now() + config_.compact_interval_s, [this] {
     if (core_.all_complete()) return;
     ByteWriter w;
-    core_.checkpoint(w);
-    auto payload = w.take();
-    // Storage-fault chaos: draw the virtual disk's verdict on this save
-    // (write then fsync, the same two failure points the real
-    // write_checkpoint_file has). An injected failure takes the TCP
-    // server's exact durable -> degraded transition: epoch bump (+2, the
-    // restart-collision fence) and a durability_degraded event; the next
-    // clean save restores. config_.checkpoint_path is NOT written on an
-    // injected failure — the virtual disk rejected the bytes.
+    core_.snapshot_exact(w);
+    const std::size_t base_bytes = w.data().size();
+    // Storage-fault chaos: draw the virtual disk's verdict on this base
+    // write (write then fsync, the two failure points the real WAL has).
+    // An injected failure takes the TCP server's exact durable -> degraded
+    // transition: epoch bump (+2, the restart-collision fence) and a
+    // durability_degraded event; the next clean compaction restores.
     if (storage_plan_) {
       std::size_t keep = 0;
-      auto wf = storage_plan_->write_fault("sim:checkpoint", payload.size(), keep);
-      bool failed = wf != vfs::StorageFaultPlan::WriteFault::kNone ||
-                    storage_plan_->fail_sync("sim:checkpoint");
-      if (failed) {
+      auto wf = storage_plan_->write_fault("sim:base.ckpt", base_bytes, keep);
+      bool write_failed = wf != vfs::StorageFaultPlan::WriteFault::kNone;
+      if (write_failed || storage_plan_->fail_sync("sim:base.ckpt")) {
         if (!degraded_) {
           degraded_ = true;
           durability_degradations_ += 1;
@@ -584,21 +580,20 @@ void SimDriver::schedule_checkpoint() {
           core_.bump_epoch(next);
           if (config_.tracer) {
             config_.tracer->event(queue_.now(), "durability_degraded")
-                .str("reason", "checkpoint_save")
+                .str("reason", write_failed ? "wal_append" : "wal_sync")
                 .u64("epoch", next);
           }
         }
-        schedule_checkpoint();
+        schedule_compaction();
         return;
       }
     }
-    if (!config_.checkpoint_path.empty()) {
-      dist::write_checkpoint_file(config_.checkpoint_path, payload);
+    if (config_.tracer) {
+      config_.tracer->event(queue_.now(), "wal_compacted")
+          .u64("lsn", 0)  // the simulator keeps no record log
+          .u64("base_bytes", base_bytes);
     }
-    dist::record_checkpoint_saved(config_.tracer, queue_.now(), payload.size(),
-                                  core_.problem_count(),
-                                  core_.in_flight_units());
-    checkpoints_saved_ += 1;
+    compactions_ += 1;
     if (degraded_) {
       degraded_ = false;
       durability_restores_ += 1;
@@ -607,7 +602,7 @@ void SimDriver::schedule_checkpoint() {
             .u64("epoch", core_.epoch());
       }
     }
-    schedule_checkpoint();
+    schedule_compaction();
   });
 }
 
@@ -625,7 +620,7 @@ SimOutcome SimDriver::run() {
     }
   }
   schedule_tick();
-  if (config_.checkpoint_interval_s > 0) schedule_checkpoint();
+  if (config_.compact_interval_s > 0) schedule_compaction();
   if (config_.primary_kill_time_s >= 0) {
     queue_.schedule(config_.primary_kill_time_s, [this] { primary_kill(); });
   }
@@ -655,7 +650,7 @@ SimOutcome SimDriver::run() {
   out.events_executed = queue_.executed();
   out.cache_hits = cache_hits_;
   out.cache_misses = cache_misses_;
-  out.checkpoints_saved = checkpoints_saved_;
+  out.compactions = compactions_;
   out.frames_retransmitted = frames_retransmitted_;
   out.joins_refused = joins_refused_;
   out.failovers = failovers_;

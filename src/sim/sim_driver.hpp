@@ -60,12 +60,11 @@ struct SimConfig {
   /// Optional structured event trace, stamped with *virtual* seconds. Same
   /// schema as the TCP server's trace. Must outlive the driver; not owned.
   obs::Tracer* tracer = nullptr;
-  /// Periodic durable checkpoints in *virtual* time: every interval the
-  /// scheduler state is serialized (and, when checkpoint_path is set,
-  /// written durably to disk) with the same checkpoint_saved event and
-  /// checkpoint.* metrics the TCP server emits. 0 = off.
-  double checkpoint_interval_s = 0;
-  std::string checkpoint_path;
+  /// WAL compaction in *virtual* time: every interval the scheduler's
+  /// exact snapshot is serialized (the bytes the server's compaction
+  /// writes as its WAL base) and a wal_compacted event is emitted with the
+  /// server's fields. Nothing is written to disk. 0 = off.
+  double compact_interval_s = 0;
   /// Deterministic network fault model, sharing net::FaultSpec with the
   /// TCP layer: connect refusals delay a machine's join (retried with the
   /// same capped exponential backoff a real donor uses) and frame faults
@@ -84,11 +83,10 @@ struct SimConfig {
   double failover_delay_s = 0.5;
   /// Virtual-time mirror of the storage-fault chaos, sharing
   /// vfs::StorageFaultSpec with the real disk layer. A LOCAL plan (never
-  /// installed globally — the sim's own checkpoint_path writes stay clean)
-  /// is drawn at each virtual checkpoint save: an injected write/sync
-  /// failure degrades durability (epoch bump + durability_degraded event,
-  /// the TCP server's exact transition), and the next clean save restores
-  /// it (durability_restored). Results are never lost — only the durable
+  /// installed globally) is drawn at each virtual compaction: an injected
+  /// write/sync failure degrades durability (epoch bump +
+  /// durability_degraded event, the TCP server's exact transition), and
+  /// the next clean compaction restores it (durability_restored). Results are never lost — only the durable
   /// window moves, exactly like DurabilityMode::kContinue.
   vfs::StorageFaultSpec storage_faults;
   /// Overload mirror of ServerConfig::max_clients: a machine whose join
@@ -113,8 +111,8 @@ struct SimOutcome {
   std::uint64_t events_executed = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Virtual-time checkpoint saves (0 unless checkpoint_interval_s > 0).
-  std::uint64_t checkpoints_saved = 0;
+  /// Virtual-time WAL compactions (0 unless compact_interval_s > 0).
+  std::uint64_t compactions = 0;
   /// Control frames lost to injected faults and retransmitted.
   std::uint64_t frames_retransmitted = 0;
   /// Join attempts refused by injected connect faults and backed off.
@@ -222,7 +220,7 @@ class SimDriver {
                       std::span<const std::byte> bytes);
   double availability_draw(Machine& m);
   void schedule_tick();
-  void schedule_checkpoint();
+  void schedule_compaction();
   /// Draws a frame fault for one control exchange; true = the frame was
   /// torn and the caller should retransmit after a penalty.
   bool frame_lost();
@@ -243,7 +241,7 @@ class SimDriver {
   double bytes_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
-  std::uint64_t checkpoints_saved_ = 0;
+  std::uint64_t compactions_ = 0;
   std::uint64_t frames_retransmitted_ = 0;
   std::uint64_t joins_refused_ = 0;
   bool server_down_ = false;        // between primary kill and promotion

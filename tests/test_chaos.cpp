@@ -1,8 +1,8 @@
-// Chaos: the whole system — TCP server, resilient donors, checkpointing —
+// Chaos: the whole system — TCP server, resilient donors, the WAL —
 // driven through injected network faults, donor churn, and a server
-// kill/restart that recovers only from the on-disk checkpoint. The final
-// merged answers must be byte-identical to a fault-free local run: faults
-// and crashes may cost time, never correctness.
+// kill/restart that recovers only from the on-disk log. The final merged
+// answers must be byte-identical to a fault-free local run: faults and
+// crashes may cost time, never correctness.
 
 #include <gtest/gtest.h>
 
@@ -101,9 +101,9 @@ TEST(Chaos, RealWorkloadsSurviveServerKillDonorChurnAndFrameFaults) {
     ref_ml = run_locally(dm, 1.0);
   }
 
-  // --- Server config: aggressive ticks, short leases, durable autosave.
-  std::string ckpt = testing::TempDir() + "hdcs_chaos_ckpt.bin";
-  std::remove(ckpt.c_str());
+  // --- Server config: aggressive ticks, short leases, a WAL.
+  std::string wal_dir = testing::TempDir() + "hdcs_chaos_kill_wal";
+  std::filesystem::remove_all(wal_dir);
   ServerConfig scfg;
   scfg.port = pick_port();
   scfg.scheduler.bounds.min_ops = 1;
@@ -113,11 +113,8 @@ TEST(Chaos, RealWorkloadsSurviveServerKillDonorChurnAndFrameFaults) {
   scfg.policy_spec = "adaptive:0.02";
   scfg.tick_interval_s = 0.02;
   scfg.no_work_retry_s = 0.02;
-  scfg.checkpoint_path = ckpt;
-  scfg.checkpoint_interval_s = 0.05;
+  scfg.wal_dir = wal_dir;
 
-  auto& saves = obs::Registry::global().counter("checkpoint.saves");
-  std::uint64_t saves_before = saves.value();
   std::uint64_t faults_before = total_injected_faults();
 
   // --- The storm: every TCP operation in the process rides through this.
@@ -177,11 +174,12 @@ TEST(Chaos, RealWorkloadsSurviveServerKillDonorChurnAndFrameFaults) {
     }
   });
 
-  // --- Let progress and at least one durable autosave accumulate...
-  for (int i = 0; i < 500 && saves.value() == saves_before; ++i) {
+  // --- Let durable progress accumulate (every acked result was fsynced
+  // into the WAL before its ack)...
+  for (int i = 0; i < 500 && server->stats().results_accepted == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  ASSERT_GT(saves.value(), saves_before) << "no autosave reached disk";
+  ASSERT_GT(server->stats().results_accepted, 0u) << "no result acked";
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
   // --- ...then kill the server. Everything in memory is gone; donors are
@@ -189,7 +187,7 @@ TEST(Chaos, RealWorkloadsSurviveServerKillDonorChurnAndFrameFaults) {
   server.reset();
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
-  // --- Restart on the same port from the on-disk checkpoint only.
+  // --- Restart on the same port from the on-disk WAL only.
   server = std::make_unique<Server>(scfg);
   auto dm_ds2 =
       std::make_shared<dsearch::DSearchDataManager>(queries, database, dcfg);
@@ -198,7 +196,7 @@ TEST(Chaos, RealWorkloadsSurviveServerKillDonorChurnAndFrameFaults) {
   auto pid_ml2 = server->submit_problem(dm_ml2);
   ASSERT_EQ(pid_ds2, pid_ds);  // same submit order -> same problem ids
   ASSERT_EQ(pid_ml2, pid_ml);
-  server->start();  // restore_on_start reads the autosaved checkpoint
+  server->start();  // replays the WAL and enters a new term
 
   ASSERT_TRUE(server->wait_for_problem(pid_ds2, 120.0)) << "DSEARCH stalled";
   ASSERT_TRUE(server->wait_for_problem(pid_ml2, 120.0)) << "DPRml stalled";
@@ -219,7 +217,7 @@ TEST(Chaos, RealWorkloadsSurviveServerKillDonorChurnAndFrameFaults) {
   // --- Faults actually fired, were detected, and were never merged.
   EXPECT_GT(total_injected_faults(), faults_before);
   server->stop();
-  std::remove(ckpt.c_str());
+  std::filesystem::remove_all(wal_dir);
 }
 
 int count_events(const obs::Tracer& tracer, const std::string& ev) {
@@ -234,8 +232,8 @@ TEST(Chaos, LyingDonorsCannotCorruptResultsAcrossServerRestart) {
   // 20% of the fleet lies deterministically: one donor in five corrupts
   // every payload it produces — each lie carrying a *matching* digest, so
   // only replication voting can catch it. Mid-run the server is killed and
-  // restarted from its checkpoint (partial votes and the reputation ledger
-  // ride the file). The merged answers must still be byte-identical to
+  // restarted from its WAL (partial votes and the reputation ledger ride
+  // the log). The merged answers must still be byte-identical to
   // fault-free local runs, and the liar must end up blacklisted.
   //
   // The liar's two losing votes (blacklist_after = 2) are set up, not left
@@ -244,7 +242,7 @@ TEST(Chaos, LyingDonorsCannotCorruptResultsAcrossServerRestart) {
   // its quorum of two matching digests from distinct donors. Every vote
   // stays pending and the job cannot finish before the kill. The other
   // three honest donors join the restarted server and outvote the liar's
-  // checkpointed votes.
+  // logged votes.
   dsearch::register_algorithm();
   dprml::register_algorithm();
 
@@ -276,8 +274,8 @@ TEST(Chaos, LyingDonorsCannotCorruptResultsAcrossServerRestart) {
     ref_ml = run_locally(dm, 1.0);
   }
 
-  std::string ckpt = testing::TempDir() + "hdcs_chaos_integrity_ckpt.bin";
-  std::remove(ckpt.c_str());
+  std::string wal_dir = testing::TempDir() + "hdcs_chaos_integrity_wal";
+  std::filesystem::remove_all(wal_dir);
   obs::Tracer tracer;  // shared across both server incarnations
   tracer.to_memory();
   ServerConfig scfg;
@@ -293,12 +291,8 @@ TEST(Chaos, LyingDonorsCannotCorruptResultsAcrossServerRestart) {
   scfg.policy_spec = "adaptive:0.02";
   scfg.tick_interval_s = 0.02;
   scfg.no_work_retry_s = 0.02;
-  scfg.checkpoint_path = ckpt;
-  scfg.checkpoint_interval_s = 0.05;
+  scfg.wal_dir = wal_dir;
   scfg.tracer = &tracer;
-
-  auto& saves = obs::Registry::global().counter("checkpoint.saves");
-  std::uint64_t saves_before = saves.value();
 
   auto server = std::make_unique<Server>(scfg);
   server->start();
@@ -351,11 +345,10 @@ TEST(Chaos, LyingDonorsCannotCorruptResultsAcrossServerRestart) {
   start_donor(1);
   ASSERT_TRUE(wait_until([&] { return liar_votes() >= 2; }))
       << "the liar never cast two votes";
-  // Two more autosaves: the later one began after both votes were recorded,
-  // and only the checkpoint carries them into the restarted server.
-  saves_before = saves.value();
-  ASSERT_TRUE(wait_until([&] { return saves.value() >= saves_before + 2; }))
-      << "no autosave reached disk";
+  // Each vote is acked only after its WAL record is fsynced, under the core
+  // lock; stats() takes that lock, so both votes are on disk past it, and
+  // only the log carries them into the restarted server.
+  ASSERT_GE(server->stats().votes_recorded, 2u);
   ASSERT_EQ(server->stats().results_accepted, 0u) << "a unit resolved early";
   auto rejected_before_kill = server->stats().results_rejected_mismatch;
   server.reset();
@@ -368,7 +361,7 @@ TEST(Chaos, LyingDonorsCannotCorruptResultsAcrossServerRestart) {
       server->submit_problem(std::make_shared<dprml::DPRmlDataManager>(aln, pcfg));
   ASSERT_EQ(pid_ds2, pid_ds);
   ASSERT_EQ(pid_ml2, pid_ml);
-  server->start();  // restore_on_start reads the autosaved checkpoint
+  server->start();  // replays the WAL and enters a new term
   for (int i = 2; i < kDonors; ++i) start_donor(i);
 
   ASSERT_TRUE(server->wait_for_problem(pid_ds2, 120.0)) << "DSEARCH stalled";
@@ -394,7 +387,7 @@ TEST(Chaos, LyingDonorsCannotCorruptResultsAcrossServerRestart) {
   }
   EXPECT_TRUE(liar_banned);
   server->stop();
-  std::remove(ckpt.c_str());
+  std::filesystem::remove_all(wal_dir);
   dump_trace(tracer, "chaos_lying_donors_tcp_restart");
 }
 
@@ -565,11 +558,10 @@ TEST(Chaos, VoteTraceSchemaSharedAcrossServerAndSim) {
 }
 
 TEST(Chaos, WalReplayLosesNoAcceptedResultAcrossKill) {
-  // A WAL'd server is killed with results accepted but NO recent
-  // checkpoint (checkpointing is off entirely): everything the restarted
-  // server knows comes from base-snapshot + record replay. Every result
-  // acked before the kill must still be counted after it — the durability
-  // window is zero, not checkpoint_interval_s.
+  // A WAL'd server is killed with results accepted: everything the
+  // restarted server knows comes from base-snapshot + record replay. Every
+  // result acked before the kill must still be counted after it — the
+  // durability window is zero.
   dsearch::register_algorithm();
   dprml::register_algorithm();
 
@@ -824,7 +816,7 @@ TEST(Chaos, FailStopShedsDonorsAndNeverAcksNonDurably) {
   // kFailStop: the first storage fault freezes intake. Donors holding
   // finished units get retryable NACKs (never a silent non-durable ack),
   // the server reports storage_failed() so the embedding process can
-  // checkpoint and exit non-zero, and nothing crashes or hangs.
+  // exit non-zero, and nothing crashes or hangs.
   test::register_toy_algorithm();
 
   std::string wal_dir = testing::TempDir() + "hdcs_failstop_wal";

@@ -1,11 +1,15 @@
-// Checkpoint/restore: a server restart in the middle of a computation must
-// lose nothing — merged progress survives via DataManager snapshots, and
-// in-flight units survive because the scheduler persists their payloads.
+// Restart from the scheduler's state image: a server restart in the middle
+// of a computation must lose nothing — merged progress survives via
+// DataManager snapshots inside SchedulerCore::snapshot_exact(), and
+// in-flight units survive because the scheduler keeps their payloads and
+// the new term's client sweep requeues every lease of the dead
+// incarnation. Over TCP the image is the WAL's base plus its record tail.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <thread>
 
@@ -19,6 +23,7 @@
 #include "dsearch/dsearch.hpp"
 #include "obs/metrics.hpp"
 #include "phylo/simulate.hpp"
+#include "tests/restart.hpp"
 #include "tests/toy_problem.hpp"
 #include "util/rng.hpp"
 #include "util/vfs.hpp"
@@ -26,6 +31,8 @@
 namespace hdcs::dist {
 namespace {
 
+using test::restart_from;
+using test::state_image;
 using test::ToySumDataManager;
 
 SchedulerConfig cfg() {
@@ -33,6 +40,18 @@ SchedulerConfig cfg() {
   c.lease_timeout = 1e6;
   c.bounds.min_ops = 1;
   return c;
+}
+
+/// A donor's answer to the lease `u`: the algorithm's payload, echoing the
+/// lease's epoch as dist::Client does.
+ResultUnit answer(Algorithm& algo, const WorkUnit& u) {
+  ResultUnit r;
+  r.problem_id = u.problem_id;
+  r.unit_id = u.unit_id;
+  r.stage = u.stage;
+  r.epoch = u.epoch;
+  r.payload = algo.process(u);
+  return r;
 }
 
 /// Drive `core` for `steps` request/submit cycles using the toy algorithm.
@@ -57,45 +76,34 @@ TEST(Checkpoint, ToyProblemSurvivesRestartMidRun) {
   // Uninterrupted reference run.
   std::uint64_t expected = make_dm()->expected();
 
-  // Run 1: do part of the work, leave units in flight, checkpoint.
+  // Run 1: do part of the work, leave units in flight, take the image.
   SchedulerCore core1(cfg(), std::make_unique<FixedGranularity>(5000));
   auto dm1 = make_dm();
   core1.submit_problem(dm1);
   auto data = dm1->problem_data();
   test::ToySumAlgorithm algo;
   algo.initialize(data);
-  auto execute = [&](const WorkUnit& u) {
-    ResultUnit r;
-    r.problem_id = u.problem_id;
-    r.unit_id = u.unit_id;
-    r.stage = u.stage;
-    r.payload = algo.process(u);
-    return r;
-  };
+  auto execute = [&](const WorkUnit& u) { return answer(algo, u); };
   auto c1 = core1.client_joined("c1", 1e6, 0.0);
   double t = 0;
   drive(core1, c1, execute, 3, t);
-  // Take two more units WITHOUT submitting: in-flight at checkpoint time.
+  // Take two more units WITHOUT submitting: in flight at image time.
   ASSERT_TRUE(core1.request_work(c1, t));
   ASSERT_TRUE(core1.request_work(c1, t));
-  ByteWriter w;
-  core1.checkpoint(w);
-  auto blob = w.take();
+  auto image = state_image(core1);
   // The first core "crashes" here.
 
-  // Run 2: fresh core, same problem inputs, restore, finish.
+  // Run 2: fresh core, same problem inputs, restart, finish.
   SchedulerCore core2(cfg(), std::make_unique<FixedGranularity>(5000));
   auto dm2 = make_dm();
   auto pid2 = core2.submit_problem(dm2);
-  ByteReader r{std::span<const std::byte>(blob)};
-  core2.restore(r);
-  r.expect_end();
+  restart_from(image, core2, t);
 
-  auto c2 = core2.client_joined("fresh-donor", 1e6, 0.0);
+  auto c2 = core2.client_joined("fresh-donor", 1e6, t);
   int spins = 0;
   while (!core2.problem_complete(pid2)) {
     auto unit = core2.request_work(c2, t);
-    ASSERT_TRUE(unit) << "restored core stalled";
+    ASSERT_TRUE(unit) << "restarted core stalled";
     core2.submit_result(c2, execute(*unit), t + 0.5);
     t += 1;
     ASSERT_LT(++spins, 10000);
@@ -109,23 +117,41 @@ TEST(Checkpoint, RestoreValidatesShape) {
   test::register_toy_algorithm();
   SchedulerCore core(cfg(), std::make_unique<FixedGranularity>(100));
   core.submit_problem(std::make_shared<ToySumDataManager>(1000));
-  ByteWriter w;
-  core.checkpoint(w);
-  auto blob = w.take();
+  auto image = state_image(core);
+  auto restore_into = [](SchedulerCore& target,
+                         const std::vector<std::byte>& bytes) {
+    ByteReader r{std::span<const std::byte>(bytes)};
+    target.restore_exact(r);
+  };
 
   // Restoring into a core with a different problem count fails.
   SchedulerCore empty(cfg(), std::make_unique<FixedGranularity>(100));
-  ByteReader r1{std::span<const std::byte>(blob)};
-  EXPECT_THROW(empty.restore(r1), ProtocolError);
+  EXPECT_THROW(restore_into(empty, image), ProtocolError);
 
-  // Restoring into a core that already made progress fails.
-  SchedulerCore busy(cfg(), std::make_unique<FixedGranularity>(100));
-  auto dm = std::make_shared<ToySumDataManager>(1000);
-  busy.submit_problem(dm);
-  auto cid = busy.client_joined("c", 1e6, 0.0);
-  ASSERT_TRUE(busy.request_work(cid, 0.0));
-  ByteReader r2{std::span<const std::byte>(blob)};
-  EXPECT_THROW(busy.restore(r2), ProtocolError);
+  // A damaged magic, an image from an older format version (v1 still
+  // listed every merged unit id) and a truncated image are all refused.
+  auto fresh = [] {
+    auto c = std::make_unique<SchedulerCore>(
+        cfg(), std::make_unique<FixedGranularity>(100));
+    c->submit_problem(std::make_shared<ToySumDataManager>(1000));
+    return c;
+  };
+  auto bad_magic = image;
+  bad_magic[0] ^= std::byte{0xff};
+  EXPECT_THROW(restore_into(*fresh(), bad_magic), ProtocolError);
+  auto old_version = image;
+  ByteWriter v1;
+  v1.u32(1);
+  std::copy(v1.data().begin(), v1.data().end(), old_version.begin() + 4);
+  EXPECT_THROW(restore_into(*fresh(), old_version), ProtocolError);
+  auto truncated = image;
+  truncated.resize(image.size() / 2);
+  EXPECT_THROW(restore_into(*fresh(), truncated), ProtocolError);
+
+  // The intact image restores byte-identically.
+  auto ok = fresh();
+  restore_into(*ok, image);
+  EXPECT_EQ(state_image(*ok), image);
 }
 
 TEST(Checkpoint, DSearchResumeMatchesUninterrupted) {
@@ -140,48 +166,34 @@ TEST(Checkpoint, DSearchResumeMatchesUninterrupted) {
   dcfg.top_k = 8;
   auto reference = dsearch::search_serial(queries, database, dcfg);
 
-  auto run_halves = [&] {
-    SchedulerCore core1(cfg(), std::make_unique<FixedGranularity>(2e5));
-    auto dm1 = std::make_shared<dsearch::DSearchDataManager>(queries, database,
-                                                             dcfg);
-    core1.submit_problem(dm1);
-    dsearch::DSearchAlgorithm algo;
-    auto data = dm1->problem_data();
-    algo.initialize(data);
-    auto execute = [&](const WorkUnit& u) {
-      ResultUnit r;
-      r.problem_id = u.problem_id;
-      r.unit_id = u.unit_id;
-      r.stage = u.stage;
-      r.payload = algo.process(u);
-      return r;
-    };
-    auto c1 = core1.client_joined("c1", 1e6, 0.0);
-    double t = 0;
-    drive(core1, c1, execute, 2, t);
-    ASSERT_TRUE(core1.request_work(c1, t));  // one unit left in flight
+  SchedulerCore core1(cfg(), std::make_unique<FixedGranularity>(2e5));
+  auto dm1 =
+      std::make_shared<dsearch::DSearchDataManager>(queries, database, dcfg);
+  core1.submit_problem(dm1);
+  dsearch::DSearchAlgorithm algo;
+  auto data = dm1->problem_data();
+  algo.initialize(data);
+  auto execute = [&](const WorkUnit& u) { return answer(algo, u); };
+  auto c1 = core1.client_joined("c1", 1e6, 0.0);
+  double t = 0;
+  drive(core1, c1, execute, 2, t);
+  ASSERT_TRUE(core1.request_work(c1, t));  // one unit left in flight
+  auto image = state_image(core1);
 
-    ByteWriter w;
-    core1.checkpoint(w);
-    auto blob = w.take();
-
-    SchedulerCore core2(cfg(), std::make_unique<FixedGranularity>(2e5));
-    auto dm2 = std::make_shared<dsearch::DSearchDataManager>(queries, database,
-                                                             dcfg);
-    auto pid2 = core2.submit_problem(dm2);
-    ByteReader r{std::span<const std::byte>(blob)};
-    core2.restore(r);
-    auto c2 = core2.client_joined("c2", 1e6, 0.0);
-    while (!core2.problem_complete(pid2)) {
-      auto unit = core2.request_work(c2, t);
-      ASSERT_TRUE(unit);
-      core2.materialize_unit_blobs(*unit);
-      core2.submit_result(c2, execute(*unit), t);
-      t += 1;
-    }
-    EXPECT_EQ(dm2->result(), reference);
-  };
-  run_halves();
+  SchedulerCore core2(cfg(), std::make_unique<FixedGranularity>(2e5));
+  auto dm2 =
+      std::make_shared<dsearch::DSearchDataManager>(queries, database, dcfg);
+  auto pid2 = core2.submit_problem(dm2);
+  restart_from(image, core2, t);
+  auto c2 = core2.client_joined("c2", 1e6, t);
+  while (!core2.problem_complete(pid2)) {
+    auto unit = core2.request_work(c2, t);
+    ASSERT_TRUE(unit);
+    core2.materialize_unit_blobs(*unit);
+    core2.submit_result(c2, execute(*unit), t);
+    t += 1;
+  }
+  EXPECT_EQ(dm2->result(), reference);
 }
 
 TEST(Checkpoint, DPRmlResumeMidStageMatchesSerial) {
@@ -204,36 +216,25 @@ TEST(Checkpoint, DPRmlResumeMidStageMatchesSerial) {
   dprml::DPRmlAlgorithm algo;
   auto data = dm1->problem_data();
   algo.initialize(data);
-  auto execute = [&](const WorkUnit& u) {
-    ResultUnit r;
-    r.problem_id = u.problem_id;
-    r.unit_id = u.unit_id;
-    r.stage = u.stage;
-    r.payload = algo.process(u);
-    return r;
-  };
+  auto execute = [&](const WorkUnit& u) { return answer(algo, u); };
   auto c1 = core1.client_joined("c1", 1e6, 0.0);
   double t = 0;
   // Get into the middle of an eval stage, with one candidate in flight.
   drive(core1, c1, execute, 4, t);
   core1.request_work(c1, t);  // may be nullopt at a barrier — also fine
-
-  ByteWriter w;
-  core1.checkpoint(w);
-  auto blob = w.take();
+  auto image = state_image(core1);
 
   SchedulerCore core2(cfg(), std::make_unique<FixedGranularity>(1.0));
   auto dm2 = std::make_shared<dprml::DPRmlDataManager>(aln, pcfg);
   auto pid2 = core2.submit_problem(dm2);
-  ByteReader r{std::span<const std::byte>(blob)};
-  core2.restore(r);
-  auto c2 = core2.client_joined("c2", 1e6, 0.0);
+  restart_from(image, core2, t);
+  auto c2 = core2.client_joined("c2", 1e6, t);
   int spins = 0;
   while (!core2.problem_complete(pid2)) {
     auto unit = core2.request_work(c2, t);
     t += 1;
     if (!unit) {
-      ASSERT_LT(++spins, 100000) << "restored DPRml stalled";
+      ASSERT_LT(++spins, 100000) << "restarted DPRml stalled";
       continue;
     }
     core2.materialize_unit_blobs(*unit);
@@ -245,44 +246,50 @@ TEST(Checkpoint, DPRmlResumeMidStageMatchesSerial) {
 }
 
 TEST(Checkpoint, ServerLevelRestartOverTcp) {
+  // A server restarted on the same WAL directory resumes from the log:
+  // the result acked before the stop is not recomputed, and the lease the
+  // crashed donor held goes back to the queue.
   test::register_toy_algorithm();
+  std::string wal_dir = testing::TempDir() + "hdcs_ckpt_tcp_wal";
+  std::filesystem::remove_all(wal_dir);
   ServerConfig scfg;
   scfg.scheduler.bounds.min_ops = 1000;
-  scfg.policy_spec = "fixed:400000";
+  scfg.policy_spec = "fixed:400000";  // 5 units
   scfg.tick_interval_s = 0.05;
   scfg.no_work_retry_s = 0.02;
+  scfg.wal_dir = wal_dir;
 
   std::uint64_t expected = ToySumDataManager(2000000, 5).expected();
-  std::vector<std::byte> blob;
-
   {
     Server server(scfg);
+    server.submit_problem(std::make_shared<ToySumDataManager>(2000000, 5));
     server.start();
-    auto dm = std::make_shared<ToySumDataManager>(2000000, 5);
-    server.submit_problem(dm);
-    // One donor does a single unit, then we checkpoint and "crash".
+    // One donor does a single unit, then the server "crashes".
     ClientConfig ccfg;
     ccfg.server_port = server.port();
     ccfg.name = "early-bird";
     ccfg.crash_after_units = 2;  // computes one, crashes on the 2nd
     Client(ccfg).run();
-    blob = server.checkpoint();
+    EXPECT_EQ(server.stats().results_accepted, 1u);
     server.stop();
   }
   {
     Server server(scfg);
-    auto dm = std::make_shared<ToySumDataManager>(2000000, 5);
-    auto pid = server.submit_problem(dm);
-    server.restore_checkpoint(blob);
-    server.start();
+    auto pid = server.submit_problem(
+        std::make_shared<ToySumDataManager>(2000000, 5));
+    server.start();  // restore_exact + replay + new term
+    EXPECT_EQ(server.stats().results_accepted, 1u);
+    EXPECT_EQ(server.epoch(), 2u);
     ClientConfig ccfg;
     ccfg.server_port = server.port();
     ccfg.name = "finisher";
     Client(ccfg).run();
     ASSERT_TRUE(server.wait_for_problem(pid, 30.0));
     EXPECT_EQ(test::read_u64_result(server.final_result(pid)), expected);
+    EXPECT_EQ(server.stats().results_accepted, 5u);  // none merged twice
     server.stop();
   }
+  std::filesystem::remove_all(wal_dir);
 }
 
 TEST(Checkpoint, HedgedDuplicateInFlightAcrossRestoreDropped) {
@@ -295,14 +302,7 @@ TEST(Checkpoint, HedgedDuplicateInFlightAcrossRestoreDropped) {
   auto data = dm1->problem_data();
   test::ToySumAlgorithm algo;
   algo.initialize(data);
-  auto execute = [&](const WorkUnit& u) {
-    ResultUnit r;
-    r.problem_id = u.problem_id;
-    r.unit_id = u.unit_id;
-    r.stage = u.stage;
-    r.payload = algo.process(u);
-    return r;
-  };
+  auto execute = [&](const WorkUnit& u) { return answer(algo, u); };
 
   // Two donors race the same unit (endgame hedge), then the server dies
   // with the hedged unit still in flight.
@@ -313,19 +313,19 @@ TEST(Checkpoint, HedgedDuplicateInFlightAcrossRestoreDropped) {
   auto hedged = core1.request_work(fast, 1.0);
   ASSERT_TRUE(hedged);
   ASSERT_EQ(hedged->unit_id, original->unit_id);
-  ByteWriter w;
-  core1.checkpoint(w);
-  auto blob = w.take();
+  auto image = state_image(core1);
 
   SchedulerCore core2(c, std::make_unique<FixedGranularity>(1000));
   auto dm2 = std::make_shared<ToySumDataManager>(1000, 3);
   auto pid2 = core2.submit_problem(dm2);
-  ByteReader r{std::span<const std::byte>(blob)};
-  EXPECT_EQ(core2.restore(r), 1u);  // one lease record for the hedged unit
+  restart_from(image, core2, 2.0);
+  // Both leases were swept; the unit is queued once, not twice.
+  EXPECT_EQ(core2.pending_units(), 1u);
 
-  // A fresh donor finishes the restored unit; both old racers' buffered
-  // results then arrive late (resubmitted after their reconnect) and are
-  // dropped as duplicates. Stats stay exact: one accept, two drops.
+  // A fresh donor finishes the requeued unit. Both old racers' buffered
+  // results then arrive late (resubmitted after their reconnect) under
+  // the dead term and are fenced; a repeat of the accepted result is a
+  // duplicate. Stats stay exact: one accept, nothing merged twice.
   auto fresh = core2.client_joined("fresh", 1e6, 2.0);
   auto reissued = core2.request_work(fresh, 2.0);
   ASSERT_TRUE(reissued);
@@ -337,13 +337,15 @@ TEST(Checkpoint, HedgedDuplicateInFlightAcrossRestoreDropped) {
   auto late2 = core2.client_joined("fast-rejoined", 1e6, 4.0);
   EXPECT_FALSE(core2.submit_result(late1, execute(*original), 5.0));
   EXPECT_FALSE(core2.submit_result(late2, execute(*hedged), 5.0));
+  EXPECT_EQ(core2.stats().results_rejected_stale_epoch, 2u);
+  EXPECT_FALSE(core2.submit_result(fresh, execute(*reissued), 6.0));
+  EXPECT_EQ(core2.stats().duplicate_results_dropped, 1u);
   EXPECT_EQ(core2.stats().results_accepted, 1u);
-  EXPECT_EQ(core2.stats().duplicate_results_dropped, 2u);
   EXPECT_EQ(test::read_u64_result(core2.final_result(pid2)),
             ToySumDataManager(1000, 3).expected());
 }
 
-TEST(Checkpoint, RestoreIdGapPreventsCrossRestartCollisions) {
+TEST(Checkpoint, EpochFenceRejectsResultsForReusedIdsAfterRestart) {
   test::register_toy_algorithm();
   SchedulerCore core1(cfg(), std::make_unique<FixedGranularity>(1000));
   auto dm1 = std::make_shared<ToySumDataManager>(10000);
@@ -353,36 +355,33 @@ TEST(Checkpoint, RestoreIdGapPreventsCrossRestartCollisions) {
   algo.initialize(data);
   auto c1 = core1.client_joined("c1", 1e6, 0.0);
 
-  ByteWriter w;
-  core1.checkpoint(w);
-  auto blob = w.take();
-  // Units issued AFTER the checkpoint: their ids die with the crash.
-  auto post = core1.request_work(c1, 1.0);
-  ASSERT_TRUE(post);
+  auto image = state_image(core1);
+  // A unit issued AFTER the durable image: its id dies with the crash.
+  auto lost = core1.request_work(c1, 1.0);
+  ASSERT_TRUE(lost);
 
   SchedulerCore core2(cfg(), std::make_unique<FixedGranularity>(1000));
   auto dm2 = std::make_shared<ToySumDataManager>(10000);
   core2.submit_problem(dm2);
-  ByteReader r{std::span<const std::byte>(blob)};
-  core2.restore(r);
+  restart_from(image, core2, 2.0);
 
-  // New ids jump by kRestoreIdGap, so the lost post-checkpoint id can
-  // never be reassigned to different work.
+  // The restarted core reuses the lost id for its next unit; only the
+  // term tells the two leases apart.
   auto c2 = core2.client_joined("c2", 1e6, 2.0);
   auto fresh = core2.request_work(c2, 2.0);
   ASSERT_TRUE(fresh);
-  EXPECT_GE(fresh->unit_id, SchedulerCore::kRestoreIdGap);
-  EXPECT_NE(fresh->unit_id, post->unit_id);
+  EXPECT_EQ(fresh->unit_id, lost->unit_id);
+  EXPECT_GT(fresh->epoch, lost->epoch);
 
-  // A reconnecting donor's buffered result for the lost unit is dropped
-  // as stale — never merged into the wrong unit.
-  ResultUnit stale;
-  stale.problem_id = post->problem_id;
-  stale.unit_id = post->unit_id;
-  stale.stage = post->stage;
-  stale.payload = algo.process(*post);
+  // A reconnecting donor's buffered result for the lost lease is fenced,
+  // and so is the same result unstamped — never merged into the new unit.
+  auto stale = answer(algo, *lost);
   EXPECT_FALSE(core2.submit_result(c2, stale, 3.0));
-  EXPECT_GE(core2.stats().stale_results_dropped, 1u);
+  stale.epoch = 0;
+  EXPECT_FALSE(core2.submit_result(c2, stale, 3.0));
+  EXPECT_EQ(core2.stats().results_rejected_stale_epoch, 2u);
+  EXPECT_EQ(core2.stats().results_accepted, 0u);
+  EXPECT_TRUE(core2.submit_result(c2, answer(algo, *fresh), 4.0));
 }
 
 TEST(Checkpoint, AttemptCountsAndQuarantineSurviveRestore) {
@@ -402,17 +401,14 @@ TEST(Checkpoint, AttemptCountsAndQuarantineSurviveRestore) {
   auto unit = core1.request_work(c1, 0.0);
   ASSERT_TRUE(unit);
   core1.tick(20.0);  // expired: attempt 1 of 2 burned, unit requeued
-  ByteWriter w;
-  core1.checkpoint(w);
-  auto blob = w.take();
+  auto image = state_image(core1);
 
-  // The restored core remembers the burned attempt: one more failure
+  // The restarted core remembers the burned attempt: one more failure
   // quarantines the unit instead of starting the count over.
   SchedulerCore core2(c, std::make_unique<FixedGranularity>(1000));
   auto dm2 = std::make_shared<ToySumDataManager>(1000);
-  auto pid2 = core2.submit_problem(dm2);
-  ByteReader r{std::span<const std::byte>(blob)};
-  core2.restore(r);
+  core2.submit_problem(dm2);
+  restart_from(image, core2, 21.0);
   auto c2 = core2.client_joined("c2", 1e6, 21.0);
   ASSERT_TRUE(core2.request_work(c2, 21.0));  // attempt 2
   core2.tick(40.0);
@@ -420,28 +416,45 @@ TEST(Checkpoint, AttemptCountsAndQuarantineSurviveRestore) {
   auto c3 = core2.client_joined("c3", 1e6, 41.0);
   EXPECT_FALSE(core2.request_work(c3, 41.0).has_value());
 
-  // Quarantine itself round-trips: a third incarnation still refuses to
-  // reissue the unit, and a genuine late result still rescues it.
-  ByteWriter w2;
-  core2.checkpoint(w2);
-  auto blob2 = w2.take();
+  // Quarantine itself survives: a third incarnation still refuses to
+  // reissue the unit, and a genuine late result in its term still
+  // rescues it.
   SchedulerCore core3(c, std::make_unique<FixedGranularity>(1000));
   auto dm3 = std::make_shared<ToySumDataManager>(1000);
   auto pid3 = core3.submit_problem(dm3);
-  ByteReader r2{std::span<const std::byte>(blob2)};
-  core3.restore(r2);
+  restart_from(state_image(core2), core3, 50.0);
   auto c4 = core3.client_joined("c4", 1e6, 50.0);
   EXPECT_FALSE(core3.request_work(c4, 50.0).has_value());
-  ResultUnit genuine;
-  genuine.problem_id = unit->problem_id;
-  genuine.unit_id = unit->unit_id;
-  genuine.stage = unit->stage;
-  genuine.payload = algo.process(*unit);
+  ResultUnit genuine = answer(algo, *unit);
+  genuine.epoch = core3.epoch();
   EXPECT_TRUE(core3.submit_result(c4, genuine, 51.0));
   EXPECT_TRUE(core3.problem_complete(pid3));
   EXPECT_EQ(test::read_u64_result(core3.final_result(pid3)),
             dm1->expected());
-  (void)pid2;
+}
+
+TEST(Checkpoint, StateImageSizeIndependentOfMergedUnits) {
+  // The image carries no per-merged-unit record: a finished ToySum job
+  // images to the same size at 10 units as at 100 000.
+  test::register_toy_algorithm();
+  auto finished_image_size = [](std::uint64_t units) {
+    SchedulerCore core(cfg(), std::make_unique<FixedGranularity>(1));
+    auto dm = std::make_shared<ToySumDataManager>(units);
+    auto pid = core.submit_problem(dm);
+    auto data = dm->problem_data();
+    test::ToySumAlgorithm algo;
+    algo.initialize(data);
+    auto cid = core.client_joined("c", 1e6, 0.0);
+    double t = 0;
+    while (auto unit = core.request_work(cid, t)) {
+      core.submit_result(cid, answer(algo, *unit), t);
+      t += 1;
+    }
+    EXPECT_TRUE(core.problem_complete(pid));
+    EXPECT_EQ(core.stats().results_accepted, units);
+    return state_image(core).size();
+  };
+  EXPECT_EQ(finished_image_size(10), finished_image_size(100000));
 }
 
 TEST(CheckpointFile, RoundTripAndMissingFile) {
@@ -507,45 +520,49 @@ TEST(CheckpointFile, CorruptionAndTruncationDetected) {
 }
 
 TEST(Checkpoint, ServerAutosavesAndRestoresFromDisk) {
+  // WAL compaction is the server's autosave: it folds the log into a
+  // fresh base image on disk. A restart reads that base and finishes the
+  // job.
   test::register_toy_algorithm();
-  std::string path = testing::TempDir() + "hdcs_ckpt_server.bin";
-  std::remove(path.c_str());
+  std::string wal_dir = testing::TempDir() + "hdcs_ckpt_autosave_wal";
+  std::filesystem::remove_all(wal_dir);
 
   ServerConfig scfg;
   scfg.scheduler.bounds.min_ops = 1000;
   scfg.policy_spec = "fixed:400000";
   scfg.tick_interval_s = 0.02;
   scfg.no_work_retry_s = 0.02;
-  scfg.checkpoint_path = path;
-  scfg.checkpoint_interval_s = 0.05;
+  scfg.wal_dir = wal_dir;
+  scfg.wal_compact_every = 1;  // every tick folds the log
 
   std::uint64_t expected = ToySumDataManager(2000000, 5).expected();
-  auto& saves = obs::Registry::global().counter("checkpoint.saves");
-  std::uint64_t saves_before = saves.value();
+  auto& compactions = obs::Registry::global().counter("wal.compactions");
 
   {
     Server server(scfg);
+    server.submit_problem(std::make_shared<ToySumDataManager>(2000000, 5));
     server.start();
-    auto dm = std::make_shared<ToySumDataManager>(2000000, 5);
-    server.submit_problem(dm);
     ClientConfig ccfg;
     ccfg.server_port = server.port();
     ccfg.name = "early-bird";
     ccfg.crash_after_units = 2;  // computes one unit, vanishes on the 2nd
     Client(ccfg).run();
-    // Wait for the housekeeping loop's periodic autosave to hit disk.
-    for (int i = 0; i < 200 && saves.value() == saves_before; ++i) {
+    // Two more compactions: the later one began after the result was
+    // acked, so the base on disk holds it.
+    std::uint64_t before = compactions.value();
+    for (int i = 0; i < 500 && compactions.value() < before + 2; ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    EXPECT_GT(saves.value(), saves_before);
-    server.save_checkpoint();  // deterministic final state for phase two
-    server.stop();             // "kill -9": nothing else is carried over
+    EXPECT_GE(compactions.value(), before + 2);
+    server.stop();  // "kill -9": only the WAL directory is carried over
   }
+  EXPECT_TRUE(vfs::exists(wal_dir + "/base.ckpt"));
   {
-    Server server(scfg);  // restore_on_start = true reads the file
-    auto dm = std::make_shared<ToySumDataManager>(2000000, 5);
-    auto pid = server.submit_problem(dm);
+    Server server(scfg);
+    auto pid = server.submit_problem(
+        std::make_shared<ToySumDataManager>(2000000, 5));
     server.start();
+    EXPECT_EQ(server.stats().results_accepted, 1u);
     ClientConfig ccfg;
     ccfg.server_port = server.port();
     ccfg.name = "finisher";
@@ -554,7 +571,7 @@ TEST(Checkpoint, ServerAutosavesAndRestoresFromDisk) {
     EXPECT_EQ(test::read_u64_result(server.final_result(pid)), expected);
     server.stop();
   }
-  std::remove(path.c_str());
+  std::filesystem::remove_all(wal_dir);
 }
 
 TEST(Checkpoint, DBootSnapshotRoundTrips) {

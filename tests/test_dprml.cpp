@@ -237,6 +237,7 @@ TEST(DPRmlDistributed, SchedulerCoreMatchesSerial) {
       result.problem_id = unit->problem_id;
       result.unit_id = unit->unit_id;
       result.stage = unit->stage;
+      result.epoch = unit->epoch;
       result.payload = algo->process(*unit);
       core.submit_result(cid, result, t + 0.1);
     }
@@ -332,6 +333,7 @@ TEST(DPRmlNni, DistributedMatchesSerialWithRearrangement) {
     result.problem_id = unit->problem_id;
     result.unit_id = unit->unit_id;
     result.stage = unit->stage;
+    result.epoch = unit->epoch;
     result.payload = algo.process(*unit);
     core.submit_result(cid, result, t);
   }

@@ -359,6 +359,7 @@ TEST(DSearchDistributed, SchedulerCoreMultiClientMatchesSerial) {
     result.problem_id = unit->problem_id;
     result.unit_id = unit->unit_id;
     result.stage = unit->stage;
+    result.epoch = unit->epoch;
     result.payload = algo->process(*unit);
     core.submit_result(cid, result, t + 0.5);
     t += 1;

@@ -14,6 +14,7 @@
 #include "dist/scheduler_core.hpp"
 #include "net/bulk.hpp"
 #include "obs/trace.hpp"
+#include "tests/restart.hpp"
 #include "tests/toy_problem.hpp"
 #include "util/byte_buffer.hpp"
 #include "util/error.hpp"
@@ -44,6 +45,7 @@ ResultUnit execute(const WorkUnit& unit, std::span<const std::byte> problem_data
   r.problem_id = unit.problem_id;
   r.unit_id = unit.unit_id;
   r.stage = unit.stage;
+  r.epoch = unit.epoch;
   r.payload = algo.process(unit);
   r.payload_crc = net::crc32(std::span<const std::byte>(r.payload));
   return r;
@@ -258,6 +260,7 @@ TEST(SchedulerIntegrity, RepeatOffenderBlacklistedAndRefusedWork) {
   ResultUnit late;
   late.problem_id = pid;
   late.unit_id = 999;
+  late.epoch = core.epoch();
   EXPECT_FALSE(core.submit_result(liar, late, 31.0));
   EXPECT_EQ(core.stats().results_rejected_blacklisted, 1u);
 
@@ -427,19 +430,17 @@ TEST(SchedulerIntegrity, VoteStateSurvivesCheckpointRestore) {
   ASSERT_TRUE(core.request_work(c2, 0.0));  // replica leased to c2
   EXPECT_TRUE(core.submit_result(c1, execute(*unit, data), 1.0));  // one vote in
 
-  ByteWriter w;
-  core.checkpoint(w);
-  auto blob = w.take();
-
-  // Crash. The restored core must resume the vote — c1's recorded digest
+  // Crash. The restarted core must resume the vote — c1's recorded digest
   // still counts, so ONE more agreeing vote reaches quorum (re-trusting a
-  // single donor with the whole unit would defeat replication).
+  // single donor with the whole unit would defeat replication). c2's
+  // replica lease is requeued by the new term's client sweep.
+  auto image = test::state_image(core);
   SchedulerCore restored(cfg, std::make_unique<FixedGranularity>(500));
   auto dm2 = std::make_shared<ToySumDataManager>(500);
   auto pid2 = restored.submit_problem(dm2);
   ASSERT_EQ(pid2, pid);
-  ByteReader r{std::span<const std::byte>(blob)};
-  EXPECT_EQ(restored.restore(r), 1u);
+  test::restart_from(image, restored, 50.0);
+  EXPECT_EQ(restored.pending_units(), 1u);
 
   auto c3 = restored.client_joined("c3", 1e6, 100.0);
   auto copy = restored.request_work(c3, 100.0);
@@ -480,15 +481,10 @@ TEST(SchedulerIntegrity, ReputationLedgerSurvivesCheckpointRestore) {
   ASSERT_TRUE(core.problem_complete(pid));
   ASSERT_TRUE(core.reputation("liar")->blacklisted);
 
-  ByteWriter w;
-  core.checkpoint(w);
-  auto blob = w.take();
-
   // A liar must not launder its record by crashing the server.
   SchedulerCore restored(cfg, std::make_unique<FixedGranularity>(500));
   restored.submit_problem(std::make_shared<ToySumDataManager>(500));
-  ByteReader r{std::span<const std::byte>(blob)};
-  restored.restore(r);
+  test::restart_from(test::state_image(core), restored, 50.0);
   ASSERT_NE(restored.reputation("liar"), nullptr);
   EXPECT_TRUE(restored.reputation("liar")->blacklisted);
   EXPECT_EQ(restored.reputation("liar")->vote_losses, 1u);

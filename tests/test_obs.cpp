@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <thread>
 #include <vector>
@@ -423,16 +424,13 @@ TEST(MsgStats, UnitProfileSharedSchemaAcrossServerAndSim) {
 
 TEST(MsgStats, CheckpointEventsShareSchemaAcrossServerAndSim) {
   test::register_toy_algorithm();
-  std::string path = ::testing::TempDir() + "hdcs_obs_ckpt.bin";
-  std::remove(path.c_str());
-  auto& saves = obs::Registry::global().counter("checkpoint.saves");
-  auto& requeued =
-      obs::Registry::global().counter("checkpoint.restore_units_requeued");
-  std::uint64_t saves_before = saves.value();
-  std::uint64_t requeued_before = requeued.value();
+  std::string wal_dir = ::testing::TempDir() + "hdcs_obs_wal";
+  std::filesystem::remove_all(wal_dir);
+  auto& compactions = obs::Registry::global().counter("wal.compactions");
+  std::uint64_t compactions_before = compactions.value();
 
-  // Server (wall clock): save once with a unit in flight, restart from the
-  // file, and collect the checkpoint_saved / checkpoint_restored events.
+  // Server (wall clock): fold the WAL into its base image once with a unit
+  // in flight, and collect the wal_compacted event.
   obs::Tracer server_tracer;
   server_tracer.to_memory();
   ServerConfig cfg;
@@ -441,30 +439,23 @@ TEST(MsgStats, CheckpointEventsShareSchemaAcrossServerAndSim) {
   cfg.tick_interval_s = 0.05;
   cfg.no_work_retry_s = 0.02;
   cfg.tracer = &server_tracer;
-  cfg.checkpoint_path = path;
+  cfg.wal_dir = wal_dir;
   {
     Server server(cfg);
-    server.start();
     server.submit_problem(std::make_shared<test::ToySumDataManager>(400000));
+    server.start();
     ClientConfig ccfg;
     ccfg.server_port = server.port();
     ccfg.name = "saver";
     ccfg.crash_after_units = 1;  // leaves its unit in flight
     Client(ccfg).run();
-    ASSERT_TRUE(server.save_checkpoint());
+    server.compact_wal();
     server.stop();
   }
-  {
-    Server server(cfg);  // restore_on_start picks the file up
-    server.submit_problem(std::make_shared<test::ToySumDataManager>(400000));
-    server.start();
-    server.stop();
-  }
-  EXPECT_GE(saves.value(), saves_before + 1);
-  EXPECT_GE(requeued.value(), requeued_before + 1);
-  EXPECT_GT(obs::Registry::global().gauge("checkpoint.bytes").value(), 0.0);
+  EXPECT_GE(compactions.value(), compactions_before + 1);
+  EXPECT_GT(obs::Registry::global().gauge("wal.base_bytes").value(), 0.0);
 
-  // Simulator (virtual clock): periodic autosaves during a toy run.
+  // Simulator (virtual clock): periodic compactions during a toy run.
   obs::Tracer sim_tracer;
   sim_tracer.to_memory();
   sim::SimConfig simcfg;
@@ -473,15 +464,15 @@ TEST(MsgStats, CheckpointEventsShareSchemaAcrossServerAndSim) {
   simcfg.scheduler.bounds.min_ops = 1;
   simcfg.policy_spec = "adaptive:5";
   simcfg.tracer = &sim_tracer;
-  simcfg.checkpoint_interval_s = 0.25;  // well inside the virtual makespan
+  simcfg.compact_interval_s = 0.25;  // well inside the virtual makespan
   sim::SimDriver sim(simcfg, sim::lab_fleet(4));
   sim.add_problem(std::make_shared<test::ToySumDataManager>(5000000));
   auto outcome = sim.run();
-  EXPECT_GT(outcome.checkpoints_saved, 0u);
+  EXPECT_GT(outcome.compactions, 0u);
 
-  // The pinned schema: both emitters must produce checkpoint_saved with
+  // The pinned schema: both emitters must produce wal_compacted with
   // exactly these fields so one tool can read either trace.
-  auto saved_fields = [](const std::vector<std::string>& lines,
+  auto event_fields = [](const std::vector<std::string>& lines,
                          const char* ev) {
     std::vector<std::string> keys;
     for (const auto& line : lines) {
@@ -494,21 +485,14 @@ TEST(MsgStats, CheckpointEventsShareSchemaAcrossServerAndSim) {
     }
     return keys;
   };
-  auto server_keys = saved_fields(server_tracer.lines(), "checkpoint_saved");
-  auto sim_keys = saved_fields(sim_tracer.lines(), "checkpoint_saved");
-  ASSERT_FALSE(server_keys.empty()) << "server emitted no checkpoint_saved";
-  ASSERT_FALSE(sim_keys.empty()) << "sim emitted no checkpoint_saved";
+  auto server_keys = event_fields(server_tracer.lines(), "wal_compacted");
+  auto sim_keys = event_fields(sim_tracer.lines(), "wal_compacted");
+  ASSERT_FALSE(server_keys.empty()) << "server emitted no wal_compacted";
+  ASSERT_FALSE(sim_keys.empty()) << "sim emitted no wal_compacted";
   EXPECT_EQ(server_keys, sim_keys);
-  std::vector<std::string> expected_keys = {"bytes", "problems",
-                                            "units_in_flight"};
+  std::vector<std::string> expected_keys = {"base_bytes", "lsn"};
   EXPECT_EQ(server_keys, expected_keys);
-
-  auto restored_keys =
-      saved_fields(server_tracer.lines(), "checkpoint_restored");
-  std::vector<std::string> expected_restore = {"problems", "units_quarantined",
-                                               "units_requeued"};
-  EXPECT_EQ(restored_keys, expected_restore);
-  std::remove(path.c_str());
+  std::filesystem::remove_all(wal_dir);
 }
 
 TEST(MsgStats, QuarantineSurfacedInStatsSnapshot) {

@@ -371,6 +371,7 @@ TEST_P(SchedulerRandomHistory, AlwaysProducesTheExactSum) {
       r.problem_id = unit->problem_id;
       r.unit_id = unit->unit_id;
       r.stage = unit->stage;
+      r.epoch = unit->epoch;
       r.payload = algo.process(*unit);
       core.submit_result(c.id, r, t + 0.5);
       progressed = true;

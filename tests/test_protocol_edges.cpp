@@ -157,6 +157,7 @@ TEST(ProtocolEdges, SubmitResultForForeignProblemRejectedGracefully) {
   ResultUnit bogus;
   bogus.problem_id = 12345;
   bogus.unit_id = 1;
+  bogus.epoch = server.epoch();
   net::write_message(stream, encode_submit_result(ack.client_id, bogus, 2));
   auto reply = decode_result_ack(net::read_message(stream));
   EXPECT_FALSE(reply.accepted);

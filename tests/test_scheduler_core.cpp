@@ -27,6 +27,7 @@ ResultUnit execute(const WorkUnit& unit, std::span<const std::byte> problem_data
   r.problem_id = unit.problem_id;
   r.unit_id = unit.unit_id;
   r.stage = unit.stage;
+  r.epoch = unit.epoch;
   r.payload = algo.process(unit);
   return r;
 }
@@ -95,6 +96,7 @@ TEST(SchedulerCore, UnknownResultDroppedAsStale) {
   ResultUnit bogus;
   bogus.problem_id = 999;
   bogus.unit_id = 1;
+  bogus.epoch = core.epoch();
   EXPECT_FALSE(core.submit_result(cid, bogus, 0.0));
   EXPECT_EQ(core.stats().stale_results_dropped, 1u);
 }

@@ -150,18 +150,18 @@ TEST(SimDriver, FaultRunsAreDeterministicPerSeed) {
 
 TEST(SimDriver, VirtualTimeCheckpointsEmitted) {
   auto cfg = fast_config();
-  cfg.checkpoint_interval_s = 0.25;  // well inside the virtual makespan
+  cfg.compact_interval_s = 0.25;  // well inside the virtual makespan
   SimDriver sim(cfg, lab_fleet(4));
   auto pid = sim.add_problem(std::make_shared<ToySumDataManager>(5000000));
   auto out = sim.run();
-  EXPECT_GT(out.checkpoints_saved, 0u);
+  EXPECT_GT(out.compactions, 0u);
   EXPECT_EQ(test::read_u64_result(out.final_results.at(pid)),
             ToySumDataManager(5000000).expected());
 }
 
 TEST(SimDriver, StorageFaultsDegradeAndRestoreWithoutChangingAnswers) {
   auto cfg = fast_config();
-  cfg.checkpoint_interval_s = 0.25;
+  cfg.compact_interval_s = 0.25;
   std::uint64_t expected = ToySumDataManager(1000000).expected();
 
   // Fault-free reference.
@@ -171,9 +171,10 @@ TEST(SimDriver, StorageFaultsDegradeAndRestoreWithoutChangingAnswers) {
   ASSERT_EQ(test::read_u64_result(base.final_results.at(pid)), expected);
   EXPECT_EQ(base.durability_degradations, 0u);
 
-  // Intermittent checkpoint fsync failures: the server mirror degrades on a
-  // failed save, re-arms on the next clean one, and the merged answer is
-  // byte-identical — disk faults cost durability windows, never results.
+  // Intermittent fsync failures on the virtual WAL base: the server mirror
+  // degrades on a failed compaction, re-arms on the next clean one, and the
+  // merged answer is byte-identical — disk faults cost durability windows,
+  // never results.
   auto cfg2 = cfg;
   cfg2.storage_faults.seed = 11;
   cfg2.storage_faults.sync_error_prob = 0.5;
@@ -188,7 +189,7 @@ TEST(SimDriver, StorageFaultsDegradeAndRestoreWithoutChangingAnswers) {
 TEST(SimDriver, StorageFaultRunsAreDeterministicPerSeed) {
   auto run_once = [] {
     auto cfg = fast_config();
-    cfg.checkpoint_interval_s = 0.25;
+    cfg.compact_interval_s = 0.25;
     cfg.storage_faults.seed = 3;
     cfg.storage_faults.sync_error_prob = 0.4;
     SimDriver sim(cfg, lab_fleet(4));
@@ -457,8 +458,8 @@ TEST(SimDriver, TraceMatchesRealServerEventOrder) {
     std::vector<std::string> evs;
     for (const auto& line : lines) {
       auto rec = obs::parse_trace_line(line);
-      // checkpoint/log are clock-driven chatter, not scheduling decisions.
-      if (rec.ev == "checkpoint" || rec.ev == "log") continue;
+      // log lines are chatter, not scheduling decisions.
+      if (rec.ev == "log") continue;
       evs.push_back(rec.ev);
     }
     return evs;

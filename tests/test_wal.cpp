@@ -434,12 +434,15 @@ TEST(Wal, EpochFenceRejectsDeposedPrimaryResults) {
   EXPECT_EQ(unit2->epoch, 2u);
   EXPECT_TRUE(core.submit_result(c, execute(*unit2, problem_data), 4.0));
 
-  // ...and a legacy (pre-v6) donor result with epoch 0 is never fenced.
+  // ...but an unstamped (epoch 0) result answers no lease and is fenced
+  // too; the same unit's correctly stamped result still merges.
   auto unit3 = core.request_work(c, 5.0);
   ASSERT_TRUE(unit3.has_value());
-  auto legacy = execute(*unit3, problem_data);
-  legacy.epoch = 0;
-  EXPECT_TRUE(core.submit_result(c, legacy, 6.0));
+  auto unstamped = execute(*unit3, problem_data);
+  unstamped.epoch = 0;
+  EXPECT_FALSE(core.submit_result(c, unstamped, 6.0));
+  EXPECT_EQ(core.stats().results_rejected_stale_epoch, 2u);
+  EXPECT_TRUE(core.submit_result(c, execute(*unit3, problem_data), 7.0));
 
   // Terms are monotonic.
   EXPECT_THROW(core.bump_epoch(1), ProtocolError);
