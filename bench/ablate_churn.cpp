@@ -100,5 +100,5 @@ int main() {
 
   std::printf("\nacceptance check: identical results under churn ........ %s\n",
               all_exact ? "PASS" : "FAIL");
-  return 0;
+  return all_exact ? 0 : 1;
 }

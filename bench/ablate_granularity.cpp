@@ -106,8 +106,8 @@ int main() {
     }
   }
 
+  bool pass = adaptive_makespan <= best_other * 1.05;
   std::printf("\nacceptance check: adaptive at least matches every other "
-              "policy ........ %s\n",
-              adaptive_makespan <= best_other * 1.05 ? "PASS" : "FAIL");
-  return 0;
+              "policy ........ %s\n", pass ? "PASS" : "FAIL");
+  return pass ? 0 : 1;
 }

@@ -119,8 +119,9 @@ int main() {
                            ? by_class["desk-pii-300"].units /
                                  double(by_class["desk-pii-300"].cpus)
                            : 0;
+  bool pass = piv_per_cpu >= pii_per_cpu && pii_per_cpu > 0;
   std::printf("\nacceptance check: every class contributed and PIV-2400 "
               "handled >= PII-300 units/cpu ........ %s\n",
-              (piv_per_cpu >= pii_per_cpu && pii_per_cpu > 0) ? "PASS" : "FAIL");
-  return 0;
+              pass ? "PASS" : "FAIL");
+  return pass ? 0 : 1;
 }

@@ -48,6 +48,7 @@
 
 #include <cstdio>
 #include <map>
+#include <set>
 
 #include "dboot/dboot.hpp"
 #include "dist/client.hpp"
@@ -58,12 +59,21 @@
 
 using namespace hdcs;
 
+/// Every flag main() reads. Anything else is refused by name, so a typo
+/// cannot be silently ignored.
+const std::set<std::string> kFlags = {
+    "backoff-initial", "backoff-max", "cache-dir", "cache-disk-mb", "cache-mb",
+    "corrupt-rate", "corrupt-seed", "cpus", "host", "max-connect-attempts",
+    "name", "persist", "port", "servers", "threads", "throttle"};
+
 int main(int argc, char** argv) {
   try {
     std::map<std::string, std::string> args;
-    for (int i = 1; i + 1 < argc; i += 2) {
+    for (int i = 1; i < argc; i += 2) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) throw InputError("expected --flag: " + key);
+      if (!kFlags.count(key.substr(2))) throw InputError("unknown flag " + key);
+      if (i + 1 >= argc) throw InputError("missing value for " + key);
       args[key.substr(2)] = argv[i + 1];
     }
     auto get = [&](const std::string& key, const std::string& def) {

@@ -56,6 +56,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -77,6 +78,14 @@ std::atomic<int> g_signal{0};
 
 void on_signal(int sig) { g_signal.store(sig); }
 
+/// Every flag run() reads. Anything else is refused by name, so a typo or
+/// a retired flag (such as --checkpoint) cannot be silently ignored.
+const std::set<std::string> kFlags = {
+    "alignment", "app", "blob-budget-mb", "config", "db", "durability",
+    "failover-timeout", "io-threads", "max-clients", "max-write-buffer-mb",
+    "output", "port", "queries", "quorum", "replicas", "spot-check",
+    "standby-of", "trace", "wal-budget-mb", "wal-dir", "workers"};
+
 struct Args {
   std::map<std::string, std::string> values;
 
@@ -87,6 +96,7 @@ struct Args {
       if (key.rfind("--", 0) != 0) {
         throw InputError("expected --flag, got: " + key);
       }
+      if (!kFlags.count(key.substr(2))) throw InputError("unknown flag " + key);
       if (i + 1 >= argc) throw InputError("missing value for " + key);
       args.values[key.substr(2)] = argv[++i];
     }

@@ -18,12 +18,7 @@ namespace {
 /// FNV-1a of the donor name: a deterministic per-donor jitter seed, so a
 /// herd of reconnecting donors spreads out without shared state.
 std::uint64_t name_seed(const std::string& name) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : name) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+  return net::blob_digest(std::as_bytes(std::span(name)));
 }
 }  // namespace
 

@@ -1164,6 +1164,22 @@ void SchedulerCore::snapshot_exact(ByteWriter& w) const {
 }
 
 void SchedulerCore::restore_exact(ByteReader& r) {
+  // The decoder overwrites stats, blobs, clients and reputation before it
+  // can find a wrong problem count or a DataManager that rejects its
+  // state. Keep the live image and put it back on any throw. Restores are
+  // rare (WAL recovery, standby sync), so the extra image is cheap.
+  ByteWriter live;
+  snapshot_exact(live);
+  try {
+    read_exact(r);
+  } catch (...) {
+    ByteReader undo(live.data());
+    read_exact(undo);
+    throw;
+  }
+}
+
+void SchedulerCore::read_exact(ByteReader& r) {
   if (r.u32() != kExactSnapshotMagic) {
     throw ProtocolError("restore_exact: bad snapshot magic");
   }

@@ -232,14 +232,15 @@ class SchedulerCore {
 
   // ---- exact snapshot / restore (WAL base image, hot-standby sync) ----
   //
-  // The scheduler's one state image. The WAL's base snapshot, a standby's
-  // initial sync and the simulator's failover all need a byte-exact state
-  // transfer: a core replaying the primary's operation log must land in
-  // the *same* state the primary was in, field for field, or replay
-  // diverges. snapshot_exact() serialises every member — leases, client
-  // rows, stats, the RR cursor, the integrity RNG's raw state, the epoch —
-  // and restore_exact() overwrites a live core with it. The same problems
-  // must already be registered (same inputs, same order); their
+  // The scheduler's one state image. The WAL's base snapshot and a
+  // standby's initial sync both need a byte-exact state transfer: a core
+  // replaying the primary's operation log must land in the *same* state
+  // the primary was in, field for field, or replay diverges.
+  // snapshot_exact() serialises every member — leases, client rows, stats,
+  // the RR cursor, the integrity RNG's raw state, the epoch — and
+  // restore_exact() overwrites a live core with it, all or nothing: an
+  // image it refuses (ProtocolError) leaves the core as it was. The same
+  // problems must already be registered (same inputs, same order); their
   // DataManagers are rewound to the snapshot. Because all core containers
   // are ordered maps, two cores are in identical states iff their
   // snapshot_exact() bytes are identical — the equivalence tests rely on
@@ -404,6 +405,9 @@ class SchedulerCore {
   /// Drop one reference per blob of a completing unit; unpinned entries
   /// reaching zero refs are erased.
   void release_unit_blobs(const WorkUnit& unit);
+  /// restore_exact's decoder: overwrites members as it reads, so a throw
+  /// leaves the core half-restored (restore_exact undoes that).
+  void read_exact(ByteReader& r);
 
   SchedulerConfig config_;
   std::unique_ptr<GranularityPolicy> policy_;

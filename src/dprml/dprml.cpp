@@ -5,6 +5,7 @@
 #include <mutex>
 
 #include "dist/local_runner.hpp"
+#include "net/blob_cache.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/simd.hpp"
@@ -13,15 +14,6 @@
 namespace hdcs::dprml {
 
 namespace {
-std::uint64_t fnv64(std::span<const std::byte> data) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::byte b : data) {
-    h ^= static_cast<std::uint8_t>(b);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// How many Brent evaluations one branch optimisation costs, roughly.
 constexpr double kEvalsPerBranch = 15.0;
 }  // namespace
@@ -566,7 +558,7 @@ void DPRmlAlgorithm::initialize(std::span<const std::byte> problem_data) {
   ByteWriter key;
   encode_config_fields(key, config_);
   key.str(alignment_.to_fasta());
-  cache_prefix_ = std::to_string(fnv64(key.data())) + "|";
+  cache_prefix_ = std::to_string(net::blob_digest(key.data())) + "|";
 }
 
 namespace {

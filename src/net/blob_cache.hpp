@@ -27,7 +27,8 @@ namespace hdcs::net {
 
 /// 64-bit FNV-1a content digest — the blob address. Matches the digest the
 /// scheduler computes when interning blobs, so both sides agree by
-/// construction.
+/// construction. The tree's one FNV-1a: the DPRml eval-cache prefix, the
+/// donor's name seed and the simulator's result-cache key hash with it too.
 std::uint64_t blob_digest(std::span<const std::byte> data);
 
 struct BlobCacheConfig {

@@ -68,12 +68,6 @@ double FaultPlan::delay_s() {
   return rng_.uniform(0, spec_.delay_max_s);
 }
 
-bool FaultPlan::frame_fault() {
-  double p = spec_.recv_disconnect_prob + spec_.send_truncate_prob +
-             spec_.corrupt_prob;
-  return draw(p < 1.0 ? p : 1.0);
-}
-
 void install_fault_plan(FaultPlan* plan) {
   g_plan.store(plan, std::memory_order_release);
 }

@@ -14,10 +14,6 @@
 // decision still depends on scheduling, which is exactly the point — the
 // system must tolerate any assignment of faults to operations.
 //
-// The simulator reuses the same plan in virtual time: it never sleeps or
-// breaks sockets, but draws frame_fault()/delay_s() to charge retransmit
-// and latency penalties (see sim/sim_driver.cpp).
-//
 // With no plan installed the per-operation overhead is one relaxed atomic
 // load (the default for every non-chaos build and test).
 
@@ -64,11 +60,6 @@ class FaultPlan {
   [[nodiscard]] std::optional<std::size_t> corrupt_byte(std::size_t len);
   /// Seconds of injected latency for this operation (0 = none).
   [[nodiscard]] double delay_s();
-
-  /// Combined "this frame was lost somehow" draw for the virtual-time
-  /// simulator: disconnect + truncate + corrupt folded into one decision
-  /// (over TCP each of those ends in a reconnect-and-retransmit anyway).
-  [[nodiscard]] bool frame_fault();
 
   [[nodiscard]] const FaultSpec& spec() const { return spec_; }
 

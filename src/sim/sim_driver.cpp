@@ -2,39 +2,22 @@
 
 #include <algorithm>
 
+#include "net/blob_cache.hpp"
 #include "net/bulk.hpp"
 #include "net/compress.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/byte_buffer.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
 
 namespace hdcs::sim {
 
 namespace {
-/// FNV-1a over bytes; used to key the result cache by problem identity.
-std::uint64_t fnv64(std::span<const std::byte> data) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::byte b : data) {
-    h ^= static_cast<std::uint8_t>(b);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 constexpr double kControlBytes = 32;  // request/ack payloads are tiny
 
 // Fixed per-blob framing of the v4 bulk format (raw size + CRC + flags +
 // wire size + header CRC), mirrored from net::send_blob_v4 for virtual
 // byte accounting.
 constexpr double kBlobV4HeaderBytes = 8 + 4 + 1 + 8 + 4;
-
-// Virtual reconnect backoff under injected connect faults — mirrors the
-// real donor's ClientConfig defaults so simulated and TCP chaos agree.
-constexpr double kJoinBackoffInitial = 0.05;
-constexpr double kJoinBackoffMax = 2.0;
-constexpr double kJoinBackoffJitter = 0.25;
 }  // namespace
 
 double SimOutcome::mean_utilization() const {
@@ -49,12 +32,6 @@ SimDriver::SimDriver(SimConfig config, std::vector<MachineSpec> fleet)
       core_(config_.scheduler, dist::make_policy(config_.policy_spec)),
       rng_(config_.seed) {
   core_.set_tracer(config_.tracer);
-  if (config_.faults.any()) {
-    fault_plan_ = std::make_unique<net::FaultPlan>(config_.faults);
-  }
-  if (config_.storage_faults.any()) {
-    storage_plan_ = std::make_unique<vfs::StorageFaultPlan>(config_.storage_faults);
-  }
   machines_.reserve(fleet.size());
   for (auto& spec : fleet) {
     Machine m;
@@ -139,7 +116,7 @@ std::vector<std::byte> SimDriver::execute_unit(const dist::WorkUnit& unit) {
     // payloads and differ only in the content they reference.
     if (!ctx.data_hashed) {
       auto data = ctx.dm->problem_data();
-      ctx.data_hash = fnv64(data);
+      ctx.data_hash = net::blob_digest(data);
       ctx.data_hashed = true;
     }
     key.reserve(16 + 21 * unit.blobs.size() + unit.payload.size());
@@ -214,78 +191,8 @@ double SimDriver::deliver_blob(Machine& m, double ready, std::uint64_t digest,
   return done;
 }
 
-bool SimDriver::frame_lost() {
-  if (!fault_plan_ || !fault_plan_->frame_fault()) return false;
-  frames_retransmitted_ += 1;
-  return true;
-}
-
-void SimDriver::refresh_session(Machine& m) {
-  double benchmark = config_.reference_ops_per_sec * m.spec.speed *
-                     m.spec.availability_mean;
-  m.client_id = core_.client_joined(m.spec.name, benchmark, queue_.now());
-  m.session = server_session_;
-}
-
-void SimDriver::primary_kill() {
-  if (core_.all_complete()) return;
-  // The hot standby's shadow core is, by construction, a replay of the
-  // primary's record stream — model the handoff by round-tripping the
-  // scheduler through its exact snapshot bytes, the same bytes the TCP
-  // standby holds. From here until promotion the server answers nothing.
-  ByteWriter w;
-  core_.snapshot_exact(w);
-  auto snap = w.take();
-  ByteReader r(snap);
-  core_.restore_exact(r);
-  r.expect_end();
-  server_down_ = true;
-  if (config_.tracer) {
-    config_.tracer->event(queue_.now(), "standby_synced")
-        .u64("epoch", core_.epoch())
-        .u64("lsn", 0)
-        .u64("snapshot_bytes", snap.size());
-  }
-  queue_.schedule(queue_.now() + config_.failover_delay_s, [this] {
-    // Promotion: new term, then sweep the dead primary's client rows so
-    // their leases requeue now. Machines re-Hello on their next exchange;
-    // results they computed under the deposed term are fenced by epoch.
-    double t = queue_.now();
-    std::uint64_t next = core_.epoch() + 1;
-    core_.bump_epoch(next);
-    for (const auto& c : core_.all_client_stats()) {
-      if (c.active) core_.client_left(c.id, t);
-    }
-    server_session_ += 1;
-    server_down_ = false;
-    failovers_ += 1;
-    if (config_.tracer) {
-      config_.tracer->event(t, "failover_promoted")
-          .u64("epoch", next)
-          .str("reason", "sim_primary_kill");
-    }
-  });
-}
-
 void SimDriver::machine_join(std::size_t idx) {
   Machine& m = machines_[idx];
-  if (server_down_) {
-    queue_.schedule(queue_.now() + config_.no_work_retry_s,
-                    [this, idx] { machine_join(idx); });
-    return;
-  }
-  if (fault_plan_ && fault_plan_->refuse_connect()) {
-    // Connection refused: back off exactly like a real donor (doubling,
-    // capped, jittered) and try again — the machine never gives up.
-    joins_refused_ += 1;
-    m.join_backoff = m.join_backoff <= 0
-                         ? kJoinBackoffInitial
-                         : std::min(m.join_backoff * 2, kJoinBackoffMax);
-    double jitter = 1.0 + kJoinBackoffJitter * m.rng.uniform(-1.0, 1.0);
-    queue_.schedule(queue_.now() + m.join_backoff * jitter,
-                    [this, idx] { machine_join(idx); });
-    return;
-  }
   m.alive = true;
   m.ever_joined = true;
   // A rejoin models a donor restart with a memory-only cache: every blob
@@ -302,34 +209,9 @@ void SimDriver::machine_join(std::size_t idx) {
   queue_.schedule(handled, [this, idx, gen, handled] {
     Machine& mm = machines_[idx];
     if (!mm.alive || mm.generation != gen) return;
-    if (server_down_) {  // the primary died while the Hello was in flight
-      queue_.schedule(queue_.now() + config_.no_work_retry_s,
-                      [this, idx] { machine_join(idx); });
-      return;
-    }
-    if (config_.max_clients > 0 &&
-        core_.active_client_count() >= config_.max_clients) {
-      // Overload shed (ServerConfig::max_clients mirror): the Hello is
-      // NACKed with retry_later at handling time — the same point the real
-      // server sheds — and the machine rides the capped join backoff a
-      // refused connect uses.
-      joins_shed_ += 1;
-      if (config_.tracer) {
-        config_.tracer->event(queue_.now(), "retry_later")
-            .str("reason", "max_clients")
-            .str("name", mm.spec.name);
-      }
-      mm.alive = false;
-      mm.join_backoff = mm.join_backoff <= 0
-                            ? kJoinBackoffInitial
-                            : std::min(mm.join_backoff * 2, kJoinBackoffMax);
-      double jitter = 1.0 + kJoinBackoffJitter * mm.rng.uniform(-1.0, 1.0);
-      queue_.schedule(queue_.now() + mm.join_backoff * jitter,
-                      [this, idx] { machine_join(idx); });
-      return;
-    }
-    mm.join_backoff = 0;
-    refresh_session(mm);
+    double benchmark = config_.reference_ops_per_sec * mm.spec.speed *
+                       mm.spec.availability_mean;
+    mm.client_id = core_.client_joined(mm.spec.name, benchmark, queue_.now());
     double reply_at = transfer(handled, kControlBytes) + config_.network.latency_s;
     queue_.schedule(reply_at, [this, idx, gen] { machine_request_work(idx, gen); });
   });
@@ -354,37 +236,12 @@ void SimDriver::machine_request_work(std::size_t idx, int gen) {
   Machine& m = machines_[idx];
   if (!m.alive || m.generation != gen) return;
 
-  if (server_down_) {
-    // Dead primary: the donor's request fails and it retries with backoff
-    // until the standby promotes and starts answering.
-    queue_.schedule(queue_.now() + config_.no_work_retry_s,
-                    [this, idx, gen] { machine_request_work(idx, gen); });
-    return;
-  }
-  if (frame_lost()) {
-    // Torn RequestWork exchange: over TCP the donor tears the session down
-    // and retransmits on a fresh one; in virtual time that is a pure delay.
-    queue_.schedule(queue_.now() + config_.no_work_retry_s,
-                    [this, idx, gen] { machine_request_work(idx, gen); });
-    return;
-  }
-  double send_at = queue_.now() + (fault_plan_ ? fault_plan_->delay_s() : 0);
-  double handled = server_handle(transfer(send_at, kControlBytes) +
+  double handled = server_handle(transfer(queue_.now(), kControlBytes) +
                                      config_.network.latency_s,
                                  kControlBytes);
   queue_.schedule(handled, [this, idx, gen] {
     Machine& mm = machines_[idx];
     if (!mm.alive || mm.generation != gen) return;
-    if (server_down_) {  // killed while the request was in flight
-      queue_.schedule(queue_.now() + config_.no_work_retry_s,
-                      [this, idx, gen] { machine_request_work(idx, gen); });
-      return;
-    }
-    // A promoted standby swept the old client rows: the TCP donor would
-    // get an error frame and re-Hello on the same connection; mirror that
-    // before asking for work.
-    if (mm.session != server_session_) refresh_session(mm);
-
     const double lease_start = queue_.now();  // == the lease's issued_at
     auto unit = core_.request_work(mm.client_id, queue_.now());
     if (!unit) {
@@ -450,9 +307,7 @@ void SimDriver::machine_request_work(std::size_t idx, int gen) {
       result.problem_id = u.problem_id;
       result.unit_id = u.unit_id;
       result.stage = u.stage;
-      // Echo the lease's term (v6 fencing): if a standby promoted while
-      // this unit computed, the stale epoch gets the result rejected.
-      result.epoch = u.epoch;
+      result.epoch = u.epoch;  // echo the lease's term, as a donor does
       auto& saturation_counter =
           obs::Registry::global().counter("align.batch_saturations");
       const std::uint64_t saturations_before = saturation_counter.value();
@@ -479,43 +334,13 @@ void SimDriver::machine_submit(std::size_t idx, int gen,
                                dist::ResultUnit result) {
   Machine& m = machines_[idx];
   if (!m.alive || m.generation != gen) return;  // a crashed donor loses its buffer
-  if (server_down_) {
-    // Dead primary: the donor buffers the computed result across its
-    // reconnect attempts and resubmits once a server answers.
-    queue_.schedule(queue_.now() + config_.no_work_retry_s,
-                    [this, idx, gen, r = std::move(result)]() mutable {
-                      machine_submit(idx, gen, std::move(r));
-                    });
-    return;
-  }
-  double submit_at = queue_.now();
-  if (frame_lost()) {
-    // Torn SubmitResult frame: the donor buffers the computed result
-    // across the reconnect and resubmits — the work is never redone,
-    // only delayed (matches Client's pending-result semantics).
-    submit_at += config_.no_work_retry_s;
-  }
-  if (fault_plan_) submit_at += fault_plan_->delay_s();
   double res_handled = server_handle(
-      transfer(submit_at, static_cast<double>(result.payload.size())) +
+      transfer(queue_.now(), static_cast<double>(result.payload.size())) +
           config_.network.latency_s,
       static_cast<double>(result.payload.size()));
   queue_.schedule(res_handled, [this, idx, gen, r = std::move(result),
                                 res_handled]() mutable {
     Machine& m3 = machines_[idx];
-    if (server_down_) {  // killed while the result frame was in flight
-      queue_.schedule(queue_.now() + config_.no_work_retry_s,
-                      [this, idx, gen, r = std::move(r)]() mutable {
-                        machine_submit(idx, gen, std::move(r));
-                      });
-      return;
-    }
-    // Promoted standby since we last said Hello: re-register first — the
-    // result still carries the deposed term's epoch, so the fence (not
-    // the fresh client id) decides its fate.
-    if (m3.session != server_session_ && m3.alive && m3.generation == gen) {
-      refresh_session(m3);
-    }
     core_.submit_result(m3.client_id, r, queue_.now());
     // Record completion times as problems finish.
     for (auto& [pid, pctx] : problems_) {
@@ -537,9 +362,7 @@ void SimDriver::schedule_tick() {
     if (queue_.now() > config_.max_sim_time) {
       throw Error("simulation exceeded max_sim_time — deadlocked workload?");
     }
-    // A dead primary ticks nothing; the standby's shadow core is driven by
-    // the (now silent) record stream, not a local clock.
-    if (!server_down_) core_.tick(queue_.now());
+    core_.tick(queue_.now());
     if (core_.all_complete()) return;
     bool any_donor_left = false;
     for (const auto& m : machines_) {
@@ -557,55 +380,6 @@ void SimDriver::schedule_tick() {
   });
 }
 
-void SimDriver::schedule_compaction() {
-  queue_.schedule(queue_.now() + config_.compact_interval_s, [this] {
-    if (core_.all_complete()) return;
-    ByteWriter w;
-    core_.snapshot_exact(w);
-    const std::size_t base_bytes = w.data().size();
-    // Storage-fault chaos: draw the virtual disk's verdict on this base
-    // write (write then fsync, the two failure points the real WAL has).
-    // An injected failure takes the TCP server's exact durable -> degraded
-    // transition: epoch bump (+2, the restart-collision fence) and a
-    // durability_degraded event; the next clean compaction restores.
-    if (storage_plan_) {
-      std::size_t keep = 0;
-      auto wf = storage_plan_->write_fault("sim:base.ckpt", base_bytes, keep);
-      bool write_failed = wf != vfs::StorageFaultPlan::WriteFault::kNone;
-      if (write_failed || storage_plan_->fail_sync("sim:base.ckpt")) {
-        if (!degraded_) {
-          degraded_ = true;
-          durability_degradations_ += 1;
-          std::uint64_t next = core_.epoch() + 2;
-          core_.bump_epoch(next);
-          if (config_.tracer) {
-            config_.tracer->event(queue_.now(), "durability_degraded")
-                .str("reason", write_failed ? "wal_append" : "wal_sync")
-                .u64("epoch", next);
-          }
-        }
-        schedule_compaction();
-        return;
-      }
-    }
-    if (config_.tracer) {
-      config_.tracer->event(queue_.now(), "wal_compacted")
-          .u64("lsn", 0)  // the simulator keeps no record log
-          .u64("base_bytes", base_bytes);
-    }
-    compactions_ += 1;
-    if (degraded_) {
-      degraded_ = false;
-      durability_restores_ += 1;
-      if (config_.tracer) {
-        config_.tracer->event(queue_.now(), "durability_restored")
-            .u64("epoch", core_.epoch());
-      }
-    }
-    schedule_compaction();
-  });
-}
-
 SimOutcome SimDriver::run() {
   if (ran_) throw Error("SimDriver: run() called twice");
   ran_ = true;
@@ -620,10 +394,6 @@ SimOutcome SimDriver::run() {
     }
   }
   schedule_tick();
-  if (config_.compact_interval_s > 0) schedule_compaction();
-  if (config_.primary_kill_time_s >= 0) {
-    queue_.schedule(config_.primary_kill_time_s, [this] { primary_kill(); });
-  }
 
   queue_.run_until([this] { return core_.all_complete(); });
 
@@ -650,13 +420,6 @@ SimOutcome SimDriver::run() {
   out.events_executed = queue_.executed();
   out.cache_hits = cache_hits_;
   out.cache_misses = cache_misses_;
-  out.compactions = compactions_;
-  out.frames_retransmitted = frames_retransmitted_;
-  out.joins_refused = joins_refused_;
-  out.failovers = failovers_;
-  out.durability_degradations = durability_degradations_;
-  out.durability_restores = durability_restores_;
-  out.joins_shed = joins_shed_;
   out.blobs_sent = blobs_sent_;
   out.blob_cache_hits = blob_cache_hits_;
   out.blob_bytes_raw = blob_bytes_raw_;

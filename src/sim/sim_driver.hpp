@@ -14,10 +14,17 @@
 // the server serialise through a FIFO link resource, and every message
 // costs server CPU — this is what bends Fig. 1 away from linear speedup at
 // high processor counts.
+//
+// What it models is the fleet: donor speed, availability and owner on/off
+// periods, churn (crash or Goodbye, optional rejoin), lying donors, and the
+// link and server costs including the blob plane. The failure paths of the
+// server and donor — standby failover, durability degradation, WAL
+// compaction, Hello shedding, transport faults — are not modelled; they are
+// tested where they run, over TCP (tests/test_chaos.cpp,
+// tests/test_server_client.cpp).
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -26,11 +33,9 @@
 #include "dist/data_manager.hpp"
 #include "dist/registry.hpp"
 #include "dist/scheduler_core.hpp"
-#include "net/fault.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fleet.hpp"
 #include "util/rng.hpp"
-#include "util/vfs.hpp"
 
 namespace hdcs::sim {
 
@@ -60,39 +65,6 @@ struct SimConfig {
   /// Optional structured event trace, stamped with *virtual* seconds. Same
   /// schema as the TCP server's trace. Must outlive the driver; not owned.
   obs::Tracer* tracer = nullptr;
-  /// WAL compaction in *virtual* time: every interval the scheduler's
-  /// exact snapshot is serialized (the bytes the server's compaction
-  /// writes as its WAL base) and a wal_compacted event is emitted with the
-  /// server's fields. Nothing is written to disk. 0 = off.
-  double compact_interval_s = 0;
-  /// Deterministic network fault model, sharing net::FaultSpec with the
-  /// TCP layer: connect refusals delay a machine's join (retried with the
-  /// same capped exponential backoff a real donor uses) and frame faults
-  /// charge a retransmit penalty on the request/submit paths. Faults cost
-  /// virtual time and messages, never results.
-  net::FaultSpec faults;
-  /// Virtual-time mirror of the hot-standby failover chaos (>= 0 = on): at
-  /// this instant the primary dies — scheduler state round-trips through
-  /// its exact snapshot bytes into the standby's shadow core
-  /// (standby_synced event) and the server stops answering. After
-  /// failover_delay_s the standby promotes: epoch bump + client sweep
-  /// (failover_promoted event). Machines retry through the outage, re-Hello
-  /// on their next exchange, and results computed under the deposed term
-  /// are fenced by epoch exactly like the TCP path.
-  double primary_kill_time_s = -1;
-  double failover_delay_s = 0.5;
-  /// Virtual-time mirror of the storage-fault chaos, sharing
-  /// vfs::StorageFaultSpec with the real disk layer. A LOCAL plan (never
-  /// installed globally) is drawn at each virtual compaction: an injected
-  /// write/sync failure degrades durability (epoch bump +
-  /// durability_degraded event, the TCP server's exact transition), and
-  /// the next clean compaction restores it (durability_restored). Results are never lost — only the durable
-  /// window moves, exactly like DurabilityMode::kContinue.
-  vfs::StorageFaultSpec storage_faults;
-  /// Overload mirror of ServerConfig::max_clients: a machine whose join
-  /// would exceed this many active clients is shed with a retry_later
-  /// event and retries with the donor's capped join backoff. 0 = off.
-  int max_clients = 0;
 };
 
 struct MachineOutcome {
@@ -111,21 +83,6 @@ struct SimOutcome {
   std::uint64_t events_executed = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Virtual-time WAL compactions (0 unless compact_interval_s > 0).
-  std::uint64_t compactions = 0;
-  /// Control frames lost to injected faults and retransmitted.
-  std::uint64_t frames_retransmitted = 0;
-  /// Join attempts refused by injected connect faults and backed off.
-  std::uint64_t joins_refused = 0;
-  /// Standby promotions executed (primary_kill_time_s chaos). Stale-epoch
-  /// rejections land in scheduler.results_rejected_stale_epoch.
-  std::uint64_t failovers = 0;
-  /// Storage-fault chaos (storage_faults spec): durable -> degraded
-  /// transitions taken and degraded -> durable recoveries.
-  std::uint64_t durability_degradations = 0;
-  std::uint64_t durability_restores = 0;
-  /// Joins shed by the max_clients overload mirror (each retries later).
-  std::uint64_t joins_shed = 0;
   /// Bulk-data plane (mirrors the TCP bulk.* counters): blobs actually
   /// shipped over the virtual link vs transfers avoided because the
   /// machine already held the digest, plus the raw/wire byte totals (wire
@@ -178,11 +135,6 @@ class SimDriver {
     /// builds its Algorithm once per problem and never consults the blob
     /// plane for that data again, so neither does the simulated one.
     std::vector<dist::ProblemId> have_data;
-    double join_backoff = 0;  // current reconnect delay under connect faults
-    /// Which server incarnation this machine's client id belongs to; when
-    /// it trails server_session_ (a standby promoted), the next exchange
-    /// re-Hellos for a fresh id first — the TCP donor's error-frame path.
-    std::uint64_t session = 0;
   };
 
   struct ProblemCtx {
@@ -198,11 +150,6 @@ class SimDriver {
   void machine_request_work(std::size_t idx, int gen);
   void machine_submit(std::size_t idx, int gen, dist::ResultUnit result);
   void machine_leave(std::size_t idx);
-  /// Re-Hello a machine whose session predates the current server
-  /// incarnation (fresh client id, same blob cache — the donor process
-  /// survived, only the server changed).
-  void refresh_session(Machine& m);
-  void primary_kill();
   double transfer(double ready_at, double payload_bytes);  // shared link FIFO
   /// Wall-clock time to accrue `compute_s` of donor CPU on machine m,
   /// under its availability model (jitter or owner on/off periods).
@@ -220,10 +167,6 @@ class SimDriver {
                       std::span<const std::byte> bytes);
   double availability_draw(Machine& m);
   void schedule_tick();
-  void schedule_compaction();
-  /// Draws a frame fault for one control exchange; true = the frame was
-  /// torn and the caller should retransmit after a penalty.
-  bool frame_lost();
 
   SimConfig config_;
   std::vector<Machine> machines_;
@@ -231,8 +174,6 @@ class SimDriver {
   dist::SchedulerCore core_;
   std::map<dist::ProblemId, ProblemCtx> problems_;
   std::shared_ptr<ResultCache> cache_;
-  std::unique_ptr<net::FaultPlan> fault_plan_;
-  std::unique_ptr<vfs::StorageFaultPlan> storage_plan_;  // local, not installed
   Rng rng_;
 
   double link_busy_until_ = 0;
@@ -241,16 +182,6 @@ class SimDriver {
   double bytes_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
-  std::uint64_t compactions_ = 0;
-  std::uint64_t frames_retransmitted_ = 0;
-  std::uint64_t joins_refused_ = 0;
-  bool server_down_ = false;        // between primary kill and promotion
-  std::uint64_t server_session_ = 1;  // bumped at promotion
-  std::uint64_t failovers_ = 0;
-  bool degraded_ = false;  // storage-fault chaos durability state
-  std::uint64_t durability_degradations_ = 0;
-  std::uint64_t durability_restores_ = 0;
-  std::uint64_t joins_shed_ = 0;
   std::map<std::uint64_t, double> blob_wire_bytes_;  // digest -> wire cost
   std::uint64_t blobs_sent_ = 0;
   std::uint64_t blob_cache_hits_ = 0;

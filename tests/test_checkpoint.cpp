@@ -154,6 +154,53 @@ TEST(Checkpoint, RestoreValidatesShape) {
   EXPECT_EQ(state_image(*ok), image);
 }
 
+TEST(Checkpoint, RefusedRestoreLeavesCoreUnchanged) {
+  // restore_exact is all or nothing: the decoder reaches the problem count
+  // and the DataManager states only after it has read stats, blobs, clients
+  // and reputation, so a refused image must be undone, not left half
+  // applied (a standby whose resync is refused may still promote).
+  test::register_toy_algorithm();
+  test::ToySumAlgorithm algo;
+  auto progressed = [&](int problems, const char* donor, int steps) {
+    auto core = std::make_unique<SchedulerCore>(
+        cfg(), std::make_unique<FixedGranularity>(5000));
+    for (int i = 0; i < problems; ++i) {
+      core->submit_problem(std::make_shared<ToySumDataManager>(100000));
+    }
+    auto data = ToySumDataManager(100000).problem_data();
+    algo.initialize(data);
+    auto cid = core->client_joined(donor, 1e6, 0.0);
+    double t = 0;
+    drive(*core, cid, [&](const WorkUnit& u) { return answer(algo, u); },
+          steps, t);
+    EXPECT_TRUE(core->request_work(cid, t));  // one lease in flight
+    return core;
+  };
+  auto restore_into = [](SchedulerCore& target,
+                         const std::vector<std::byte>& bytes) {
+    ByteReader r{std::span<const std::byte>(bytes)};
+    target.restore_exact(r);
+  };
+
+  auto live = progressed(1, "live-donor", 2);
+  const auto before = state_image(*live);
+  const auto other = state_image(*progressed(1, "other-donor", 5));
+  ASSERT_NE(other, before);
+
+  auto truncated = other;
+  truncated.resize(other.size() - 8);
+  EXPECT_THROW(restore_into(*live, truncated), ProtocolError);
+  EXPECT_EQ(state_image(*live), before) << "truncated image half-applied";
+
+  const auto two_problems = state_image(*progressed(2, "other-donor", 3));
+  EXPECT_THROW(restore_into(*live, two_problems), ProtocolError);
+  EXPECT_EQ(state_image(*live), before) << "wrong-count image half-applied";
+
+  // An image it accepts still replaces the state outright.
+  restore_into(*live, other);
+  EXPECT_EQ(state_image(*live), other);
+}
+
 TEST(Checkpoint, DSearchResumeMatchesUninterrupted) {
   dsearch::register_algorithm();
   Rng rng(21);

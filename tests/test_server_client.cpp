@@ -14,6 +14,7 @@
 #include "dist/wire.hpp"
 #include "net/bulk.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "tests/toy_problem.hpp"
 #include "util/logging.hpp"
 
@@ -325,6 +326,73 @@ TEST(ServerClient, DonorPoolContributesAllCpus) {
   EXPECT_EQ(test::read_u64_result(server.final_result(pid)), dm->expected());
   EXPECT_GT(stats[0].units_processed + stats[1].units_processed, 0u);
   EXPECT_THROW(Client::run_pool(base, 0), InputError);
+  server.stop();
+}
+
+TEST(ServerClient, MaxClientsShedsHelloUntilASeatFrees) {
+  // ServerConfig::max_clients: a Hello beyond the cap is answered
+  // RetryLater before the donor becomes scheduler state, a Goodbye frees
+  // the seat, and a fleet larger than the cap still finishes the job.
+  auto cfg = quick_server_config();
+  cfg.max_clients = 2;
+  obs::Tracer tracer;
+  tracer.to_memory();
+  cfg.tracer = &tracer;
+  Server server(cfg);
+  server.start();
+  auto active = [&server] {
+    int n = 0;
+    for (const auto& c : server.client_stats()) n += c.active ? 1 : 0;
+    return n;
+  };
+  auto shed_events = [&tracer] {
+    int n = 0;
+    for (const auto& line : tracer.lines()) {
+      auto rec = obs::parse_trace_line(line);
+      if (rec.ev == "retry_later" && rec.text("reason") == "max_clients") ++n;
+    }
+    return n;
+  };
+
+  RawDonor a(server, "seat-a");
+  RawDonor b(server, "seat-b");
+  const std::uint64_t shed_before = counter("server.clients_shed");
+  auto third = net::TcpStream::connect("127.0.0.1", server.port());
+  net::write_message(third, encode_hello({"third", 1, 1e6}, 1));
+  auto nack = net::read_message(third);
+  ASSERT_EQ(nack.type, net::MessageType::kRetryLater);
+  EXPECT_EQ(decode_retry_later(nack).reason, "max_clients");
+  EXPECT_EQ(counter("server.clients_shed"), shed_before + 1);
+  EXPECT_EQ(shed_events(), 1);
+  EXPECT_EQ(active(), 2);
+
+  // One Goodbye frees a seat: the next Hello is admitted, not shed.
+  net::write_message(a.stream, encode_goodbye(a.id, a.corr++));
+  ASSERT_TRUE(eventually([&] { return active() == 1; }));
+  RawDonor c(server, "seat-c");
+  EXPECT_NE(c.id, 0u);
+  EXPECT_EQ(counter("server.clients_shed"), shed_before + 1);
+  EXPECT_EQ(active(), 2);
+  net::write_message(b.stream, encode_goodbye(b.id, b.corr++));
+  net::write_message(c.stream, encode_goodbye(c.id, c.corr++));
+  ASSERT_TRUE(eventually([&] { return active() == 0; }));
+
+  // Four donors, two seats: the shed ones back off and retry until a seat
+  // frees or the job is done, and the answer is the serial one.
+  auto dm = std::make_shared<ToySumDataManager>(2000000);
+  auto pid = server.submit_problem(dm);
+  std::vector<std::thread> fleet;
+  for (int i = 0; i < 4; ++i) {
+    fleet.emplace_back([&, i] {
+      auto ccfg = client_config(server.port(), "fleet-" + std::to_string(i));
+      ccfg.max_connect_attempts = 0;  // retry until admitted
+      ccfg.backoff_max_s = 0.1;
+      Client(ccfg).run();
+    });
+  }
+  for (auto& t : fleet) t.join();
+  ASSERT_TRUE(server.wait_for_problem(pid, 30.0));
+  EXPECT_EQ(test::read_u64_result(server.final_result(pid)), dm->expected());
   server.stop();
 }
 

@@ -102,118 +102,6 @@ TEST(Fleet, CampusFleetMixAndSize) {
   EXPECT_GT(max_speed, 1.5);
 }
 
-TEST(SimDriver, FaultInjectionDelaysButNeverCorrupts) {
-  auto cfg = fast_config();
-  std::uint64_t expected = ToySumDataManager(2000000, 9).expected();
-
-  // Fault-free reference run.
-  SimDriver ref(cfg, lab_fleet(4));
-  auto pid = ref.add_problem(std::make_shared<ToySumDataManager>(2000000, 9));
-  auto base = ref.run();
-  ASSERT_EQ(test::read_u64_result(base.final_results.at(pid)), expected);
-
-  // Same workload through a storm of connect refusals and frame faults:
-  // joins back off, torn frames are retransmitted, and the final merged
-  // payload is byte-identical — faults cost time, never answers.
-  auto chaos_cfg = cfg;
-  chaos_cfg.faults.seed = 77;
-  chaos_cfg.faults.connect_refuse_prob = 0.7;
-  chaos_cfg.faults.recv_disconnect_prob = 0.05;
-  chaos_cfg.faults.corrupt_prob = 0.05;
-  chaos_cfg.faults.delay_prob = 0.2;
-  SimDriver chaos(chaos_cfg, lab_fleet(4));
-  auto pid2 = chaos.add_problem(std::make_shared<ToySumDataManager>(2000000, 9));
-  auto stormy = chaos.run();
-  EXPECT_EQ(stormy.final_results.at(pid2), base.final_results.at(pid));
-  EXPECT_GT(stormy.joins_refused, 0u);
-  EXPECT_GT(stormy.frames_retransmitted, 0u);
-  EXPECT_GE(stormy.makespan_s, base.makespan_s);
-}
-
-TEST(SimDriver, FaultRunsAreDeterministicPerSeed) {
-  auto cfg = fast_config();
-  cfg.faults.seed = 5;
-  cfg.faults.connect_refuse_prob = 0.5;
-  cfg.faults.recv_disconnect_prob = 0.1;
-  auto run_once = [&] {
-    SimDriver sim(cfg, lab_fleet(6));
-    sim.add_problem(std::make_shared<ToySumDataManager>(1000000, 2));
-    return sim.run();
-  };
-  auto a = run_once();
-  auto b = run_once();
-  EXPECT_DOUBLE_EQ(a.makespan_s, b.makespan_s);
-  EXPECT_EQ(a.frames_retransmitted, b.frames_retransmitted);
-  EXPECT_EQ(a.joins_refused, b.joins_refused);
-  EXPECT_EQ(a.messages, b.messages);
-}
-
-TEST(SimDriver, VirtualTimeCheckpointsEmitted) {
-  auto cfg = fast_config();
-  cfg.compact_interval_s = 0.25;  // well inside the virtual makespan
-  SimDriver sim(cfg, lab_fleet(4));
-  auto pid = sim.add_problem(std::make_shared<ToySumDataManager>(5000000));
-  auto out = sim.run();
-  EXPECT_GT(out.compactions, 0u);
-  EXPECT_EQ(test::read_u64_result(out.final_results.at(pid)),
-            ToySumDataManager(5000000).expected());
-}
-
-TEST(SimDriver, StorageFaultsDegradeAndRestoreWithoutChangingAnswers) {
-  auto cfg = fast_config();
-  cfg.compact_interval_s = 0.25;
-  std::uint64_t expected = ToySumDataManager(1000000).expected();
-
-  // Fault-free reference.
-  SimDriver ref(cfg, lab_fleet(4));
-  auto pid = ref.add_problem(std::make_shared<ToySumDataManager>(1000000));
-  auto base = ref.run();
-  ASSERT_EQ(test::read_u64_result(base.final_results.at(pid)), expected);
-  EXPECT_EQ(base.durability_degradations, 0u);
-
-  // Intermittent fsync failures on the virtual WAL base: the server mirror
-  // degrades on a failed compaction, re-arms on the next clean one, and the
-  // merged answer is byte-identical — disk faults cost durability windows,
-  // never results.
-  auto cfg2 = cfg;
-  cfg2.storage_faults.seed = 11;
-  cfg2.storage_faults.sync_error_prob = 0.5;
-  SimDriver faulty(cfg2, lab_fleet(4));
-  auto pid2 = faulty.add_problem(std::make_shared<ToySumDataManager>(1000000));
-  auto out = faulty.run();
-  EXPECT_EQ(out.final_results.at(pid2), base.final_results.at(pid));
-  EXPECT_GE(out.durability_degradations, 1u);
-  EXPECT_GE(out.durability_restores, 1u);
-}
-
-TEST(SimDriver, StorageFaultRunsAreDeterministicPerSeed) {
-  auto run_once = [] {
-    auto cfg = fast_config();
-    cfg.compact_interval_s = 0.25;
-    cfg.storage_faults.seed = 3;
-    cfg.storage_faults.sync_error_prob = 0.4;
-    SimDriver sim(cfg, lab_fleet(4));
-    sim.add_problem(std::make_shared<ToySumDataManager>(1000000));
-    return sim.run();
-  };
-  auto a = run_once();
-  auto b = run_once();
-  EXPECT_EQ(a.durability_degradations, b.durability_degradations);
-  EXPECT_EQ(a.durability_restores, b.durability_restores);
-  EXPECT_DOUBLE_EQ(a.makespan_s, b.makespan_s);
-}
-
-TEST(SimDriver, MaxClientsShedsJoinsButWorkCompletes) {
-  auto cfg = fast_config();
-  cfg.max_clients = 2;
-  SimDriver sim(cfg, lab_fleet(6));
-  auto dm = std::make_shared<ToySumDataManager>(2000000);
-  auto pid = sim.add_problem(dm);
-  auto out = sim.run();
-  EXPECT_GT(out.joins_shed, 0u);
-  EXPECT_EQ(test::read_u64_result(out.final_results.at(pid)), dm->expected());
-}
-
 TEST(SimDriver, ProducesCorrectResult) {
   auto cfg = fast_config();
   SimDriver sim(cfg, lab_fleet(4));
