@@ -2,10 +2,11 @@
 // (the "RMI replacement" control path) and bulk blob transfers (the
 // "ordinary sockets" data path of paper §2.2), plus the connection-storm
 // harness gating the epoll server: N simulated donors multiplexed on one
-// client-side event loop do hello + heartbeats + a request/submit round
-// against a live Server, reporting joins/sec, heartbeat RTT p99 and the
-// process's resident thread count (which must stay at the configured
-// io-threads + worker-pool budget no matter how many donors connect).
+// client-side event loop do hello + H one-way keepalives + a request/submit
+// round against a live Server, reporting joins/sec, the RequestWork and
+// SubmitResult round-trip p99 and the process's resident thread count
+// (which must stay at the configured io-threads + worker-pool budget no
+// matter how many donors connect).
 //
 // Standalone storm mode (the CI net-storm leg):
 //   bench_net --storm 2000 [--heartbeats H] [--io-threads K] [--workers W]
@@ -186,7 +187,7 @@ BENCHMARK(BM_Crc32)->Arg(4096)->Arg(1 << 20);
 
 struct StormOptions {
   std::size_t donors = 2000;
-  int heartbeats = 3;
+  int heartbeats = 3;  // one-way keepalives each donor sends after Hello
   int io_threads = 1;
   int worker_threads = 4;
   std::size_t connect_burst = 256;  // un-acked connects in flight at once
@@ -200,7 +201,8 @@ struct StormReport {
   std::size_t peak_concurrent = 0;
   double join_window_s = 0;
   double joins_per_sec = 0;
-  double heartbeat_rtt_p99_ms = 0;
+  double request_rtt_p99_ms = 0;  // RequestWork and SubmitResult round trips
+  std::uint64_t requests = 0;
   std::uint64_t heartbeats = 0;
   std::uint64_t work_units = 0;
   int resident_threads = 0;  // peak "Threads:" from /proc/self/status
@@ -251,7 +253,6 @@ class Storm {
     cfg.scheduler.bounds.min_ops = 1000;
     cfg.scheduler.bounds.max_ops = 20000;  // keep units tiny: the storm
     cfg.policy_spec = "adaptive:0.05";     // measures I/O, not toy_f sums
-    cfg.heartbeat_interval_s = 600.0;  // donors drive their own cadence
     cfg.io_threads = opt_.io_threads;
     cfg.worker_threads = opt_.worker_threads;
     dist::Server server(cfg);
@@ -268,7 +269,7 @@ class Storm {
     start_ = Clock::now();
     deadline_ = start_ + std::chrono::duration_cast<Clock::duration>(
                              std::chrono::duration<double>(opt_.deadline_s));
-    rtts_ms_.reserve(opt_.donors * static_cast<std::size_t>(opt_.heartbeats));
+    rtts_ms_.reserve(opt_.donors * 2);
 
     loop_.add_periodic(0.02, [this] { launch_more(); });
     loop_.add_periodic(0.5, [this] {
@@ -285,13 +286,13 @@ class Storm {
     report_.donors = opt_.donors;
     report_.joined = joined_;
     report_.failed_connects = failed_;
-    report_.heartbeats = rtts_ms_.size();
+    report_.requests = rtts_ms_.size();
     report_.join_window_s = join_window_s_;
     report_.joins_per_sec =
         join_window_s_ > 0 ? static_cast<double>(joined_) / join_window_s_ : 0;
     if (!rtts_ms_.empty()) {
       std::sort(rtts_ms_.begin(), rtts_ms_.end());
-      report_.heartbeat_rtt_p99_ms =
+      report_.request_rtt_p99_ms =
           rtts_ms_[std::min(rtts_ms_.size() - 1, rtts_ms_.size() * 99 / 100)];
     }
     report_.resident_threads =
@@ -311,12 +312,11 @@ class Storm {
     std::vector<std::byte> out;  // pending unsent bytes
     std::size_t out_off = 0;
     dist::ClientId id = 0;
-    int heartbeats_left = 0;
     int connect_attempts = 0;
     bool joined = false;
     bool idle = false;  // finished its script, waiting for the last join
     std::uint64_t corr = 1;
-    Clock::time_point hb_sent;
+    Clock::time_point request_sent;
     std::size_t index = 0;
   };
 
@@ -337,7 +337,6 @@ class Storm {
     }
     ++d.connect_attempts;
     d.phase = Donor::Phase::kConnecting;
-    d.heartbeats_left = opt_.heartbeats;
     Donor* p = &d;
     loop_.add_fd(d.stream.fd(), EPOLLOUT,
                  [this, p](std::uint32_t ev) { event(*p, ev); });
@@ -438,24 +437,26 @@ class Storm {
 
   void on_message(Donor& d, const net::Message& m) {
     using net::MessageType;
+    if (d.joined) {
+      // Past the HelloAck, every reply answers a timed RequestWork or
+      // SubmitResult.
+      rtts_ms_.push_back(std::chrono::duration<double, std::milli>(
+                             Clock::now() - d.request_sent)
+                             .count());
+    }
     switch (m.type) {
       case MessageType::kHelloAck: {
         d.id = dist::decode_hello_ack(m).client_id;
         d.joined = true;
         ++joined_;
         maybe_all_joined();
-        send_heartbeat(d);
-        break;
-      }
-      case MessageType::kHeartbeatAck: {
-        rtts_ms_.push_back(
-            std::chrono::duration<double, std::milli>(Clock::now() - d.hb_sent)
-                .count());
-        if (--d.heartbeats_left > 0) {
-          send_heartbeat(d);
-        } else {
-          queue(d, dist::encode_request_work(d.id, d.corr++));
-        }
+        // Keepalives are one-way: the server consumes them on its loop
+        // thread, and the RequestWork behind them is answered in order.
+        net::Message beat;
+        beat.type = MessageType::kHeartbeat;
+        for (int i = 0; i < opt_.heartbeats; ++i) queue(d, beat);
+        report_.heartbeats += static_cast<std::uint64_t>(opt_.heartbeats);
+        send_request(d, dist::encode_request_work(d.id, d.corr++));
         break;
       }
       case MessageType::kWorkAssignment: {
@@ -475,7 +476,7 @@ class Storm {
         result.payload = w.take();
         result.payload_crc = net::crc32(result.payload);
         ++report_.work_units;
-        queue(d, dist::encode_submit_result(d.id, result, d.corr++));
+        send_request(d, dist::encode_submit_result(d.id, result, d.corr++));
         break;
       }
       case MessageType::kNoWorkAvailable:
@@ -490,9 +491,9 @@ class Storm {
     }
   }
 
-  void send_heartbeat(Donor& d) {
-    d.hb_sent = Clock::now();
-    queue(d, dist::encode_heartbeat(d.id, d.corr++));
+  void send_request(Donor& d, const net::Message& m) {
+    d.request_sent = Clock::now();
+    queue(d, m);
   }
 
   /// The donor finished its script. It stays connected (idle) until every
@@ -573,7 +574,7 @@ void BM_ConnectionStorm(benchmark::State& state) {
       return;
     }
     state.counters["joins_per_sec"] = rep.joins_per_sec;
-    state.counters["rtt_p99_ms"] = rep.heartbeat_rtt_p99_ms;
+    state.counters["rtt_p99_ms"] = rep.request_rtt_p99_ms;
     state.counters["resident_threads"] =
         static_cast<double>(rep.resident_threads);
   }
@@ -611,11 +612,13 @@ int storm_main(int argc, char** argv) {
   std::printf(
       "storm: %zu donors, %zu joined (%zu failed), peak %zu concurrent\n"
       "  joins/sec        %.1f (window %.2fs)\n"
-      "  heartbeat p99    %.2f ms over %llu heartbeats\n"
+      "  request p99      %.2f ms over %llu round trips\n"
+      "  keepalives       %llu (one-way)\n"
       "  work units       %llu\n"
       "  resident threads %d (io=%d workers=%d)\n",
       rep.donors, rep.joined, rep.failed_connects, rep.peak_concurrent,
-      rep.joins_per_sec, rep.join_window_s, rep.heartbeat_rtt_p99_ms,
+      rep.joins_per_sec, rep.join_window_s, rep.request_rtt_p99_ms,
+      static_cast<unsigned long long>(rep.requests),
       static_cast<unsigned long long>(rep.heartbeats),
       static_cast<unsigned long long>(rep.work_units), rep.resident_threads,
       opt.io_threads, opt.worker_threads);
@@ -633,8 +636,9 @@ int storm_main(int argc, char** argv) {
         << "    \"peak_concurrent\": " << rep.peak_concurrent << ",\n"
         << "    \"join_window_s\": " << rep.join_window_s << ",\n"
         << "    \"joins_per_sec\": " << rep.joins_per_sec << ",\n"
-        << "    \"heartbeat_rtt_p99_ms\": " << rep.heartbeat_rtt_p99_ms
+        << "    \"request_rtt_p99_ms\": " << rep.request_rtt_p99_ms
         << ",\n"
+        << "    \"requests\": " << rep.requests << ",\n"
         << "    \"heartbeats\": " << rep.heartbeats << ",\n"
         << "    \"work_units\": " << rep.work_units << ",\n"
         << "    \"resident_threads\": " << rep.resident_threads << "\n"

@@ -20,7 +20,8 @@
 //                 the default exits once all submitted problems finish.
 // --throttle N    pretends to be an N-times slower machine (testing aid).
 // --cpus N        runs N independent donor clients (one per CPU, each with
-//                 its own connection and work units).
+//                 its own connection and work units). The donor exits 1
+//                 when every one of them failed, e.g. gave up connecting.
 // --threads N     worker threads *inside* each unit (deterministic merge;
 //                 the result payload is byte-identical to --threads 1).
 //                 Prefer --cpus for throughput; --threads for latency on
@@ -151,6 +152,9 @@ int main(int argc, char** argv) {
     return 0;
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
+    // A bad command line gets the usage; a donor whose every worker lost
+    // its server (run_pool rethrows) just fails.
+    if (dynamic_cast<const InputError*>(&e) == nullptr) return 1;
     std::fprintf(stderr,
                  "usage: hdcs_donor --host <ip> --port <port> [--name n] "
                  "[--servers a:p,b:p] "

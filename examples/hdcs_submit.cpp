@@ -124,6 +124,14 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
+/// Fail before serving, not after the job, when --output cannot be
+/// written: open it for appending, which creates it but never truncates.
+void check_output_writable(const std::string& path) {
+  if (path.empty() || path == "-") return;
+  std::ofstream probe(path, std::ios::app);
+  if (!probe) throw IoError("cannot write " + path);
+}
+
 void write_output(const std::string& path, const std::string& text) {
   if (path.empty() || path == "-") {
     std::fputs(text.c_str(), stdout);
@@ -137,6 +145,7 @@ void write_output(const std::string& path, const std::string& text) {
 
 int run(int argc, char** argv) {
   auto args = Args::parse(argc, argv);
+  check_output_writable(args.get("output", "-"));
   std::string app = args.get("app");
   Config file_cfg = args.values.count("config")
                         ? Config::load(args.get("config"))
@@ -146,7 +155,9 @@ int run(int argc, char** argv) {
   scfg.port = static_cast<std::uint16_t>(parse_i64(args.get("port", "0")));
   scfg.policy_spec = file_cfg.get_str("policy", "adaptive:15");
   scfg.scheduler.lease_timeout = file_cfg.get_f64("lease_timeout", 600);
-  scfg.scheduler.client_timeout = file_cfg.get_f64("client_timeout", 120);
+  // A donor connection silent this long is closed and its units requeued;
+  // donors keep alive every quarter of it while they compute.
+  scfg.client_timeout_s = file_cfg.get_f64("client_timeout", 120);
   scfg.scheduler.hedge_endgame = file_cfg.get_bool("hedge_endgame", true);
   scfg.scheduler.max_attempts_per_unit =
       static_cast<int>(file_cfg.get_i64("max_attempts_per_unit", 0));

@@ -194,7 +194,7 @@ void print_digest(const std::string& json) {
   std::printf("\n");
   // Event-loop health (epoll servers): registered fds, per-connection
   // write-queue high water, and loop lag p99 — how late the loop thread
-  // runs its posted work, the first number to look at when heartbeat RTTs
+  // runs its posted work, the first number to look at when request RTTs
   // climb. Absent from pre-loop servers, so only printed when present.
   bool has_loop = false;
   double loop_fds = find_number(json, "net.loop.fds", 0, &has_loop);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <exception>
+#include <optional>
 #include <thread>
 
 #include "net/bulk.hpp"
@@ -28,8 +30,7 @@ Client::Client(ClientConfig config)
                      ? std::vector<ServerEndpoint>{{config_.server_host,
                                                     config_.server_port}}
                      : config_.servers),
-      backoff_(config_.backoff_initial_s, config_.backoff_max_s,
-               config_.backoff_reset_beats),
+      backoff_(config_.backoff_initial_s, config_.backoff_max_s),
       blob_cache_(net::BlobCacheConfig{config_.blob_cache_bytes,
                                        config_.blob_cache_dir,
                                        config_.blob_cache_disk_bytes}),
@@ -66,24 +67,32 @@ std::vector<ClientRunStats> Client::run_pool(const ClientConfig& base,
                                              int count) {
   if (count < 1) throw InputError("run_pool: count must be >= 1");
   std::vector<ClientRunStats> stats(static_cast<std::size_t>(count));
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(count));
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
-    threads.emplace_back([&base, &stats, i] {
+    threads.emplace_back([&base, &stats, &errors, i] {
       ClientConfig cfg = base;
       cfg.name = base.name + "-cpu" + std::to_string(i);
       try {
         stats[static_cast<std::size_t>(i)] = Client(cfg).run();
       } catch (const Error& e) {
         LOG_WARN("donor pool worker " << cfg.name << " failed: " << e.what());
+        errors[static_cast<std::size_t>(i)] = std::current_exception();
       }
     });
   }
   for (auto& t : threads) t.join();
+  // One surviving worker means the pool did its job; none means the
+  // donor failed, and its caller must hear so.
+  if (std::all_of(errors.begin(), errors.end(),
+                  [](const std::exception_ptr& e) { return e != nullptr; })) {
+    std::rethrow_exception(errors.front());
+  }
   return stats;
 }
 
-Client::ProblemContext& Client::context_for(net::TcpStream& stream, ProblemId id) {
+Client::ProblemContext& Client::context_for(ProblemId id) {
   auto it = contexts_.find(id);
   if (it != contexts_.end()) return it->second;
 
@@ -93,14 +102,14 @@ Client::ProblemContext& Client::context_for(net::TcpStream& stream, ProblemId id
   // this problem before a restart (disk cache) skips the download entirely.
   FetchProblemDataPayload fetch;
   fetch.problem_id = id;
-  net::write_message(stream,
-                     encode_fetch_problem_data(fetch, next_correlation_++));
-  auto header = decode_problem_data_header(net::read_message(stream));
-  auto resolved = resolve_blob(stream, header.data_digest);
-  if (!resolved) {
+  send(encode_fetch_problem_data(fetch, next_correlation_++));
+  auto header = decode_problem_data_header(net::read_message(stream_));
+  std::vector<WorkBlob> data(1);
+  data[0].digest = header.data_digest;
+  if (!ensure_blobs(data)) {
     throw ProtocolError("server no longer holds problem data blob");
   }
-  std::vector<std::byte> blob = std::move(*resolved);
+  std::vector<std::byte> blob = std::move(data[0].bytes);
   if (blob.size() != header.data_bytes) {
     throw ProtocolError("problem data size mismatch");
   }
@@ -122,11 +131,10 @@ void Client::note_retry_later(const RetryLaterPayload& nack) {
                        << nack.reason << ", " << nack.retry_after_s << "s)");
 }
 
-net::Message Client::fetch_blobs_round(net::TcpStream& stream,
-                                       const FetchBlobsPayload& need) {
+net::Message Client::fetch_blobs_round(const FetchBlobsPayload& need) {
   for (;;) {
-    net::write_message(stream, encode_fetch_blobs(need, next_correlation_++));
-    net::Message reply = net::read_message(stream);
+    send(encode_fetch_blobs(need, next_correlation_++));
+    net::Message reply = net::read_message(stream_);
     if (reply.type != net::MessageType::kRetryLater) return reply;
     auto nack = decode_retry_later(reply);
     note_retry_later(nack);
@@ -136,48 +144,18 @@ net::Message Client::fetch_blobs_round(net::TcpStream& stream,
   }
 }
 
-std::optional<std::vector<std::byte>> Client::resolve_blob(
-    net::TcpStream& stream, std::uint64_t digest) {
+bool Client::ensure_blobs(std::vector<WorkBlob>& blobs) {
+  if (blobs.empty()) return true;
   auto& bulk = net::bulk_plane_metrics();
-  if (auto hit = blob_cache_.get(digest)) {
-    bulk.blobs_cache_hit.inc();
-    if (config_.tracer) {
-      config_.tracer->event(now(), "blob_cache_hit")
-          .u64("client", my_id_.load())
-          .u64("digest", digest)
-          .u64("size", hit->size());
-    }
-    return hit;
-  }
-  FetchBlobsPayload need;
-  need.client_id = my_id_.load();
-  need.digests.push_back(digest);
-  auto reply = decode_blob_data(fetch_blobs_round(stream, need));
-  if (reply.blobs.size() != 1 || reply.blobs[0].digest != digest) {
-    throw ProtocolError("BlobData reply does not match the requested digest");
-  }
-  if (!reply.blobs[0].present) return std::nullopt;
-  auto bytes =
-      net::recv_blob_v4(stream, config_.max_blob_bytes, &profile_.decompress_s);
-  if (net::blob_digest(bytes) != digest) {
-    throw ProtocolError("fetched blob does not hash to its digest");
-  }
-  blob_cache_.put(digest, bytes);
-  return bytes;
-}
-
-bool Client::ensure_blobs(net::TcpStream& stream, WorkUnit& unit) {
-  if (unit.blobs.empty()) return true;
-  auto& bulk = net::bulk_plane_metrics();
-  std::vector<std::vector<std::byte>> resolved(unit.blobs.size());
-  std::vector<std::size_t> missing;  // indices into unit.blobs
-  for (std::size_t i = 0; i < unit.blobs.size(); ++i) {
-    if (auto hit = blob_cache_.get(unit.blobs[i].digest)) {
+  std::vector<std::vector<std::byte>> resolved(blobs.size());
+  std::vector<std::size_t> missing;  // indices into blobs
+  for (std::size_t i = 0; i < blobs.size(); ++i) {
+    if (auto hit = blob_cache_.get(blobs[i].digest)) {
       bulk.blobs_cache_hit.inc();
       if (config_.tracer) {
         config_.tracer->event(now(), "blob_cache_hit")
-            .u64("client", my_id_.load())
-            .u64("digest", unit.blobs[i].digest)
+            .u64("client", my_id_)
+            .u64("digest", blobs[i].digest)
             .u64("size", hit->size());
       }
       resolved[i] = std::move(*hit);
@@ -188,9 +166,9 @@ bool Client::ensure_blobs(net::TcpStream& stream, WorkUnit& unit) {
   bool all_present = true;
   if (!missing.empty()) {
     FetchBlobsPayload need;
-    need.client_id = my_id_.load();
-    for (std::size_t i : missing) need.digests.push_back(unit.blobs[i].digest);
-    auto reply = decode_blob_data(fetch_blobs_round(stream, need));
+    need.client_id = my_id_;
+    for (std::size_t i : missing) need.digests.push_back(blobs[i].digest);
+    auto reply = decode_blob_data(fetch_blobs_round(need));
     if (reply.blobs.size() != missing.size()) {
       throw ProtocolError("BlobData reply count does not match the request");
     }
@@ -198,7 +176,7 @@ bool Client::ensure_blobs(net::TcpStream& stream, WorkUnit& unit) {
     // so the stream stays framed; the side effect is that the bytes land
     // in the cache for the next unit that wants them.
     for (std::size_t k = 0; k < missing.size(); ++k) {
-      std::uint64_t digest = unit.blobs[missing[k]].digest;
+      std::uint64_t digest = blobs[missing[k]].digest;
       if (reply.blobs[k].digest != digest) {
         throw ProtocolError("BlobData reply does not match the requested digest");
       }
@@ -206,7 +184,7 @@ bool Client::ensure_blobs(net::TcpStream& stream, WorkUnit& unit) {
         all_present = false;
         continue;
       }
-      auto bytes = net::recv_blob_v4(stream, config_.max_blob_bytes,
+      auto bytes = net::recv_blob_v4(stream_, config_.max_blob_bytes,
                                      &profile_.decompress_s);
       if (net::blob_digest(bytes) != digest) {
         throw ProtocolError("fetched blob does not hash to its digest");
@@ -216,8 +194,8 @@ bool Client::ensure_blobs(net::TcpStream& stream, WorkUnit& unit) {
     }
   }
   if (!all_present) return false;
-  for (std::size_t i = 0; i < unit.blobs.size(); ++i) {
-    unit.blobs[i].bytes = std::move(resolved[i]);
+  for (std::size_t i = 0; i < blobs.size(); ++i) {
+    blobs[i].bytes = std::move(resolved[i]);
   }
   return true;
 }
@@ -232,13 +210,52 @@ bool Client::backoff_wait(double delay) {
   return !stop_.load() && !crash_.load();
 }
 
-void Client::rehello(net::TcpStream& stream, double benchmark) {
+void Client::send(const net::Message& m) {
+  std::lock_guard lock(stream_mutex_);
+  net::write_message(stream_, m);
+  last_write_ = std::chrono::steady_clock::now();
+}
+
+void Client::install(net::TcpStream stream) {
+  std::lock_guard lock(stream_mutex_);
+  stream_ = std::move(stream);  // closes the previous connection
+  last_write_ = std::chrono::steady_clock::now();
+}
+
+void Client::keepalive_loop(double interval_s) {
+  const auto interval =
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(interval_s));
+  net::Message beat;
+  beat.type = net::MessageType::kHeartbeat;
+  std::unique_lock lock(stream_mutex_);
+  for (;;) {
+    // Every write pushes the silent interval's end back; wake at it.
+    const auto due = last_write_ + interval;
+    if (keepalive_cv_.wait_until(lock, due,
+                                 [this] { return keepalive_done_; })) {
+      return;
+    }
+    if (std::chrono::steady_clock::now() < last_write_ + interval) continue;
+    if (stream_.valid()) {
+      try {
+        net::write_message(stream_, beat);
+      } catch (const Error&) {
+        // The work loop meets the dead session on its own next read or
+        // write, and reconnects; a keepalive has nothing to add.
+      }
+    }
+    last_write_ = std::chrono::steady_clock::now();
+  }
+}
+
+void Client::rehello(double benchmark) {
   HelloPayload hello;
   hello.client_name = config_.name;
   hello.cores = 1;
   hello.benchmark_ops_per_sec = benchmark;
-  net::write_message(stream, encode_hello(hello, next_correlation_++));
-  net::Message reply = net::read_message(stream);
+  send(encode_hello(hello, next_correlation_++));
+  net::Message reply = net::read_message(stream_);
   if (reply.type == net::MessageType::kRetryLater) {
     // Shed at the door (max_clients / fail-stop): count it like a failed
     // connect, so connect_session's backoff + endpoint rotation apply.
@@ -247,20 +264,19 @@ void Client::rehello(net::TcpStream& stream, double benchmark) {
     throw IoError("server shedding load: " + nack.reason);
   }
   auto ack = decode_hello_ack(reply);
-  my_id_.store(ack.client_id);
+  my_id_ = ack.client_id;
   heartbeat_interval_ = ack.heartbeat_interval_s;
   LOG_INFO("client '" << config_.name << "' registered as id " << ack.client_id);
 }
 
-bool Client::connect_session(net::TcpStream& stream, double benchmark) {
+bool Client::connect_session(double benchmark) {
   int failures = 0;
   for (;;) {
     if (stop_.load() || crash_.load()) return false;
     const ServerEndpoint ep = endpoint();
     try {
-      auto fresh = net::TcpStream::connect(ep.host, ep.port);
-      rehello(fresh, benchmark);
-      stream = std::move(fresh);
+      install(net::TcpStream::connect(ep.host, ep.port));
+      rehello(benchmark);
       return true;
     } catch (const IoError& e) {
       failures += 1;
@@ -286,7 +302,7 @@ bool Client::connect_session(net::TcpStream& stream, double benchmark) {
     }
     rotate_endpoint();
     // The escalation lives in backoff_ and survives this call: only a
-    // healthy session (heartbeat acks) resets it.
+    // healthy session (an acked result) resets it.
     double delay = backoff_.next_delay();
     double jitter = 1.0 + config_.backoff_jitter * backoff_rng_.uniform(-1.0, 1.0);
     if (!backoff_wait(delay * jitter)) return false;
@@ -299,73 +315,31 @@ ClientRunStats Client::run() {
       .set(static_cast<double>(std::max<std::size_t>(config_.exec_threads, 1)));
   double benchmark = measure_benchmark() / std::max(config_.throttle, 1.0);
 
-  net::TcpStream stream;
-  if (!connect_session(stream, benchmark)) {
+  // However run() ends, the keepalive thread is joined before the work
+  // connection closes.
+  std::thread keepalive;
+  struct SessionCloser {
+    Client& self;
+    std::thread& keepalive;
+    ~SessionCloser() {
+      {
+        std::lock_guard lock(self.stream_mutex_);
+        self.keepalive_done_ = true;
+      }
+      self.keepalive_cv_.notify_all();
+      if (keepalive.joinable()) keepalive.join();
+      self.install(net::TcpStream{});
+    }
+  } closer{*this, keepalive};
+
+  if (!connect_session(benchmark)) {
     stats.retry_laters = retry_laters_;
     return stats;
   }
-
-  // Heartbeats ride a second connection: the work connection is strictly
-  // request/response, so it cannot carry liveness while a unit computes.
-  // The thread reads my_id_ each beat so it follows re-Hellos, and it
-  // reconnects with its own backoff if the server goes away for a while.
-  std::atomic<bool> heartbeats_done{false};
-  std::thread heartbeat_thread;
   if (config_.send_heartbeats && heartbeat_interval_ > 0) {
-    heartbeat_thread = std::thread([this, &heartbeats_done,
-                                    interval = heartbeat_interval_] {
-      Rng hb_rng(name_seed(config_.name) ^ 0x6865617274626561ull);  // "heartbea"
-      double delay = config_.backoff_initial_s;
-      auto nap = [&heartbeats_done](double seconds) {
-        double slept = 0;
-        while (slept < seconds && !heartbeats_done.load()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(20));
-          slept += 0.02;
-        }
-      };
-      while (!heartbeats_done.load()) {
-        try {
-          const ServerEndpoint ep = endpoint();
-          auto hb_stream = net::TcpStream::connect(ep.host, ep.port);
-          delay = config_.backoff_initial_s;
-          std::uint64_t corr = 1;
-          while (!heartbeats_done.load()) {
-            net::write_message(hb_stream,
-                               encode_heartbeat(my_id_.load(), corr++));
-            // HeartbeatAck, or kError for a heartbeat that raced a server
-            // restart — either way the beat was delivered; keep going. Only
-            // a real ack counts toward the healthy-session streak that
-            // resets the reconnect backoff escalation.
-            auto reply = net::read_message(hb_stream);
-            if (reply.type == net::MessageType::kHeartbeatAck &&
-                backoff_.heartbeat_ok()) {
-              LOG_DEBUG("client '" << config_.name
-                                   << "' session healthy; backoff reset");
-            }
-            nap(interval);
-          }
-          hb_stream.shutdown_write();
-          return;
-        } catch (const Error&) {
-          // Server unreachable: back off and retry while the work loop
-          // re-establishes its own session (and rotates the endpoint).
-          backoff_.session_lost();
-          double jitter =
-              1.0 + config_.backoff_jitter * hb_rng.uniform(-1.0, 1.0);
-          nap(delay * jitter);
-          delay = std::min(delay * 2.0, config_.backoff_max_s);
-        }
-      }
-    });
+    keepalive = std::thread(
+        [this, interval = heartbeat_interval_] { keepalive_loop(interval); });
   }
-  struct HeartbeatJoiner {
-    std::atomic<bool>& done;
-    std::thread& thread;
-    ~HeartbeatJoiner() {
-      done.store(true);
-      if (thread.joinable()) thread.join();
-    }
-  } joiner{heartbeats_done, heartbeat_thread};
 
   // The work loop. `pending` buffers a computed-but-unacknowledged result:
   // if the session dies between compute and ack, the reconnected session
@@ -379,9 +353,8 @@ ClientRunStats Client::run() {
     try {
       if (!pending) {
         Stopwatch queue_sw;  // RequestWork sent -> assignment decoded
-        net::write_message(
-            stream, encode_request_work(my_id_.load(), next_correlation_++));
-        net::Message reply = net::read_message(stream);
+        send(encode_request_work(my_id_, next_correlation_++));
+        net::Message reply = net::read_message(stream_);
 
         if (reply.type == net::MessageType::kNoWorkAvailable) {
           auto no_work = decode_no_work(reply);
@@ -405,12 +378,12 @@ ClientRunStats Client::run() {
           continue;
         }
         if (reply.type == net::MessageType::kError) {
-          // Our id is stale (client timeout, or the server restarted from
-          // its WAL): re-register on this same connection and carry on.
+          // Our id is stale (the server restarted from its WAL and no
+          // longer knows it): re-register on this connection, carry on.
           auto r = reply.reader();
           LOG_WARN("server rejected request for client '" << config_.name
                    << "': " << r.str() << " — re-registering");
-          rehello(stream, benchmark);
+          rehello(benchmark);
           continue;
         }
 
@@ -428,8 +401,8 @@ ClientRunStats Client::run() {
         bool blobs_ok;
         {
           obs::SpanTimer fetch(fetch_total);
-          ctx = &context_for(stream, unit.problem_id);
-          blobs_ok = ensure_blobs(stream, unit);
+          ctx = &context_for(unit.problem_id);
+          blobs_ok = ensure_blobs(unit.blobs);
         }
         profile_.blob_fetch_s =
             std::max(0.0, fetch_total - profile_.decompress_s);
@@ -498,9 +471,8 @@ ClientRunStats Client::run() {
         resubmitting = false;
       }
 
-      net::write_message(stream, encode_submit_result(my_id_.load(), *pending,
-                                                      next_correlation_++));
-      net::Message reply = net::read_message(stream);
+      send(encode_submit_result(my_id_, *pending, next_correlation_++));
+      net::Message reply = net::read_message(stream_);
       if (reply.type == net::MessageType::kRetryLater) {
         // A fail-stop server NACKs submissions so we keep our buffered
         // copy for its replacement; `pending` survives and is retried.
@@ -510,10 +482,11 @@ ClientRunStats Client::run() {
         continue;
       }
       if (reply.type == net::MessageType::kError) {
-        rehello(stream, benchmark);
+        rehello(benchmark);
         continue;  // pending survives; retried under the new id
       }
       auto result_ack = decode_result_ack(reply);
+      backoff_.session_healthy();
       if (!result_ack.accepted) {
         LOG_DEBUG("result for unit " << pending->unit_id << " was a duplicate");
       }
@@ -523,26 +496,20 @@ ClientRunStats Client::run() {
       }
       pending.reset();
       stats.units_processed += 1;
-    } catch (const IoError& e) {
-      if (stop_.load() || crash_.load()) break;
-      LOG_WARN("client '" << config_.name << "' lost its session (" << e.what()
-                          << "); reconnecting");
-      if (pending) resubmitting = true;
-      if (!connect_session(stream, benchmark)) {
-        session_ok = false;
-        break;
-      }
-      stats.reconnects += 1;
-      obs::Registry::global().counter("client.reconnects").inc();
-    } catch (const ProtocolError& e) {
-      // Corrupt frame (CRC mismatch, torn header): the connection can no
+    } catch (const Error& e) {
+      // A transport failure (IoError) or a corrupt frame (ProtocolError:
+      // CRC mismatch, torn header): either way the connection can no
       // longer be trusted mid-stream — drop it and start a clean session.
+      // Any other Error is not the session's and ends the donor.
+      const bool corrupt = dynamic_cast<const ProtocolError*>(&e) != nullptr;
+      if (!corrupt && dynamic_cast<const IoError*>(&e) == nullptr) throw;
       if (stop_.load() || crash_.load()) break;
-      LOG_WARN("client '" << config_.name << "' got a corrupt frame ("
-                          << e.what() << "); reconnecting");
-      stream.close();
+      LOG_WARN("client '" << config_.name << "' "
+               << (corrupt ? "got a corrupt frame" : "lost its session")
+               << " (" << e.what() << "); reconnecting");
+      install(net::TcpStream{});
       if (pending) resubmitting = true;
-      if (!connect_session(stream, benchmark)) {
+      if (!connect_session(benchmark)) {
         session_ok = false;
         break;
       }
@@ -551,11 +518,12 @@ ClientRunStats Client::run() {
     }
   }
 
-  if (!crash_.load() && session_ok && stream.valid()) {
+  if (!crash_.load() && session_ok && stream_.valid()) {
     try {
-      net::write_message(stream,
-                         encode_goodbye(my_id_.load(), next_correlation_++));
-      stream.shutdown_write();
+      std::lock_guard lock(stream_mutex_);
+      keepalive_done_ = true;  // nothing follows the Goodbye
+      net::write_message(stream_, encode_goodbye(my_id_, next_correlation_++));
+      stream_.shutdown_write();
     } catch (const Error&) {
       // Server may already be gone; departure is best-effort.
     }

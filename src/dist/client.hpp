@@ -13,18 +13,23 @@
 // retried on a fresh connection with capped exponential backoff + jitter
 // instead of killing the donor. The new session re-Hellos (new client id),
 // and a computed-but-unsubmitted result is buffered across the reconnect
-// and resubmitted so the unit is never recomputed. Heartbeats ride their
-// own connection with the same reconnect policy.
+// and resubmitted so the unit is never recomputed.
+//
+// Liveness rides the work connection: while a unit computes, a keepalive
+// thread writes an empty one-way Heartbeat frame whenever the connection
+// has been silent for the HelloAck's interval, so the server's silence
+// sweep never closes a donor that is merely busy. Only the work loop reads
+// the connection; every write, and every replacement or close, holds one
+// mutex, so keepalive frames never interleave with the loop's.
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dist/registry.hpp"
@@ -74,9 +79,10 @@ struct ClientConfig {
   /// deterministic per (corrupt_seed, donor name, unit id). 0 = off.
   double corrupt_rate = 0.0;
   std::uint64_t corrupt_seed = 0;
-  /// Send heartbeats on a second connection so long computations don't
-  /// trip the server's client timeout. Interval comes from the HelloAck;
-  /// set false to emulate a heartbeat-less legacy client in tests.
+  /// Keep the work connection alive while a unit computes, so a long unit
+  /// does not trip the server's client timeout. The interval comes from
+  /// the HelloAck (0 = the server needs none). False = send no liveness
+  /// frames at all: a computing donor then looks silent and is expired.
   bool send_heartbeats = true;
   /// Worker threads used *inside* each unit (Algorithm::set_parallelism):
   /// a multi-core donor splits a unit's independent pieces (e.g. DSEARCH
@@ -92,15 +98,10 @@ struct ClientConfig {
   /// consecutive failure up to backoff_max_s, and each wait is scaled by a
   /// deterministic (per-name) jitter in [1-backoff_jitter, 1+backoff_jitter]
   /// so a donor herd doesn't stampede a restarted server.
+  /// The escalation persists across sessions (see ReconnectBackoff).
   double backoff_initial_s = 0.05;
   double backoff_max_s = 2.0;
   double backoff_jitter = 0.25;
-  /// The backoff escalation persists across sessions — a donor that
-  /// reconnects and immediately loses the server again must not restart
-  /// from the short initial delay. Only a demonstrably healthy session
-  /// resets it: this many consecutive heartbeat acks. <= 0 disables the
-  /// reset (escalation then persists for the donor's lifetime).
-  int backoff_reset_beats = 3;
   /// Largest single blob this donor will accept on the bulk channel; a
   /// corrupt length header can cost at most this much allocation.
   std::size_t max_blob_bytes = net::kDefaultMaxBlobBytes;
@@ -117,56 +118,32 @@ struct ClientConfig {
 
 /// Reconnect backoff that survives sessions. Each failed attempt escalates
 /// the delay (x2, capped); merely reconnecting does NOT reset it — the
-/// session must prove healthy (`reset_beats` consecutive heartbeat acks)
-/// first, so a donor flapping against a sick server keeps paying the long
-/// delays instead of hammering it, while one that survived a single blip
-/// soon earns the short initial delay back. Thread-safe: the work loop
-/// calls next_delay(), the heartbeat thread calls heartbeat_ok() /
-/// session_lost().
+/// session must prove healthy (one of its results acked) first, so a donor
+/// flapping against a sick server keeps paying the long delays instead of
+/// hammering it, while one that survived a single blip earns the short
+/// initial delay back with its next acked result. Work-loop thread only.
 class ReconnectBackoff {
  public:
-  ReconnectBackoff(double initial_s, double max_s, int reset_beats)
-      : initial_s_(initial_s), max_s_(max_s), reset_beats_(reset_beats) {}
+  ReconnectBackoff(double initial_s, double max_s)
+      : initial_s_(initial_s), max_s_(max_s) {}
 
   /// Delay to wait before the next reconnect attempt (escalates per call).
   double next_delay() {
-    std::lock_guard lock(m_);
     delay_ = (delay_ <= 0) ? initial_s_ : std::min(delay_ * 2.0, max_s_);
     return delay_;
   }
 
-  /// A heartbeat ack landed. Returns true when the streak just reset the
-  /// escalation back to the initial delay.
-  bool heartbeat_ok() {
-    std::lock_guard lock(m_);
-    beats_ += 1;
-    if (reset_beats_ > 0 && beats_ >= reset_beats_ && delay_ > 0) {
-      delay_ = 0;
-      beats_ = 0;
-      return true;
-    }
-    return false;
-  }
-
-  /// The session died: the ack streak restarts (escalation is kept).
-  void session_lost() {
-    std::lock_guard lock(m_);
-    beats_ = 0;
-  }
+  /// A result was acked: the session is healthy, so the next failure
+  /// starts again from the initial delay.
+  void session_healthy() { delay_ = 0; }
 
   /// Last delay handed out; 0 = fully reset (next attempt waits initial).
-  [[nodiscard]] double current_delay() const {
-    std::lock_guard lock(m_);
-    return delay_;
-  }
+  [[nodiscard]] double current_delay() const { return delay_; }
 
  private:
-  mutable std::mutex m_;
   double initial_s_;
   double max_s_;
-  int reset_beats_;
   double delay_ = 0;
-  int beats_ = 0;
 };
 
 struct ClientRunStats {
@@ -205,7 +182,8 @@ class Client {
   /// Run `count` donor clients concurrently — one per CPU of a multi-core
   /// donor (the paper's dual-PIII cluster nodes contributed both CPUs).
   /// Each client gets the base name suffixed "-cpuN" and its own
-  /// connections. Blocks until all are done.
+  /// connection. Blocks until all are done; a worker's Error is logged,
+  /// and when no worker finished cleanly the first worker's is rethrown.
   static std::vector<ClientRunStats> run_pool(const ClientConfig& base,
                                               int count);
 
@@ -214,72 +192,84 @@ class Client {
     std::unique_ptr<Algorithm> algorithm;
   };
 
-  ProblemContext& context_for(net::TcpStream& stream, ProblemId id);
+  ProblemContext& context_for(ProblemId id);
 
-  /// Resolve every blob the unit references: cache hits fill in the bytes
-  /// locally, misses are batched into one FetchBlobs round-trip. Returns
-  /// false when the server no longer holds a referenced blob (the unit
-  /// completed via a replica while our request was in flight) — the caller
-  /// drops the unit and asks for fresh work. Present bodies are always
-  /// drained off the stream (and cached) even on a partial miss, so the
-  /// connection stays in sync.
-  bool ensure_blobs(net::TcpStream& stream, WorkUnit& unit);
+  /// Resolve every blob in `blobs`: cache hits fill in the bytes locally,
+  /// misses are batched into one FetchBlobs round-trip. Returns false when
+  /// the server no longer holds one of them (the unit completed via a
+  /// replica while our request was in flight) — the caller drops the unit
+  /// and asks for fresh work. Present bodies are always drained off the
+  /// stream (and cached) even on a partial miss, so the connection stays
+  /// in sync.
+  bool ensure_blobs(std::vector<WorkBlob>& blobs);
 
   /// Send a FetchBlobs request and read its reply, riding RetryLater NACKs
   /// (blob-budget shedding): wait retry_after_s and resend on the same
   /// connection. Throws IoError if stop/crash interrupts the wait.
-  net::Message fetch_blobs_round(net::TcpStream& stream,
-                                 const FetchBlobsPayload& need);
+  net::Message fetch_blobs_round(const FetchBlobsPayload& need);
 
   /// Record an honoured RetryLater NACK (stats + counter + log).
   void note_retry_later(const RetryLaterPayload& nack);
 
-  /// Single-digest variant used for problem data. nullopt = gone.
-  std::optional<std::vector<std::byte>> resolve_blob(net::TcpStream& stream,
-                                                     std::uint64_t digest);
-
   /// Wall seconds since construction — the clock blob trace events use.
   double now() const;
 
-  /// Connect + Hello with exponential backoff. On success `stream` holds
-  /// the new session and my_id_ is updated. Returns false if stop/crash
-  /// was requested while waiting; rethrows the last transport error once
-  /// max_connect_attempts consecutive failures accumulate.
-  bool connect_session(net::TcpStream& stream, double benchmark);
-  /// Re-register on an existing connection (server restarted or expired
-  /// our id): send Hello, adopt the newly assigned client id.
-  void rehello(net::TcpStream& stream, double benchmark);
+  /// Write one frame on the work connection (any thread).
+  void send(const net::Message& m);
+  /// Replace the work connection (an empty stream just closes it).
+  void install(net::TcpStream stream);
+  /// Keepalive thread body: until keepalive_done_, write an empty
+  /// Heartbeat whenever the work connection has been silent for interval_s.
+  void keepalive_loop(double interval_s);
+
+  /// Connect + Hello with exponential backoff. On success the work
+  /// connection holds the new session and my_id_ is updated. Returns false
+  /// if stop/crash was requested while waiting; rethrows the last
+  /// transport error once max_connect_attempts consecutive failures
+  /// accumulate.
+  bool connect_session(double benchmark);
+  /// Register on the work connection (a fresh one, or the server restarted
+  /// or expired our id): send Hello, adopt the newly assigned client id.
+  void rehello(double benchmark);
   /// Sleep ~delay seconds in small slices; false if stop/crash interrupted.
   bool backoff_wait(double delay);
 
-  /// The endpoint the next connect will try (work + heartbeat connections
-  /// follow the same cursor so both roll over together).
+  /// The endpoint the next connect will try.
   const ServerEndpoint& endpoint() const {
-    return endpoints_[endpoint_.load() % endpoints_.size()];
+    return endpoints_[endpoint_ % endpoints_.size()];
   }
   void rotate_endpoint() {
-    if (endpoints_.size() > 1) endpoint_.fetch_add(1);
+    if (endpoints_.size() > 1) endpoint_ += 1;
   }
 
   ClientConfig config_;
   std::vector<ServerEndpoint> endpoints_;
-  std::atomic<std::size_t> endpoint_{0};
+  std::size_t endpoint_ = 0;
   ReconnectBackoff backoff_;
   net::BlobCache blob_cache_;
   /// Span profile of the unit currently being processed. Reset when an
-  /// assignment is decoded; context_for/ensure_blobs/resolve_blob
-  /// accumulate blob-fetch and decompress spans into it; attached to the
-  /// outgoing ResultUnit.
+  /// assignment is decoded; context_for/ensure_blobs accumulate blob-fetch
+  /// and decompress spans into it; attached to the outgoing ResultUnit.
   obs::UnitProfile profile_;
   std::chrono::steady_clock::time_point epoch_;
   std::map<ProblemId, ProblemContext> contexts_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> crash_{false};
-  std::atomic<ClientId> my_id_{0};  // heartbeat thread reads across re-Hellos
-  double heartbeat_interval_ = 0;   // from the first HelloAck
+  ClientId my_id_ = 0;
+  double heartbeat_interval_ = 0;  // from the latest HelloAck
   Rng backoff_rng_;
   std::uint64_t next_correlation_ = 1;
   std::uint64_t retry_laters_ = 0;  // work-loop thread only
+
+  // The work connection. stream_mutex_ guards every write to stream_,
+  // every replacement or close of it, last_write_ and keepalive_done_;
+  // reads need no lock, because only the work loop reads (and it is also
+  // the only thread that replaces the stream).
+  std::mutex stream_mutex_;
+  std::condition_variable keepalive_cv_;
+  net::TcpStream stream_;
+  std::chrono::steady_clock::time_point last_write_;
+  bool keepalive_done_ = false;
 };
 
 }  // namespace hdcs::dist

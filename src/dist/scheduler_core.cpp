@@ -192,22 +192,17 @@ ClientId SchedulerCore::client_joined(const std::string& name,
   return id;
 }
 
-void SchedulerCore::client_left(ClientId id, double now) {
+void SchedulerCore::client_left(ClientId id, double now, const char* reason) {
   last_now_ = now;
   auto it = clients_.find(id);
   if (it == clients_.end()) return;
   if (!it->second.active) return;  // double Goodbye / timeout race: once only
   it->second.active = false;
-  requeue_client_units(id, now, "client_left");
+  requeue_client_units(id, now);
   LOG_INFO("client " << id << " left; outstanding units requeued");
   if (tracer_) {
-    tracer_->event(now, "client_left").u64("client", id).str("reason", "goodbye");
+    tracer_->event(now, "client_left").u64("client", id).str("reason", reason);
   }
-}
-
-void SchedulerCore::heartbeat(ClientId id, double now) {
-  auto it = clients_.find(id);
-  if (it != clients_.end()) it->second.stats.last_seen = now;
 }
 
 const ClientStats* SchedulerCore::client_stats(ClientId id) const {
@@ -891,22 +886,6 @@ void SchedulerCore::tick(double now) {
       move_to_quarantine(pid, ps, uid, now, "lease_expired");
     }
   }
-  // Expire silent clients.
-  if (config_.client_timeout > 0) {
-    for (auto& [cid, cs] : clients_) {
-      if (cs.active && now - cs.stats.last_seen > config_.client_timeout) {
-        LOG_WARN("client " << cid << " (" << cs.name << ") timed out");
-        cs.active = false;
-        requeue_client_units(cid, now, "client_timeout");
-        stats_.clients_expired += 1;
-        if (tracer_) {
-          tracer_->event(now, "client_left")
-              .u64("client", cid)
-              .str("reason", "timeout");
-        }
-      }
-    }
-  }
   // Evict long-departed client rows so a fleet of reconnecting donors
   // cannot grow the table without bound. Aggregates are preserved.
   if (config_.client_retention_s > 0) {
@@ -930,8 +909,8 @@ void SchedulerCore::tick(double now) {
   }
 }
 
-void SchedulerCore::requeue_client_units(ClientId id, double now,
-                                         const char* reason) {
+void SchedulerCore::requeue_client_units(ClientId id, double now) {
+  const char* reason = "client_left";
   for (auto& [pid, ps] : problems_) {
     std::vector<UnitId> to_quarantine;
     for (auto& [uid, us] : ps.in_flight) {
@@ -1019,7 +998,8 @@ void SchedulerCore::move_to_quarantine(ProblemId pid, ProblemState& ps,
 namespace {
 constexpr std::uint32_t kExactSnapshotMagic = 0x48455853;  // "XSEH"
 // v2: merged unit ids are derived (see above), not listed per problem.
-constexpr std::uint32_t kExactSnapshotVersion = 2;
+// v3: no clients_expired stat (the server's connection sweep counts it).
+constexpr std::uint32_t kExactSnapshotVersion = 3;
 }  // namespace
 
 void SchedulerCore::bump_epoch(std::uint64_t new_epoch) {
@@ -1096,7 +1076,6 @@ void SchedulerCore::snapshot_exact(ByteWriter& w) const {
   w.u64(s.duplicate_results_dropped);
   w.u64(s.stale_results_dropped);
   w.u64(s.work_requests_unserved);
-  w.u64(s.clients_expired);
   w.u64(s.units_quarantined);
   w.u64(s.units_replicated);
   w.u64(s.replicas_issued);
@@ -1258,7 +1237,6 @@ void SchedulerCore::read_exact(ByteReader& r) {
   s.duplicate_results_dropped = r.u64();
   s.stale_results_dropped = r.u64();
   s.work_requests_unserved = r.u64();
-  s.clients_expired = r.u64();
   s.units_quarantined = r.u64();
   s.units_replicated = r.u64();
   s.replicas_issued = r.u64();

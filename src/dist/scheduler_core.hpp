@@ -44,8 +44,6 @@ namespace hdcs::dist {
 struct SchedulerConfig {
   /// Units not completed within lease_timeout seconds are reissued.
   double lease_timeout = 300.0;
-  /// Clients silent for longer than this are presumed dead (0 disables).
-  double client_timeout = 0.0;
   /// EWMA smoothing for measured client throughput.
   double ewma_alpha = 0.3;
   /// End-game straggler hedging: when a client asks for work and no fresh
@@ -140,7 +138,6 @@ struct SchedulerStats {
   std::uint64_t duplicate_results_dropped = 0;
   std::uint64_t stale_results_dropped = 0;
   std::uint64_t work_requests_unserved = 0;
-  std::uint64_t clients_expired = 0;
   std::uint64_t units_quarantined = 0;
   // ---- result integrity ----
   std::uint64_t units_replicated = 0;      // units put to a vote
@@ -199,8 +196,9 @@ class SchedulerCore {
   ClientId client_joined(const std::string& name, double benchmark_ops_per_sec,
                          double now);
   /// Orderly or detected departure: all leased units are requeued.
-  void client_left(ClientId id, double now);
-  void heartbeat(ClientId id, double now);
+  /// `reason` ("goodbye", or "timeout" for a connection the server closed
+  /// as silent) labels the trace event only; state is the same either way.
+  void client_left(ClientId id, double now, const char* reason = "goodbye");
   [[nodiscard]] const ClientStats* client_stats(ClientId id) const;
   /// Snapshot of every client (active and departed) the core has seen.
   [[nodiscard]] std::vector<ClientInfo> all_client_stats() const;
@@ -227,7 +225,9 @@ class SchedulerCore {
   /// digest mismatches and blacklisted donors.
   bool submit_result(ClientId client, const ResultUnit& result, double now);
 
-  /// Housekeeping: expire leases and dead clients. Call periodically.
+  /// Housekeeping: expire leases and age out departed client rows. Call
+  /// periodically. (Dead donors are detected by the transport: the server
+  /// closes a silent connection, which is an ordinary client_left.)
   void tick(double now);
 
   // ---- exact snapshot / restore (WAL base image, hot-standby sync) ----
@@ -362,7 +362,7 @@ class SchedulerCore {
                                        ClientState& cs, double now);
   std::optional<WorkUnit> hedge_from(ProblemId pid, ProblemState& ps,
                                      ClientState& cs, double now);
-  void requeue_client_units(ClientId id, double now, const char* reason);
+  void requeue_client_units(ClientId id, double now);
   /// One of a unit's leases failed (expiry / donor loss); the lease has
   /// already been removed. Drops lost hedges, requeues a replacement copy
   /// when the unit is short of its replication target. Returns true when

@@ -46,10 +46,6 @@ obs::Histogram* handler_histogram(net::MessageType type) {
       static obs::Histogram* h = make("SubmitResult");
       return h;
     }
-    case net::MessageType::kHeartbeat: {
-      static obs::Histogram* h = make("Heartbeat");
-      return h;
-    }
     case net::MessageType::kFetchProblemData: {
       static obs::Histogram* h = make("FetchProblemData");
       return h;
@@ -64,6 +60,7 @@ obs::Histogram* handler_histogram(net::MessageType type) {
     }
     default:
       return nullptr;  // Goodbye closes the connection; others are errors
+                       // (Heartbeat never leaves the loop thread)
   }
 }
 
@@ -189,6 +186,8 @@ struct Server::Conn {
   /// Write-stall guard: set when the queue is non-empty and the kernel
   /// refuses bytes; cleared on any write progress.
   std::chrono::steady_clock::time_point write_deadline{};
+  /// Liveness: when bytes last arrived (any frame, keepalives included).
+  std::chrono::steady_clock::time_point last_read{};
 };
 
 // What a worker hands back to the loop thread: response frames (and bulk
@@ -277,12 +276,17 @@ void Server::start() {
   io_.clear();
   const int nloops = std::max(1, config_.io_threads);
   for (int i = 0; i < nloops; ++i) io_.push_back(std::make_unique<IoLoop>());
+  // The sweep checks every stall and silence deadline; a quarter of the
+  // client timeout keeps a silent donor's expiry within 1.25x of it.
+  const double sweep_s = config_.client_timeout_s > 0
+                             ? std::min(1.0, config_.client_timeout_s / 4)
+                             : 1.0;
   for (auto& io : io_) {
     IoLoop* iop = io.get();
     // add_periodic/add_fd are loop-thread-only; queue the setup so it runs
     // as the loop's first task.
-    iop->loop.post([this, iop] {
-      iop->loop.add_periodic(1.0, [this, iop] { sweep_conns(*iop); });
+    iop->loop.post([this, iop, sweep_s] {
+      iop->loop.add_periodic(sweep_s, [this, iop] { sweep_conns(*iop); });
     });
   }
   io_[0]->loop.post([this] {
@@ -449,7 +453,7 @@ std::string Server::stats_json(bool include_clients) {
       << ",\"duplicate_results_dropped\":" << s.duplicate_results_dropped
       << ",\"stale_results_dropped\":" << s.stale_results_dropped
       << ",\"work_requests_unserved\":" << s.work_requests_unserved
-      << ",\"clients_expired\":" << s.clients_expired
+      << ",\"clients_expired\":" << clients_expired_.load()
       << ",\"units_quarantined\":" << s.units_quarantined
       << ",\"units_replicated\":" << s.units_replicated
       << ",\"replicas_issued\":" << s.replicas_issued
@@ -521,6 +525,7 @@ void Server::register_conn(IoLoop& io, net::TcpStream stream) {
   c->io = &io;
   c->stream.set_nonblocking(true);
   c->armed = EPOLLIN;
+  c->last_read = std::chrono::steady_clock::now();
   io.loop.add_fd(c->stream.fd(), EPOLLIN,
                  [this, c](std::uint32_t events) { conn_event(c, events); });
   io.conns.insert(c);
@@ -583,18 +588,23 @@ void Server::conn_readable(const std::shared_ptr<Conn>& c) {
     }
     c->reader.feed(data, msgs);  // ProtocolError -> conn_event's catch
   }
+  if (progressed) c->last_read = std::chrono::steady_clock::now();
   if (c->reader.mid_frame()) {
     // Re-arm on progress: the guard fires on *silence* mid-frame, exactly
     // like the blocking path's recv_all stall timeout.
     if (progressed ||
         c->read_deadline == std::chrono::steady_clock::time_point{}) {
-      c->read_deadline = std::chrono::steady_clock::now() +
+      c->read_deadline = c->last_read +
                          std::chrono::milliseconds(net::kMidStreamStallMs);
     }
   } else {
     c->read_deadline = {};
   }
-  for (auto& m : msgs) c->inbox.push_back(std::move(m));
+  for (auto& m : msgs) {
+    // A keepalive's whole job was to arrive (last_read, above).
+    if (m.type == net::MessageType::kHeartbeat) continue;
+    c->inbox.push_back(std::move(m));
+  }
   conn_pump(c);
 }
 
@@ -740,14 +750,19 @@ void Server::sync_conn_events(const std::shared_ptr<Conn>& c) {
 void Server::sweep_conns(IoLoop& io) {
   const auto now = std::chrono::steady_clock::now();
   constexpr std::chrono::steady_clock::time_point kUnset{};
+  const auto timeout = steady_seconds(config_.client_timeout_s);
   std::vector<std::shared_ptr<Conn>> stalled_read;
   std::vector<std::shared_ptr<Conn>> stalled_write;
+  std::vector<std::shared_ptr<Conn>> silent;
   for (const auto& c : io.conns) {
     if (c->read_deadline != kUnset && now >= c->read_deadline &&
         c->reader.mid_frame()) {
       stalled_read.push_back(c);
     } else if (c->write_deadline != kUnset && now >= c->write_deadline) {
       stalled_write.push_back(c);
+    } else if (config_.client_timeout_s > 0 && c->client_id.load() != 0 &&
+               !c->busy && c->outq.empty() && now - c->last_read >= timeout) {
+      silent.push_back(c);  // registered, owed nothing, and gone quiet
     }
   }
   for (auto& c : stalled_read) {
@@ -763,6 +778,15 @@ void Server::sweep_conns(IoLoop& io) {
              << " bytes undrained for " << config_.write_stall_timeout_s
              << "s");
     conn_disconnect(std::move(c), nullptr);
+  }
+  for (auto& c : silent) {
+    const ClientId id = c->client_id.exchange(0);
+    clients_expired_.fetch_add(1);
+    obs::Registry::global().counter("server.clients_expired").inc();
+    LOG_WARN("client " << id << " silent for " << config_.client_timeout_s
+                       << "s; closing its connection");
+    conn_disconnect(std::move(c), nullptr);
+    client_left_async(id, "timeout");
   }
 }
 
@@ -795,12 +819,12 @@ void Server::conn_disconnect(std::shared_ptr<Conn> c, const char* reason) {
   if (ClientId id = c->client_id.exchange(0)) client_left_async(id);
 }
 
-void Server::client_left_async(ClientId id) {
-  workers_->submit([this, id] {
+void Server::client_left_async(ClientId id, const char* reason) {
+  workers_->submit([this, id, reason] {
     {
       std::lock_guard lock(core_mutex_);
       double t = now();
-      core_.client_left(id, t);
+      core_.client_left(id, t, reason);
       WalRecord rec;
       rec.op = WalOp::kClientLeft;
       rec.now = t;
@@ -1177,8 +1201,7 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
         // in their --servers list.
         response = net::make_error(request.correlation, "standby: not serving");
       } else if (draining_.load() &&
-                 (request.type == net::MessageType::kRequestWork ||
-                  request.type == net::MessageType::kHeartbeat)) {
+                 request.type == net::MessageType::kRequestWork) {
         // Graceful shutdown: in-flight submissions still land, but no new
         // work goes out and polling donors are told to disconnect.
         response.type = net::MessageType::kShutdown;
@@ -1189,8 +1212,8 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
         // Fail-stop after a storage fault: no new sessions, and results
         // are NACKed rather than accepted-but-lost — the donor keeps its
         // buffered copy for the restarted server. (FetchStats stays up so
-        // operators can see why; RequestWork/Heartbeat already get
-        // kShutdown from the draining guard above.)
+        // operators can see why; RequestWork already gets kShutdown from
+        // the draining guard above.)
         response = retry_later(request, "fail_stop");
       } else switch (request.type) {
         case net::MessageType::kHello: {
@@ -1221,7 +1244,8 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
           log_record(std::move(rec));
           HelloAckPayload ack;
           ack.client_id = client_id;
-          ack.heartbeat_interval_s = config_.heartbeat_interval_s;
+          // Four keepalive chances per timeout window (0 = none needed).
+          ack.heartbeat_interval_s = config_.client_timeout_s / 4;
           response = encode_hello_ack(ack, request.correlation);
           break;
         }
@@ -1356,22 +1380,6 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
             inflight_charged = total;
           }
           response = encode_blob_data(reply, request.correlation);
-          break;
-        }
-        case net::MessageType::kHeartbeat: {
-          ClientId id = decode_heartbeat(request);
-          {
-            std::lock_guard lock(core_mutex_);
-            double t = now();
-            core_.heartbeat(id, t);
-            WalRecord rec;
-            rec.op = WalOp::kHeartbeat;
-            rec.now = t;
-            rec.arg = id;
-            log_record(std::move(rec));
-          }
-          response.type = net::MessageType::kHeartbeatAck;
-          response.correlation = request.correlation;
           break;
         }
         case net::MessageType::kFetchStats: {

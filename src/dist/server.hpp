@@ -6,6 +6,7 @@
 //     connection is pinned to one loop, parsed incrementally by a
 //     FrameReader, and writes through a bounded per-connection queue —
 //     ten thousand idle donors cost file descriptors, not OS threads,
+//     and liveness is judged here too (see the liveness note below),
 //   - worker_threads pool running everything that can block: scheduler
 //     calls under core_mutex_, WAL fsyncs, stats JSON,
 //   - one housekeeping thread (lease expiry ticks, parked-request
@@ -24,6 +25,15 @@
 // tick, departure or served RequestWork; every entry once all problems are
 // complete, on drain() and on fail-stop; otherwise at its no_work_retry_s
 // deadline. Whoever pops an entry answers it, exactly once.
+//
+// Liveness rides the work connection. Each connection stamps the last time
+// it received bytes; a Heartbeat frame (a donor's one-way keepalive while
+// it computes) does nothing else — the loop drops it: no reply, no worker,
+// no core lock. The loop's periodic sweep closes a registered connection
+// that has been silent for client_timeout_s and is owed nothing (no worker
+// job or parked request, empty write queue); the ordinary close path then
+// logs the departure (kClientLeft), so WAL replay and standbys see a plain
+// client_left.
 
 #include <atomic>
 #include <chrono>
@@ -70,7 +80,10 @@ struct ServerConfig {
   /// answered NoWork (it is answered sooner when work can exist; see the
   /// long-poll note above).
   double no_work_retry_s = 0.2;
-  double heartbeat_interval_s = 10.0;
+  /// Close a registered donor connection silent for this long (see the
+  /// liveness note above); its leases are requeued at once. HelloAck tells
+  /// donors to keep alive every client_timeout_s / 4. 0 = never.
+  double client_timeout_s = 0.0;
   /// Optional structured event trace. The server stamps events with wall
   /// time (seconds since start()); must outlive the server. Not owned.
   obs::Tracer* tracer = nullptr;
@@ -200,10 +213,15 @@ class Server {
   /// Force an immediate WAL compaction (fold log into base snapshot).
   /// No-op without a WAL. Thread-safe.
   void compact_wal();
-  /// Stop handing out work: donors receive kShutdown on their next
-  /// RequestWork or Heartbeat and disconnect cleanly. Used by the
-  /// SIGINT/SIGTERM path in the examples before stop().
+  /// Stop handing out work: parked RequestWorks are answered kShutdown at
+  /// once, later ones on arrival, and donors disconnect cleanly. Used by
+  /// the SIGINT/SIGTERM path in the examples before stop().
   void drain();
+  /// Connections the liveness sweep closed as silent (MSG_STATS
+  /// scheduler.clients_expired).
+  [[nodiscard]] std::uint64_t clients_expired() const {
+    return clients_expired_.load();
+  }
 
  private:
   struct ReplicaFeed;  // per-standby queue of encoded WAL records
@@ -236,7 +254,8 @@ class Server {
                                 const net::Message& request);
   void deliver(const std::shared_ptr<Conn>& c, HandlerOutcome out);
   void detach_replica(const std::shared_ptr<Conn>& c, net::Message hello);
-  void client_left_async(ClientId id);
+  /// Log a departure on a worker; `reason` labels the trace event only.
+  void client_left_async(ClientId id, const char* reason = "goodbye");
 
   // Long-poll. park() queues c's RequestWork (false: c hung up or the
   // server drains, so answer now); answer_parked() pops up to `max` entries
@@ -308,6 +327,7 @@ class Server {
   std::atomic<int> durability_{0};
   std::atomic<bool> storage_failed_{false};
   std::atomic<std::uint64_t> blob_inflight_bytes_{0};
+  std::atomic<std::uint64_t> clients_expired_{0};
 };
 
 }  // namespace hdcs::dist

@@ -55,7 +55,6 @@ std::vector<std::byte> encode_wal_record(const WalRecord& rec) {
       w.f64(rec.benchmark);
       break;
     case WalOp::kClientLeft:
-    case WalOp::kHeartbeat:
     case WalOp::kRequestWork:
     case WalOp::kEpoch:
       w.u64(rec.arg);
@@ -79,10 +78,7 @@ WalRecord decode_wal_record(std::span<const std::byte> payload) {
   ByteReader r{payload};
   WalRecord rec;
   rec.lsn = r.u64();
-  auto op = r.u8();
-  if (op < 1 || op > static_cast<std::uint8_t>(WalOp::kEpoch)) {
-    throw ProtocolError("wal record: unknown op " + std::to_string(op));
-  }
+  const auto op = r.u8();
   rec.op = static_cast<WalOp>(op);
   rec.now = r.f64();
   switch (rec.op) {
@@ -91,7 +87,6 @@ WalRecord decode_wal_record(std::span<const std::byte> payload) {
       rec.benchmark = r.f64();
       break;
     case WalOp::kClientLeft:
-    case WalOp::kHeartbeat:
     case WalOp::kRequestWork:
     case WalOp::kEpoch:
       rec.arg = r.u64();
@@ -107,6 +102,8 @@ WalRecord decode_wal_record(std::span<const std::byte> payload) {
       break;
     case WalOp::kTick:
       break;
+    default:  // includes 3, the retired heartbeat
+      throw ProtocolError("wal record: unknown op " + std::to_string(op));
   }
   r.expect_end();
   return rec;
@@ -119,9 +116,6 @@ void apply_wal_record(SchedulerCore& core, const WalRecord& rec) {
       break;
     case WalOp::kClientLeft:
       core.client_left(rec.arg, rec.now);
-      break;
-    case WalOp::kHeartbeat:
-      core.heartbeat(rec.arg, rec.now);
       break;
     case WalOp::kRequestWork:
       try {
@@ -220,8 +214,14 @@ void WalLog::recover() {
       WalRecord rec;
       try {
         rec = decode_wal_record(payload);
-      } catch (const ProtocolError&) {
-        break;
+      } catch (const ProtocolError& e) {
+        // Written whole (the CRC holds), so not a torn tail: another build
+        // wrote it. Truncating would drop every record after it; refuse.
+        const int op = len > 8 ? std::to_integer<int>(payload[8]) : -1;
+        throw ProtocolError("wal: " + path + ": record at byte " +
+                            std::to_string(off) + " (op " +
+                            std::to_string(op) + ") does not decode: " +
+                            e.what() + "; refusing to open this log");
       }
       if (rec.lsn >= expected) {
         if (rec.lsn != expected) break;  // lsn gap: lost tail upstream

@@ -3,8 +3,8 @@
 // path. A crash loses zero accepted results. The scheduler is a
 // deterministic state machine (seeded integrity RNG, stateless granularity
 // policies, deterministic DataManagers), so logging its mutating calls —
-// client join/leave, heartbeat, work request, result submission, tick,
-// epoch bump — and replaying them over an exact base snapshot reproduces
+// client join/leave, work request, result submission, tick, epoch bump —
+// and replaying them over an exact base snapshot reproduces
 // the pre-crash state field for field. The server appends each record
 // under the same lock that serialises the core call, fsyncs before
 // acknowledging a result (fsync persists every earlier buffered record
@@ -20,7 +20,11 @@
 // Records are strictly lsn-contiguous across segment rotation. open()
 // truncates a torn tail (partial frame, CRC mismatch, lsn gap) back to the
 // last valid record — a kill -9 mid-write must surface as a shorter log,
-// never a crash or garbage replay.
+// never a crash or garbage replay. A record whose CRC holds but which does
+// not decode (an op this build does not know, such as the retired op 3
+// heartbeat) was written whole by some other build: open() refuses the
+// directory with ProtocolError and leaves it untouched, since truncating
+// there would silently drop every acked result logged after it.
 //
 // The same log doubles as the protocol v6 replication stream's storage on
 // a hot standby: the primary ships its snapshot (the standby compact()s it
@@ -48,7 +52,7 @@ class SchedulerCore;
 enum class WalOp : std::uint8_t {
   kClientJoined = 1,
   kClientLeft = 2,
-  kHeartbeat = 3,
+  // 3 was kHeartbeat; liveness now lives on the connection, not the log.
   kRequestWork = 4,
   kSubmitResult = 5,
   kTick = 6,
@@ -64,7 +68,7 @@ struct WalRecord {
   std::uint64_t lsn = 0;  // 0 in append() = "assign the next lsn"
   WalOp op = WalOp::kTick;
   double now = 0;          // the timestamp the server passed to the core
-  std::uint64_t arg = 0;   // client id (left/heartbeat/request/submit),
+  std::uint64_t arg = 0;   // client id (left/request/submit),
                            // or the new epoch (kEpoch)
   std::string name;        // kClientJoined: donor name
   double benchmark = 0;    // kClientJoined: self-reported ops/sec
@@ -111,7 +115,8 @@ class WalLog {
   /// Opens (creating the directory if needed) and recovers: validates the
   /// base snapshot, walks the segments, truncates any torn tail in place,
   /// and positions the log to append at next_lsn. Throws IoError on
-  /// filesystem failure, ProtocolError on a corrupt base snapshot.
+  /// filesystem failure, ProtocolError on a corrupt base snapshot or on a
+  /// CRC-valid record that does not decode (the files stay as they were).
   explicit WalLog(WalConfig config);
   ~WalLog();
 

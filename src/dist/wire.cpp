@@ -299,20 +299,6 @@ BlobDataPayload decode_blob_data(const net::Message& m) {
   return p;
 }
 
-net::Message encode_heartbeat(ClientId client, std::uint64_t correlation) {
-  ByteWriter w;
-  w.u64(client);
-  return make(net::MessageType::kHeartbeat, correlation, std::move(w));
-}
-
-ClientId decode_heartbeat(const net::Message& m) {
-  check_type(m, net::MessageType::kHeartbeat);
-  auto r = m.reader();
-  ClientId id = r.u64();
-  r.expect_end();
-  return id;
-}
-
 net::Message encode_goodbye(ClientId client, std::uint64_t correlation) {
   ByteWriter w;
   w.u64(client);

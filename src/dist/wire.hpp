@@ -20,7 +20,10 @@ struct HelloPayload {
 
 struct HelloAckPayload {
   ClientId client_id = 0;
-  double heartbeat_interval_s = 30.0;
+  /// Keepalive cadence: a donor whose work connection has been silent
+  /// this long writes an empty Heartbeat frame on it. 0 = the server
+  /// expires no silent connection, so send none.
+  double heartbeat_interval_s = 0;
 };
 
 struct NoWorkPayload {
@@ -157,9 +160,6 @@ FetchBlobsPayload decode_fetch_blobs(const net::Message& m);
 net::Message encode_blob_data(const BlobDataPayload& p,
                               std::uint64_t correlation);
 BlobDataPayload decode_blob_data(const net::Message& m);
-
-net::Message encode_heartbeat(ClientId client, std::uint64_t correlation);
-ClientId decode_heartbeat(const net::Message& m);
 
 net::Message encode_goodbye(ClientId client, std::uint64_t correlation);
 ClientId decode_goodbye(const net::Message& m);

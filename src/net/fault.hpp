@@ -5,8 +5,8 @@
 // mid-frame disconnect, truncated send, corrupted byte, added latency)
 // that TcpStream consults at its choke points — connect(), send_all(),
 // recv_all(). Install one process-wide with ScopedFaultPlan and every
-// connection in the process (server handlers, donor work loops, heartbeat
-// channels) rides through the same storm; the chaos tests use this to
+// connection in the process (server handlers, donor work loops and their
+// keepalives) rides through the same storm; the chaos tests use this to
 // prove the end-to-end system converges to byte-identical results anyway.
 //
 // Decisions are drawn from one mutex-guarded Rng, so a given seed produces

@@ -42,7 +42,6 @@ const char* to_string(MessageType type) {
     case MessageType::kNoWorkAvailable: return "NoWorkAvailable";
     case MessageType::kProblemData: return "ProblemData";
     case MessageType::kResultAck: return "ResultAck";
-    case MessageType::kHeartbeatAck: return "HeartbeatAck";
     case MessageType::kShutdown: return "Shutdown";
     case MessageType::kStatsSnapshot: return "StatsSnapshot";
     case MessageType::kBlobData: return "BlobData";

@@ -29,9 +29,10 @@ inline constexpr std::uint32_t kMagic = 0x48444353;  // "HDCS"
 // connection drops. History: v2 added the frame payload_crc, v3 the
 // SubmitResult digest, v4 the content-addressed bulk-data plane, v5 the
 // span-profile trailer, v6 the server epoch and the hot-standby stream,
-// v7 the retryable RetryLater NACK. A format change bumps this constant
-// for both sides at once.
-inline constexpr std::uint16_t kProtocolVersion = 7;
+// v7 the retryable RetryLater NACK, v8 the one-way Heartbeat keepalive on
+// the work connection (HeartbeatAck retired). A format change bumps this
+// constant for both sides at once.
+inline constexpr std::uint16_t kProtocolVersion = 8;
 inline constexpr std::size_t kFrameHeaderBytes = 24;
 /// Upper bound on a single frame; bulk data uses the chunked bulk channel.
 inline constexpr std::uint32_t kMaxPayload = 64u * 1024 * 1024;
@@ -41,7 +42,7 @@ enum class MessageType : std::uint16_t {
   kHello = 1,          // client registers: name, cores, benchmark score
   kRequestWork = 2,    // idle worker asks for a unit
   kSubmitResult = 3,   // finished unit's result payload
-  kHeartbeat = 4,      // liveness + progress
+  kHeartbeat = 4,      // one-way keepalive on the work connection
   kFetchProblemData = 5,  // ask for a problem's bulk input data
   kGoodbye = 6,        // orderly departure (donor machine reclaimed)
   kFetchStats = 7,     // MSG_STATS: ask for a live metrics snapshot
@@ -54,7 +55,6 @@ enum class MessageType : std::uint16_t {
   kNoWorkAvailable = 34,  // nothing to do right now; retry after delay
   kProblemData = 35,   // problem data header: algorithm, size, blob digest
   kResultAck = 36,
-  kHeartbeatAck = 37,
   kShutdown = 38,      // server is stopping; client should exit
   kStatsSnapshot = 39, // MSG_STATS reply: JSON metrics snapshot
   kBlobData = 40,      // per-digest present flags; bodies follow on bulk

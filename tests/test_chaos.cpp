@@ -107,7 +107,7 @@ TEST(Chaos, RealWorkloadsSurviveServerKillDonorChurnAndFrameFaults) {
   scfg.port = pick_port();
   scfg.scheduler.bounds.min_ops = 1;
   scfg.scheduler.lease_timeout = 1.5;
-  scfg.scheduler.client_timeout = 1.5;
+  scfg.client_timeout_s = 1.5;
   scfg.scheduler.hedge_endgame = true;
   scfg.policy_spec = "adaptive:0.02";
   scfg.tick_interval_s = 0.02;
@@ -281,7 +281,7 @@ TEST(Chaos, LyingDonorsCannotCorruptResultsAcrossServerRestart) {
   scfg.port = pick_port();
   scfg.scheduler.bounds.min_ops = 1;
   scfg.scheduler.lease_timeout = 2.0;
-  scfg.scheduler.client_timeout = 2.0;
+  scfg.client_timeout_s = 2.0;
   scfg.scheduler.hedge_endgame = true;
   scfg.scheduler.replication_factor = 2;
   scfg.scheduler.quorum = 2;
@@ -600,7 +600,7 @@ TEST(Chaos, WalReplayLosesNoAcceptedResultAcrossKill) {
   scfg.port = pick_port();
   scfg.scheduler.bounds.min_ops = 1;
   scfg.scheduler.lease_timeout = 1.5;
-  scfg.scheduler.client_timeout = 1.5;
+  scfg.client_timeout_s = 1.5;
   scfg.policy_spec = "adaptive:0.02";
   scfg.tick_interval_s = 0.02;
   scfg.no_work_retry_s = 0.02;
@@ -715,7 +715,7 @@ TEST(Chaos, WalEnospcMidRunDegradesThenRestoresByteIdentical) {
   scfg.port = pick_port();
   scfg.scheduler.bounds.min_ops = 1;
   scfg.scheduler.lease_timeout = 1.5;
-  scfg.scheduler.client_timeout = 1.5;
+  scfg.client_timeout_s = 1.5;
   scfg.policy_spec = "adaptive:0.02";
   scfg.tick_interval_s = 0.02;
   scfg.no_work_retry_s = 0.02;
@@ -943,7 +943,7 @@ TEST(Chaos, StandbyPromotesAndFinishesAfterPrimaryKill) {
   pcfg_srv.port = pick_port();
   pcfg_srv.scheduler.bounds.min_ops = 1;
   pcfg_srv.scheduler.lease_timeout = 1.5;
-  pcfg_srv.scheduler.client_timeout = 1.5;
+  pcfg_srv.client_timeout_s = 1.5;
   pcfg_srv.policy_spec = "adaptive:0.02";
   pcfg_srv.tick_interval_s = 0.02;
   pcfg_srv.no_work_retry_s = 0.02;
@@ -1044,7 +1044,7 @@ TEST(Chaos, PoisonUnitQuarantinedOverTcp) {
   ServerConfig scfg;
   scfg.scheduler.bounds.min_ops = 1000;
   scfg.scheduler.lease_timeout = 0.15;
-  scfg.scheduler.client_timeout = 0.15;
+  scfg.client_timeout_s = 0.15;
   scfg.scheduler.max_attempts_per_unit = 2;
   scfg.policy_spec = "fixed:1000000000";  // the whole problem in one unit
   scfg.tick_interval_s = 0.02;

@@ -89,11 +89,11 @@ TEST(Message, RoundTripsFrame) {
 TEST(Message, EmptyPayloadOk) {
   Pair p;
   Message out;
-  out.type = MessageType::kHeartbeatAck;
+  out.type = MessageType::kHeartbeat;  // the donor's keepalive frame
   out.correlation = 1;
   write_message(p.client, out);
   Message in = read_message(p.server);
-  EXPECT_EQ(in.type, MessageType::kHeartbeatAck);
+  EXPECT_EQ(in.type, MessageType::kHeartbeat);
   EXPECT_TRUE(in.payload.empty());
 }
 
@@ -215,10 +215,10 @@ std::vector<Message> frame_reader_corpus() {
       MessageType::kReplicaHello,   MessageType::kHelloAck,
       MessageType::kWorkAssignment, MessageType::kNoWorkAvailable,
       MessageType::kProblemData,    MessageType::kResultAck,
-      MessageType::kHeartbeatAck,   MessageType::kShutdown,
-      MessageType::kStatsSnapshot,  MessageType::kBlobData,
-      MessageType::kReplicaSnapshot, MessageType::kWalAppend,
-      MessageType::kRetryLater,     MessageType::kError,
+      MessageType::kShutdown,       MessageType::kStatsSnapshot,
+      MessageType::kBlobData,       MessageType::kReplicaSnapshot,
+      MessageType::kWalAppend,      MessageType::kRetryLater,
+      MessageType::kError,
   };
   Rng rng(2024);
   std::vector<Message> corpus;

@@ -135,15 +135,21 @@ TEST(ProtocolEdges, MalformedPayloadGetsErrorFrame) {
   server.stop();
 }
 
-TEST(ProtocolEdges, HeartbeatForUnknownClientIsHarmless) {
+TEST(ProtocolEdges, KeepaliveOnUnregisteredConnectionGetsNoReply) {
   Server server(server_config());
   server.start();
   auto stream = connect_to(server);
-  net::write_message(stream, encode_heartbeat(31337, 1));
+  // A keepalive is one-way, from a registered donor or not. Replies keep
+  // request order, so had it drawn one (or dropped the connection), the
+  // stats request behind it could not be the first thing answered.
+  net::Message beat;
+  beat.type = net::MessageType::kHeartbeat;
+  beat.correlation = 1;
+  net::write_message(stream, beat);
+  net::write_message(stream, encode_fetch_stats({false}, 2));
   auto reply = net::read_message(stream);
-  // Heartbeats for unknown ids are ignored (idempotent ack), matching
-  // SchedulerCore::heartbeat's tolerant contract.
-  EXPECT_EQ(reply.type, net::MessageType::kHeartbeatAck);
+  EXPECT_EQ(reply.type, net::MessageType::kStatsSnapshot);
+  EXPECT_EQ(reply.correlation, 2u);
   server.stop();
 }
 

@@ -165,37 +165,6 @@ TEST(SchedulerCore, ClientLeftRequeuesItsUnits) {
   EXPECT_THROW(core.request_work(leaver, 4.0), InputError);
 }
 
-TEST(SchedulerCore, ClientTimeoutExpiresSilentClients) {
-  auto cfg = small_config();
-  cfg.client_timeout = 30.0;
-  SchedulerCore core(cfg, std::make_unique<FixedGranularity>(500));
-  auto dm = std::make_shared<ToySumDataManager>(1000);
-  core.submit_problem(dm);
-  auto quiet = core.client_joined("quiet", 1e6, 0.0);
-  auto unit = core.request_work(quiet, 0.0);
-  ASSERT_TRUE(unit);
-
-  core.tick(31.0);
-  EXPECT_EQ(core.stats().clients_expired, 1u);
-  EXPECT_EQ(core.active_client_count(), 0);
-  // Its unit is available again.
-  auto c2 = core.client_joined("fresh", 1e6, 31.0);
-  auto reissued = core.request_work(c2, 32.0);
-  ASSERT_TRUE(reissued);
-  EXPECT_EQ(reissued->unit_id, unit->unit_id);
-}
-
-TEST(SchedulerCore, HeartbeatKeepsClientAlive) {
-  auto cfg = small_config();
-  cfg.client_timeout = 30.0;
-  SchedulerCore core(cfg, std::make_unique<FixedGranularity>(500));
-  core.submit_problem(std::make_shared<ToySumDataManager>(1000));
-  auto cid = core.client_joined("c1", 1e6, 0.0);
-  core.heartbeat(cid, 25.0);
-  core.tick(40.0);  // 15s since heartbeat < 30s timeout
-  EXPECT_EQ(core.active_client_count(), 1);
-}
-
 TEST(SchedulerCore, EwmaTracksObservedThroughput) {
   auto cfg = small_config();
   cfg.ewma_alpha = 0.5;

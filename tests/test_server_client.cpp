@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -269,38 +270,75 @@ TEST(ServerClient, DistributedResultMatchesLocalRunner) {
   server.stop();
 }
 
-TEST(ServerClient, HeartbeatsKeepSlowClientAlive) {
-  // A client whose unit takes longer than the server's client timeout must
-  // survive via its heartbeat connection; without heartbeats, the same
-  // setup expires the client and reissues its lease.
-  auto run_with = [](bool heartbeats) {
-    auto cfg = quick_server_config();
-    cfg.scheduler.client_timeout = 0.3;
-    cfg.heartbeat_interval_s = 0.1;
-    cfg.tick_interval_s = 0.05;
-    cfg.policy_spec = "fixed:30000000";  // one big unit
+TEST(ServerClient, KeepalivesKeepSlowClientAlive) {
+  // A donor whose unit takes longer than the server's client timeout must
+  // survive by keeping its work connection alive; a silent donor in the
+  // same setup has its connection closed, and its unit goes to the next
+  // donor that asks.
+  auto cfg = quick_server_config();
+  cfg.client_timeout_s = 0.3;
+  cfg.tick_interval_s = 0.05;
+  cfg.policy_spec = "fixed:30000000";  // one big unit
+
+  {
     Server server(cfg);
     server.start();
-    auto dm = std::make_shared<ToySumDataManager>(30000000);
-    auto pid = server.submit_problem(dm);
-
-    auto ccfg = client_config(server.port(), heartbeats ? "beater" : "silent");
+    auto pid = server.submit_problem(std::make_shared<ToySumDataManager>(30000000));
+    auto ccfg = client_config(server.port(), "beater");
     ccfg.throttle = 12.0;  // stretch compute well past the client timeout
-    ccfg.send_heartbeats = heartbeats;
     Client(ccfg).run();
-
-    server.wait_for_problem(pid, 30.0);
-    auto stats = server.stats();
+    ASSERT_TRUE(server.wait_for_problem(pid, 30.0));
+    EXPECT_EQ(server.clients_expired(), 0u)
+        << "a donor that keeps alive must not be expired";
     server.stop();
-    return stats;
-  };
+  }
 
-  auto with_hb = run_with(true);
-  EXPECT_EQ(with_hb.clients_expired, 0u)
-      << "heartbeating client must not be expired";
-  auto without_hb = run_with(false);
-  EXPECT_GE(without_hb.clients_expired, 1u)
-      << "silent client should have been expired by the timeout";
+  Server server(cfg);
+  server.start();
+  auto pid = server.submit_problem(std::make_shared<ToySumDataManager>(30000000));
+  auto ccfg = client_config(server.port(), "silent");
+  ccfg.throttle = 12.0;
+  ccfg.send_heartbeats = false;
+  std::thread silent([&] { Client(ccfg).run(); });
+  EXPECT_TRUE(eventually([&] { return server.clients_expired() >= 1; }))
+      << "silent donor should have been expired by the timeout";
+  Client(client_config(server.port(), "rescuer")).run();
+  silent.join();
+  ASSERT_TRUE(server.wait_for_problem(pid, 30.0));
+  EXPECT_GE(server.stats().units_reissued, 1u)
+      << "the expired donor's unit must be reissued";
+  server.stop();
+}
+
+TEST(ServerClient, OneConnectionPerDonor) {
+  // Liveness rides the work connection, so N donors hold N connections —
+  // not 2N — even with keepalives on (interval 0.1 s here).
+  auto cfg = quick_server_config();
+  cfg.client_timeout_s = 0.4;
+  Server server(cfg);
+  server.start();
+  constexpr int kDonors = 3;
+  std::vector<std::unique_ptr<Client>> clients;
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kDonors; ++i) {
+    auto ccfg = client_config(server.port(), "idle-" + std::to_string(i));
+    ccfg.exit_when_idle = false;
+    clients.push_back(std::make_unique<Client>(ccfg));
+    threads.emplace_back([c = clients.back().get()] { c->run(); });
+  }
+  EXPECT_TRUE(eventually([&] {
+    int active = 0;
+    for (const auto& info : server.client_stats()) active += info.active;
+    return active == kDonors;
+  }));
+  for (int i = 0; i < 5; ++i) {  // across several keepalive intervals
+    EXPECT_EQ(server.connected_clients(), kDonors);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  for (auto& c : clients) c->request_stop();
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(server.clients_expired(), 0u);
+  server.stop();
 }
 
 TEST(ServerClient, ThrottledClientReportsLowerBenchmark) {
@@ -327,6 +365,14 @@ TEST(ServerClient, DonorPoolContributesAllCpus) {
   EXPECT_GT(stats[0].units_processed + stats[1].units_processed, 0u);
   EXPECT_THROW(Client::run_pool(base, 0), InputError);
   server.stop();
+}
+
+TEST(ServerClient, DonorPoolRethrowsWhenEveryWorkerFails) {
+  // A pool in which no worker finished must not look like success: the
+  // first worker's error reaches the caller (hdcs_donor then exits 1).
+  ClientConfig base = client_config(1, "unreachable");  // port 1 refuses
+  base.max_connect_attempts = 1;
+  EXPECT_THROW(Client::run_pool(base, 2), IoError);
 }
 
 TEST(ServerClient, MaxClientsShedsHelloUntilASeatFrees) {

@@ -1,7 +1,8 @@
 // WAL durability edges: record codec, segment rotation + recovery,
 // compaction, torn/corrupt tail fuzzing (recovery must stop at the last
-// valid record, never crash), replayed-core == live-core equivalence, the
-// epoch fence, and the client's session-surviving reconnect backoff.
+// valid record, never crash), refusal of a whole record it cannot decode,
+// replayed-core == live-core equivalence, the epoch fence, and the
+// client's session-surviving reconnect backoff.
 
 #include "dist/wal.hpp"
 
@@ -18,6 +19,7 @@
 
 #include "dist/client.hpp"
 #include "dist/scheduler_core.hpp"
+#include "net/bulk.hpp"
 #include "tests/toy_problem.hpp"
 #include "util/byte_buffer.hpp"
 #include "util/error.hpp"
@@ -58,6 +60,13 @@ ResultUnit execute(const WorkUnit& unit, std::span<const std::byte> problem_data
   return r;
 }
 
+// Every op a record can carry (3, the retired heartbeat, is none of them).
+constexpr WalOp kAllOps[] = {WalOp::kClientJoined, WalOp::kClientLeft,
+                             WalOp::kRequestWork,  WalOp::kSubmitResult,
+                             WalOp::kTick,         WalOp::kEpoch};
+
+WalOp op_at(std::size_t i) { return kAllOps[i % std::size(kAllOps)]; }
+
 WalRecord sample_record(WalOp op, std::uint64_t lsn) {
   WalRecord rec;
   rec.lsn = lsn;
@@ -69,7 +78,6 @@ WalRecord sample_record(WalOp op, std::uint64_t lsn) {
       rec.benchmark = 5.25e7;
       break;
     case WalOp::kClientLeft:
-    case WalOp::kHeartbeat:
     case WalOp::kRequestWork:
       rec.arg = 17;
       break;
@@ -95,9 +103,7 @@ WalRecord sample_record(WalOp op, std::uint64_t lsn) {
 }
 
 TEST(Wal, RecordCodecRoundTripsEveryOp) {
-  for (auto op : {WalOp::kClientJoined, WalOp::kClientLeft, WalOp::kHeartbeat,
-                  WalOp::kRequestWork, WalOp::kSubmitResult, WalOp::kTick,
-                  WalOp::kEpoch}) {
+  for (auto op : kAllOps) {
     auto rec = sample_record(op, 42);
     auto back = decode_wal_record(encode_wal_record(rec));
     EXPECT_EQ(back.lsn, rec.lsn);
@@ -125,6 +131,8 @@ TEST(Wal, RecordCodecRejectsCorruption) {
   auto bad_op = bytes;
   bad_op[8] = std::byte{0xff};  // op byte follows the u64 lsn
   EXPECT_THROW(decode_wal_record(bad_op), ProtocolError);
+  bad_op[8] = std::byte{3};  // the retired heartbeat
+  EXPECT_THROW(decode_wal_record(bad_op), ProtocolError);
 }
 
 TEST(Wal, AppendRotateReopenRecovers) {
@@ -138,7 +146,7 @@ TEST(Wal, AppendRotateReopenRecovers) {
     EXPECT_EQ(rec0.next_lsn, 1u);
     for (int i = 0; i < kRecords; ++i) {
       auto lsn = wal.append(sample_record(
-          static_cast<WalOp>(1 + i % 7), 0));  // 0 = assign next lsn
+          op_at(static_cast<std::size_t>(i)), 0));  // 0 = assign next lsn
       EXPECT_EQ(lsn, static_cast<std::uint64_t>(i + 1));
     }
     EXPECT_GT(wal.segment_count(), 1u);  // rotation actually happened
@@ -154,7 +162,7 @@ TEST(Wal, AppendRotateReopenRecovers) {
     EXPECT_EQ(rec.tail[static_cast<std::size_t>(i)].lsn,
               static_cast<std::uint64_t>(i + 1));
     EXPECT_EQ(rec.tail[static_cast<std::size_t>(i)].op,
-              static_cast<WalOp>(1 + i % 7));
+              op_at(static_cast<std::size_t>(i)));
   }
   EXPECT_EQ(wal.next_lsn(), static_cast<std::uint64_t>(kRecords + 1));
   // Appending a wrong explicit lsn (a standby fed a gapped stream) throws.
@@ -171,7 +179,7 @@ TEST(Wal, CompactionFoldsTailIntoBase) {
     for (int i = 0; i < 10; ++i) wal.append(sample_record(WalOp::kTick, 0));
     wal.compact(snapshot, 1.0);
     EXPECT_EQ(wal.segment_count(), 1u);  // old segments unlinked
-    for (int i = 0; i < 3; ++i) wal.append(sample_record(WalOp::kHeartbeat, 0));
+    for (int i = 0; i < 3; ++i) wal.append(sample_record(WalOp::kRequestWork, 0));
     wal.sync();
   }
   WalLog wal({dir, 1024});
@@ -236,7 +244,7 @@ TEST(Wal, TornAndBitFlippedTailsNeverCrashRecovery) {
     WalLog wal({pristine, 1024});
     (void)wal.take_recovery();
     for (std::size_t i = 0; i < kRecords; ++i) {
-      wal.append(sample_record(static_cast<WalOp>(1 + i % 7), 0));
+      wal.append(sample_record(op_at(i), 0));
     }
     wal.sync();
   }
@@ -304,8 +312,8 @@ TEST(Wal, TornAndBitFlippedTailsNeverCrashRecovery) {
 }
 
 TEST(Wal, ReplayedCoreMatchesLiveCoreFieldForField) {
-  // Drive a live core through joins, leases, submissions, heartbeats,
-  // ticks, a departure and an epoch bump, logging each mutation exactly
+  // Drive a live core through joins, leases, submissions, ticks, a
+  // departure and an epoch bump, logging each mutation exactly
   // like the server does. Replaying base + tail into a fresh core with the
   // same problems must land in a byte-identical exact snapshot.
   std::string dir = fresh_dir("wal_replay");
@@ -359,14 +367,7 @@ TEST(Wal, ReplayedCoreMatchesLiveCoreFieldForField) {
         live.submit_result(c, result, t);
         log(sub);
       }
-      t += 0.1;
-      live.heartbeat(a, t);
-      WalRecord hb;
-      hb.op = WalOp::kHeartbeat;
-      hb.now = t;
-      hb.arg = a;
-      log(hb);
-      t += 0.1;
+      t += 0.2;
       live.tick(t);
       WalRecord tick;
       tick.op = WalOp::kTick;
@@ -449,7 +450,7 @@ TEST(Wal, EpochFenceRejectsDeposedPrimaryResults) {
 }
 
 TEST(Wal, ReconnectBackoffResetsOnlyAfterHealthySession) {
-  ReconnectBackoff backoff(0.1, 1.0, 3);
+  ReconnectBackoff backoff(0.1, 1.0);
   EXPECT_DOUBLE_EQ(backoff.current_delay(), 0.0);
   EXPECT_DOUBLE_EQ(backoff.next_delay(), 0.1);
   EXPECT_DOUBLE_EQ(backoff.next_delay(), 0.2);
@@ -458,29 +459,69 @@ TEST(Wal, ReconnectBackoffResetsOnlyAfterHealthySession) {
   EXPECT_DOUBLE_EQ(backoff.next_delay(), 1.0);  // capped
   EXPECT_DOUBLE_EQ(backoff.next_delay(), 1.0);
 
-  // Reconnecting alone does not reset: two acks then a lost session keep
-  // the escalation (the streak restarts, not the delay).
-  EXPECT_FALSE(backoff.heartbeat_ok());
-  EXPECT_FALSE(backoff.heartbeat_ok());
-  backoff.session_lost();
-  EXPECT_FALSE(backoff.heartbeat_ok());
-  EXPECT_FALSE(backoff.heartbeat_ok());
-  EXPECT_DOUBLE_EQ(backoff.next_delay(), 1.0);  // still escalated
-  backoff.session_lost();
+  // Reconnecting alone does not reset: a session that dies before any of
+  // its results is acked leaves the escalation where it was.
+  EXPECT_DOUBLE_EQ(backoff.current_delay(), 1.0);
+  EXPECT_DOUBLE_EQ(backoff.next_delay(), 1.0);
 
-  // Three consecutive acks prove the session healthy and reset the delay,
-  // so the donor that survived one blip pays the short initial wait again.
-  EXPECT_FALSE(backoff.heartbeat_ok());
-  EXPECT_FALSE(backoff.heartbeat_ok());
-  EXPECT_TRUE(backoff.heartbeat_ok());
+  // An acked result proves the session healthy and resets the delay, so
+  // the donor that survived one blip pays the short initial wait again.
+  backoff.session_healthy();
   EXPECT_DOUBLE_EQ(backoff.current_delay(), 0.0);
   EXPECT_DOUBLE_EQ(backoff.next_delay(), 0.1);
+}
 
-  // reset_beats <= 0 disables the reset entirely.
-  ReconnectBackoff never(0.1, 1.0, 0);
-  (void)never.next_delay();
-  for (int i = 0; i < 10; ++i) EXPECT_FALSE(never.heartbeat_ok());
-  EXPECT_DOUBLE_EQ(never.next_delay(), 0.2);
+TEST(Wal, UndecodableRecordRefusedNotTruncated) {
+  // A frame whose CRC holds was written whole, so it is no torn tail. A
+  // record this build cannot decode — op 3, the retired heartbeat, laid
+  // out as the previous build wrote it — must refuse the directory, not
+  // truncate it along with every acked result logged after it.
+  std::string dir = fresh_dir("wal_refuse");
+  {
+    WalLog wal({dir, 1 << 20});
+    (void)wal.take_recovery();
+    for (int i = 0; i < 5; ++i) wal.append(sample_record(WalOp::kTick, 0));
+    wal.sync();
+  }
+  std::string seg;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind("wal-", 0) == 0) {
+      seg = entry.path().string();
+    }
+  }
+  ASSERT_FALSE(seg.empty());
+  auto frame = [](std::vector<std::byte> payload) {
+    ByteWriter w;
+    w.u32(static_cast<std::uint32_t>(payload.size()));
+    w.u32(net::crc32(payload));
+    w.raw(payload);
+    return w.take();
+  };
+  auto heartbeat = encode_wal_record(sample_record(WalOp::kRequestWork, 6));
+  heartbeat[8] = std::byte{3};  // same body as kRequestWork: one client id
+  std::vector<std::byte> appended;
+  for (auto payload : {heartbeat,
+                       encode_wal_record(sample_record(WalOp::kSubmitResult, 7)),
+                       encode_wal_record(sample_record(WalOp::kTick, 8))}) {
+    auto bytes = frame(std::move(payload));
+    appended.insert(appended.end(), bytes.begin(), bytes.end());
+  }
+  {
+    std::ofstream out(seg, std::ios::binary | std::ios::app);
+    out.write(reinterpret_cast<const char*>(appended.data()),
+              static_cast<std::streamsize>(appended.size()));
+  }
+  const auto before = vfs::read_file(seg);
+
+  try {
+    WalLog reopened({dir, 1 << 20});
+    ADD_FAILURE() << "recovery accepted an undecodable record";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("op 3"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(vfs::read_file(seg), before) << "the refused log was modified";
+  fs::remove_all(dir);
 }
 
 TEST(Wal, FsyncFailureEntersFailedStateNotSilence) {
@@ -529,7 +570,7 @@ TEST(Wal, WriteFailureMarksFailedAndCompactRebuilds) {
   // a successful rebuild makes the log clean again.
   wal.compact(snapshot, 9.0);
   EXPECT_FALSE(wal.failed());
-  wal.append(sample_record(WalOp::kHeartbeat, 0));
+  wal.append(sample_record(WalOp::kRequestWork, 0));
   wal.sync();
 
   WalLog reopened({dir, 1 << 20});
@@ -537,7 +578,7 @@ TEST(Wal, WriteFailureMarksFailedAndCompactRebuilds) {
   ASSERT_TRUE(rec.base_snapshot.has_value());
   EXPECT_EQ(*rec.base_snapshot, snapshot);
   ASSERT_EQ(rec.tail.size(), 1u);
-  EXPECT_EQ(rec.tail[0].op, WalOp::kHeartbeat);
+  EXPECT_EQ(rec.tail[0].op, WalOp::kRequestWork);
 }
 
 TEST(Wal, FaultStormFuzzRecoveryNeverCrashes) {
@@ -569,7 +610,7 @@ TEST(Wal, FaultStormFuzzRecoveryNeverCrashes) {
       }
       for (int i = 0; i < 80; ++i) {
         try {
-          wal->append(sample_record(static_cast<WalOp>(1 + i % 7), 0));
+          wal->append(sample_record(op_at(static_cast<std::size_t>(i)), 0));
           if (i % 9 == 0) wal->sync();
         } catch (const IoError&) {
           ASSERT_TRUE(wal->failed());

@@ -127,10 +127,11 @@ std::string hex(const std::vector<std::byte>& bytes) {
   return out;
 }
 
-TEST(Wire, GoldenV7FramesAreByteStable) {
-  // Whole frames (header + payload) as v7 peers have always exchanged them.
-  // A donor or server built against an older v7 tree must keep decoding
-  // these bytes, so any difference here is a wire-format break.
+TEST(Wire, GoldenV8FramesAreByteStable) {
+  // Whole frames (header + payload) as v8 peers exchange them. A donor or
+  // server built against an older v8 tree must keep decoding these bytes,
+  // so any difference here is a wire-format break. (v8 changed no payload
+  // here: these are the v7 bytes with 08 in the header's version field.)
   WorkUnit unit;
   unit.problem_id = 3;
   unit.unit_id = 17;
@@ -144,7 +145,7 @@ TEST(Wire, GoldenV7FramesAreByteStable) {
   unit.blobs[1].size = 77;
   unit.epoch = 5;
   EXPECT_EQ(hex(net::encode_frame(encode_work_assignment(unit, 9))),
-            "534344480700210009000000000000004f000000974691b7030000000000"
+            "534344480800210009000000000000004f000000974691b7030000000000"
             "000011000000000000000200000000000000004a9340030000006864720200"
             "0000efcdab896745230100100000000000001032547698badcfe4d00000000"
             "0000000500000000000000");
@@ -166,7 +167,7 @@ TEST(Wire, GoldenV7FramesAreByteStable) {
   result.profile = prof;
   result.epoch = 5;
   EXPECT_EQ(hex(net::encode_frame(encode_submit_result(11, result, 10))),
-            "53434448070003000a0000000000000065000000d9b1b5a10b000000000000"
+            "53434448080003000a0000000000000065000000d9b1b5a10b000000000000"
             "0003000000000000001100000000000000020000000400000001020304efbe"
             "adde01000000000000e03f000000000000d03f000000000000c03f00000000"
             "00000040000000000000b03f04000000110000000000000005000000000000"
@@ -178,7 +179,7 @@ TEST(Wire, GoldenV7FramesAreByteStable) {
   header.data_bytes = 1234567;
   header.data_digest = 0x0badc0ffee0ddf00ull;
   EXPECT_EQ(hex(net::encode_frame(encode_problem_data_header(header, 12))),
-            "53434448070023000c0000000000000023000000cefc64c403000000000000"
+            "53434448080023000c0000000000000023000000cefc64c403000000000000"
             "00070000006473656172636887d612000000000000df0deeffc0ad0b");
 }
 
@@ -231,7 +232,6 @@ TEST(Wire, ProblemDataHeaderRoundTrip) {
 
 TEST(Wire, SmallIdMessagesRoundTrip) {
   EXPECT_EQ(decode_request_work(encode_request_work(7, 1)), 7u);
-  EXPECT_EQ(decode_heartbeat(encode_heartbeat(8, 2)), 8u);
   EXPECT_EQ(decode_goodbye(encode_goodbye(9, 3)), 9u);
   EXPECT_EQ(decode_fetch_problem_data(encode_fetch_problem_data({11}, 4)).problem_id,
             11u);
