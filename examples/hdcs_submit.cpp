@@ -18,9 +18,10 @@
 //   hdcs_submit --app dboot  --alignment aln.fasta [--config boot.cfg] ...
 //
 // --wal-dir DIR turns on the write-ahead log, the server's durability:
-// every accepted result is fsynced durable before its ack, so a kill -9
-// loses nothing, and rerunning the same command replays the log and
-// finishes the remaining units instead of starting over. The config file
+// every accepted result is durable before its ack (one fsync commits a
+// group of results), so a kill -9 loses nothing, and rerunning the same
+// command replays the log and finishes the remaining units instead of
+// starting over. The config file
 // can also set max_attempts_per_unit to quarantine "poison" units that
 // repeatedly kill donors (see docs/ROBUSTNESS.md).
 //
@@ -32,7 +33,8 @@
 //
 // SIGINT/SIGTERM shut down gracefully: connected donors are told to stop
 // (kShutdown on their next request). Nothing is left to save — every
-// acked result is already in the WAL.
+// acked result is already in the WAL. A finished job drains the same way,
+// waiting up to 10 s for its donors to hang up before the server stops.
 //
 // --durability picks what a WAL disk fault does: "continue" (default)
 // keeps scheduling non-durably and re-arms when the disk recovers;
@@ -75,6 +77,11 @@ namespace {
 /// Set by the SIGINT/SIGTERM handler; the wait loop polls it and drains
 /// (donors get a clean kShutdown) instead of dying mid-exchange.
 std::atomic<int> g_signal{0};
+
+/// How long a finished job waits for its donors to leave before the server
+/// stops: long enough for a donor mid-unit (say, a hedged copy) to submit,
+/// collect its ack and say Goodbye; a longer unit loses its session.
+constexpr double kDrainGraceS = 10.0;
 
 void on_signal(int sig) { g_signal.store(sig); }
 
@@ -252,6 +259,7 @@ int run(int argc, char** argv) {
               static_cast<unsigned long long>(pid), server.port(),
               server.is_standby() ? " [standby]" : "",
               server.port());
+  std::fflush(stdout);  // a log being tailed for the port sees it now
 
   // Poll so SIGINT/SIGTERM can interrupt the wait: on a signal, drain —
   // donors get a clean kShutdown instead of a dead socket.
@@ -314,6 +322,15 @@ int run(int argc, char** argv) {
     }
   }
   write_output(args.get("output", "-"), out.str());
+  // Let the donors leave first: a donor's next RequestWork is answered
+  // kShutdown, a held ack is still delivered once durable, and each donor
+  // then says Goodbye and hangs up.
+  server.drain();
+  for (double waited = 0; server.connected_clients() > 0 &&
+                          waited < kDrainGraceS;
+       waited += 0.02) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
   server.stop();
   return 0;
 }

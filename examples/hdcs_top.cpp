@@ -155,9 +155,9 @@ std::string find_string(const std::string& json, const std::string& key) {
 }
 
 /// One-glance header above the pretty JSON: donor count, scheduler
-/// backlog, parked requests, bulk-plane cache hit-rate, and the mean
-/// per-phase span costs from the unit profiles (absent until a donor
-/// submits).
+/// backlog, parked requests, held acks, bulk-plane cache hit-rate, and
+/// the mean per-phase span costs from the unit profiles (absent until a
+/// donor submits).
 void print_digest(const std::string& json) {
   double connected = find_number(json, "connected_clients");
   double pending = find_number(json, "units_pending");
@@ -186,6 +186,10 @@ void print_digest(const std::string& json) {
   bool has_parked = false;
   double parked = find_number(json, "parked_requests", 0, &has_parked);
   if (has_parked) std::printf(" | parked %.0f", parked);
+  // ResultAcks the server holds until the group commit's fsync covers them.
+  bool has_held = false;
+  double held = find_number(json, "held_acks", 0, &has_held);
+  if (has_held) std::printf(" | held acks %.0f", held);
   if (!tier.empty()) std::printf(" | simd %s", tier.c_str());
   if (hits + sent > 0) {
     std::printf(" | blob cache hit-rate %.1f%% (%.0f hit / %.0f sent)",

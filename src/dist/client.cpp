@@ -102,8 +102,9 @@ Client::ProblemContext& Client::context_for(ProblemId id) {
   // this problem before a restart (disk cache) skips the download entirely.
   FetchProblemDataPayload fetch;
   fetch.problem_id = id;
-  send(encode_fetch_problem_data(fetch, next_correlation_++));
-  auto header = decode_problem_data_header(net::read_message(stream_));
+  const std::uint64_t corr = next_correlation_++;
+  send(encode_fetch_problem_data(fetch, corr));
+  auto header = decode_problem_data_header(await_reply(corr));
   std::vector<WorkBlob> data(1);
   data[0].digest = header.data_digest;
   if (!ensure_blobs(data)) {
@@ -133,8 +134,9 @@ void Client::note_retry_later(const RetryLaterPayload& nack) {
 
 net::Message Client::fetch_blobs_round(const FetchBlobsPayload& need) {
   for (;;) {
-    send(encode_fetch_blobs(need, next_correlation_++));
-    net::Message reply = net::read_message(stream_);
+    const std::uint64_t corr = next_correlation_++;
+    send(encode_fetch_blobs(need, corr));
+    net::Message reply = await_reply(corr);
     if (reply.type != net::MessageType::kRetryLater) return reply;
     auto nack = decode_retry_later(reply);
     note_retry_later(nack);
@@ -210,6 +212,60 @@ bool Client::backoff_wait(double delay) {
   return !stop_.load() && !crash_.load();
 }
 
+net::Message Client::await_reply(std::uint64_t correlation) {
+  if (early_ack_ && early_ack_->correlation == correlation) {
+    net::Message m = std::move(*early_ack_);
+    early_ack_.reset();
+    return m;
+  }
+  for (;;) {
+    net::Message m = net::read_message(stream_);
+    if (m.correlation == correlation) return m;
+    if (ack_corr_ != 0 && m.correlation == ack_corr_ && !early_ack_) {
+      early_ack_ = std::move(m);  // the ack came first; keep it
+      continue;
+    }
+    throw ProtocolError("reply for correlation " +
+                        std::to_string(m.correlation) + " while awaiting " +
+                        std::to_string(correlation));
+  }
+}
+
+void Client::submit(const ResultUnit& result) {
+  ack_corr_ = next_correlation_++;
+  send(encode_submit_result(my_id_, result, ack_corr_));
+}
+
+bool Client::take_ack(std::optional<ResultUnit>& pending, bool& resubmitting,
+                      ClientRunStats& stats, double benchmark) {
+  net::Message reply = await_reply(ack_corr_);
+  ack_corr_ = 0;
+  if (reply.type == net::MessageType::kRetryLater) {
+    // A fail-stop server NACKs submissions so we keep our buffered copy
+    // for its replacement; `pending` survives and is resent.
+    auto nack = decode_retry_later(reply);
+    note_retry_later(nack);
+    backoff_wait(nack.retry_after_s);
+    return false;
+  }
+  if (reply.type == net::MessageType::kError) {
+    rehello(benchmark);
+    return false;  // pending survives; resent under the new id
+  }
+  auto result_ack = decode_result_ack(reply);
+  backoff_.session_healthy();
+  if (!result_ack.accepted) {
+    LOG_DEBUG("result for unit " << pending->unit_id << " was a duplicate");
+  }
+  if (resubmitting) {
+    stats.results_resubmitted += 1;
+    resubmitting = false;
+  }
+  pending.reset();
+  stats.units_processed += 1;
+  return true;
+}
+
 void Client::send(const net::Message& m) {
   std::lock_guard lock(stream_mutex_);
   net::write_message(stream_, m);
@@ -254,8 +310,9 @@ void Client::rehello(double benchmark) {
   hello.client_name = config_.name;
   hello.cores = 1;
   hello.benchmark_ops_per_sec = benchmark;
-  send(encode_hello(hello, next_correlation_++));
-  net::Message reply = net::read_message(stream_);
+  const std::uint64_t corr = next_correlation_++;
+  send(encode_hello(hello, corr));
+  net::Message reply = await_reply(corr);
   if (reply.type == net::MessageType::kRetryLater) {
     // Shed at the door (max_clients / fail-stop): count it like a failed
     // connect, so connect_session's backoff + endpoint rotation apply.
@@ -341,20 +398,36 @@ ClientRunStats Client::run() {
         [this, interval = heartbeat_interval_] { keepalive_loop(interval); });
   }
 
-  // The work loop. `pending` buffers a computed-but-unacknowledged result:
-  // if the session dies between compute and ack, the reconnected session
-  // resubmits it instead of recomputing the unit (the server dedups by
-  // unit id, so a double delivery is just a dropped duplicate).
+  // The work loop. `pending` is the one unacknowledged result, sent
+  // (ack_corr_ != 0) or waiting to be resent. If the session dies before
+  // its ack, the reconnected session resubmits it instead of recomputing
+  // the unit (the server dedups by unit id, so a double delivery is just a
+  // dropped duplicate). Its ack may be held for the server's group commit,
+  // so the next RequestWork goes out at once and `computed` holds the next
+  // unit's result until that ack is in. Leaving — no more work, or a stop
+  // request — still collects the last ack before Goodbye.
   std::optional<ResultUnit> pending;
+  std::optional<ResultUnit> computed;
+  std::uint64_t units_computed = 0;
   bool resubmitting = false;
+  bool no_more_work = false;
   int consecutive_idle = 0;
   bool session_ok = true;
-  while (!stop_.load() && !crash_.load()) {
+  while (!crash_.load()) {
+    const bool leaving = no_more_work || stop_.load();
+    if (leaving && !pending) break;
     try {
-      if (!pending) {
+      if (pending && ack_corr_ == 0) submit(*pending);
+      if (leaving) {
+        const bool acked = take_ack(pending, resubmitting, stats, benchmark);
+        if (!acked && stop_.load()) break;
+        continue;
+      }
+      if (!computed) {
         Stopwatch queue_sw;  // RequestWork sent -> assignment decoded
-        send(encode_request_work(my_id_, next_correlation_++));
-        net::Message reply = net::read_message(stream_);
+        const std::uint64_t corr = next_correlation_++;
+        send(encode_request_work(my_id_, corr));
+        net::Message reply = await_reply(corr);
 
         if (reply.type == net::MessageType::kNoWorkAvailable) {
           auto no_work = decode_no_work(reply);
@@ -362,19 +435,23 @@ ClientRunStats Client::run() {
           if (config_.exit_when_idle &&
               (no_work.all_problems_complete ||
                ++consecutive_idle >= config_.max_idle_polls)) {
-            break;
+            no_more_work = true;
+            continue;
           }
           std::this_thread::sleep_for(
               std::chrono::duration<double>(no_work.retry_after_s));
           continue;
         }
-        if (reply.type == net::MessageType::kShutdown) break;
+        if (reply.type == net::MessageType::kShutdown) {
+          no_more_work = true;
+          continue;
+        }
         if (reply.type == net::MessageType::kRetryLater) {
           // Overloaded (or degraded fail-stop) server shedding work
           // requests: honour the hint, keep the session.
           auto nack = decode_retry_later(reply);
           note_retry_later(nack);
-          if (!backoff_wait(nack.retry_after_s)) break;
+          backoff_wait(nack.retry_after_s);
           continue;
         }
         if (reply.type == net::MessageType::kError) {
@@ -458,7 +535,7 @@ ClientRunStats Client::run() {
               compute_s * (config_.throttle - 1.0)));
         }
         if (config_.crash_after_units >= 0 &&
-            stats.units_processed + 1 >=
+            units_computed + 1 >=
                 static_cast<std::uint64_t>(config_.crash_after_units)) {
           crash_.store(true);
         }
@@ -466,41 +543,24 @@ ClientRunStats Client::run() {
           stats.retry_laters = retry_laters_;
           return stats;  // vanish without submitting
         }
+        units_computed += 1;
         result.profile = profile_;
-        pending = std::move(result);
-        resubmitting = false;
+        computed = std::move(result);
       }
 
-      send(encode_submit_result(my_id_, *pending, next_correlation_++));
-      net::Message reply = net::read_message(stream_);
-      if (reply.type == net::MessageType::kRetryLater) {
-        // A fail-stop server NACKs submissions so we keep our buffered
-        // copy for its replacement; `pending` survives and is retried.
-        auto nack = decode_retry_later(reply);
-        note_retry_later(nack);
-        if (!backoff_wait(nack.retry_after_s)) break;
-        continue;
+      // The previous result's ack comes before this one's SubmitResult.
+      if (pending && !take_ack(pending, resubmitting, stats, benchmark)) {
+        continue;  // not acked: resend it first
       }
-      if (reply.type == net::MessageType::kError) {
-        rehello(benchmark);
-        continue;  // pending survives; retried under the new id
-      }
-      auto result_ack = decode_result_ack(reply);
-      backoff_.session_healthy();
-      if (!result_ack.accepted) {
-        LOG_DEBUG("result for unit " << pending->unit_id << " was a duplicate");
-      }
-      if (resubmitting) {
-        stats.results_resubmitted += 1;
-        resubmitting = false;
-      }
-      pending.reset();
-      stats.units_processed += 1;
+      pending = std::move(computed);
+      computed.reset();
+      submit(*pending);
     } catch (const Error& e) {
       // A transport failure (IoError) or a corrupt frame (ProtocolError:
-      // CRC mismatch, torn header): either way the connection can no
-      // longer be trusted mid-stream — drop it and start a clean session.
-      // Any other Error is not the session's and ends the donor.
+      // CRC mismatch, torn header, a reply nobody asked for): either way
+      // the connection can no longer be trusted mid-stream — drop it and
+      // start a clean session. Any other Error is not the session's and
+      // ends the donor.
       const bool corrupt = dynamic_cast<const ProtocolError*>(&e) != nullptr;
       if (!corrupt && dynamic_cast<const IoError*>(&e) == nullptr) throw;
       if (stop_.load() || crash_.load()) break;
@@ -508,6 +568,8 @@ ClientRunStats Client::run() {
                << (corrupt ? "got a corrupt frame" : "lost its session")
                << " (" << e.what() << "); reconnecting");
       install(net::TcpStream{});
+      ack_corr_ = 0;
+      early_ack_.reset();
       if (pending) resubmitting = true;
       if (!connect_session(benchmark)) {
         session_ok = false;

@@ -8,6 +8,14 @@
 // priority background service" (paper §3); priority is the deployer's
 // concern (nice/SCHED_IDLE), not this class's.
 //
+// The next RequestWork overtakes the ack: a WAL'd server holds a result's
+// ack until its group commit has made the result durable, so the donor
+// sends its next RequestWork straight after SubmitResult and computes that
+// unit while the ack is on its way. At most one result is unacknowledged:
+// its ack must arrive before the next SubmitResult, and before Goodbye.
+// Every reply is matched by correlation through one reader, which keeps an
+// ack that arrives while another reply is awaited.
+//
 // Session resilience: any transport or framing failure — initial connect,
 // a mid-loop read/write, a corrupt frame, the server restarting — is
 // retried on a fresh connection with capped exponential backoff + jitter
@@ -29,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -203,6 +212,18 @@ class Client {
   /// in sync.
   bool ensure_blobs(std::vector<WorkBlob>& blobs);
 
+  /// Read frames until the reply to `correlation` arrives. The ack of the
+  /// outstanding SubmitResult (ack_corr_) may come first; it is kept for
+  /// take_ack(). Any other correlation is a ProtocolError.
+  net::Message await_reply(std::uint64_t correlation);
+  /// Send SubmitResult for `result`; its ack is then outstanding.
+  void submit(const ResultUnit& result);
+  /// Wait for the outstanding ack. True: acked, and `pending` is done.
+  /// False: it must be resubmitted (RetryLater, or an Error whose
+  /// re-registration this has done), or stop/crash cut the wait short.
+  bool take_ack(std::optional<ResultUnit>& pending, bool& resubmitting,
+                ClientRunStats& stats, double benchmark);
+
   /// Send a FetchBlobs request and read its reply, riding RetryLater NACKs
   /// (blob-budget shedding): wait retry_after_s and resend on the same
   /// connection. Throws IoError if stop/crash interrupts the wait.
@@ -260,6 +281,10 @@ class Client {
   Rng backoff_rng_;
   std::uint64_t next_correlation_ = 1;
   std::uint64_t retry_laters_ = 0;  // work-loop thread only
+  /// Correlation of the SubmitResult awaiting its ack on this session (0 =
+  /// none), and that ack when it arrived ahead of another reply.
+  std::uint64_t ack_corr_ = 0;
+  std::optional<net::Message> early_ack_;
 
   // The work connection. stream_mutex_ guards every write to stream_,
   // every replacement or close of it, last_write_ and keepalive_done_;

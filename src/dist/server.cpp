@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <unordered_set>
 
@@ -101,6 +102,18 @@ struct ParkMetrics {
 };
 ParkMetrics& park_metrics() {
   static ParkMetrics m;
+  return m;
+}
+
+// Group-commit instruments: acks held for an fsync right now (summed over
+// servers in the process) and how long each was held, append to release.
+struct HoldMetrics {
+  obs::Gauge& held = obs::Registry::global().gauge("server.held_acks");
+  obs::Histogram& hold_s = obs::Registry::global().histogram(
+      "server.ack_hold_s", obs::Histogram::latency_bounds());
+};
+HoldMetrics& hold_metrics() {
+  static HoldMetrics m;
   return m;
 }
 
@@ -200,6 +213,7 @@ struct Server::HandlerOutcome {
   bool close = false;                // close once chunks are flushed
   bool replica = false;              // detach into a replication session
   bool parked = false;               // held: answered by whoever pops it
+  bool lead_commit = false;          // run group_commit() after posting
   net::Message request;              // original frame (replica detach)
 };
 
@@ -416,9 +430,11 @@ std::string Server::stats_json(bool include_clients) {
   std::uint64_t wal_lsn;
   double t;
   std::size_t parked;
+  std::size_t held;
   {
     std::lock_guard lock(park_mutex_);
     parked = parked_.size();
+    held = held_.size();
   }
   {
     std::lock_guard lock(core_mutex_);
@@ -445,7 +461,8 @@ std::string Server::stats_json(bool include_clients) {
       << "\""
       << ",\"epoch\":" << term << ",\"wal_lsn\":" << wal_lsn
       << ",\"connected_clients\":" << connected_.load()
-      << ",\"parked_requests\":" << parked << ",\"scheduler\":{"
+      << ",\"parked_requests\":" << parked << ",\"held_acks\":" << held
+      << ",\"scheduler\":{"
       << "\"units_issued\":" << s.units_issued
       << ",\"units_reissued\":" << s.units_reissued
       << ",\"units_hedged\":" << s.units_hedged
@@ -617,10 +634,13 @@ void Server::conn_pump(const std::shared_ptr<Conn>& c) {
   bool accepted = workers_->submit([this, self,
                                     request = std::move(request)]() mutable {
     HandlerOutcome out = handle_request(self, request);
-    if (out.parked) return;  // whoever pops the entry answers it
-    self->io->loop.post([this, self, out = std::move(out)]() mutable {
-      deliver(self, std::move(out));
-    });
+    const bool lead = out.lead_commit;
+    if (!out.parked) {  // else whoever pops the entry answers it
+      self->io->loop.post([this, self, out = std::move(out)]() mutable {
+        deliver(self, std::move(out));
+      });
+    }
+    if (lead) group_commit();
   });
   if (!accepted) c->busy = false;  // shutting down; stop() closes the conn
 }
@@ -801,12 +821,17 @@ void Server::conn_disconnect(std::shared_ptr<Conn> c, const char* reason) {
   c->outq_bytes = 0;
   c->inbox.clear();
   {
-    // A held request dies with its connection: it is nobody's to answer.
+    // A held request or ack dies with its connection: it is nobody's to
+    // answer (a donor resubmits an unacked result on its next session).
     std::lock_guard lock(park_mutex_);
     c->hung_up = true;
     if (const auto dropped = std::erase_if(
             parked_, [&c](const Parked& p) { return p.conn == c; })) {
       park_metrics().parked.add(-static_cast<double>(dropped));
+    }
+    if (const auto dropped = std::erase_if(
+            held_, [&c](const HeldAck& h) { return h.conn == c; })) {
+      hold_metrics().held.add(-static_cast<double>(dropped));
     }
   }
   c->stream.close();
@@ -1017,6 +1042,99 @@ void Server::wake_parked_locked() {
   answer_parked(done ? kAllParked : 1, done, /*expired_only=*/false);
 }
 
+bool Server::hold_ack(const std::shared_ptr<Conn>& c,
+                      std::uint64_t correlation, bool accepted,
+                      std::uint64_t need_lsn, bool& lead) {
+  std::lock_guard lock(park_mutex_);
+  if (need_lsn <= durable_lsn_) return false;
+  if (c->hung_up) return true;  // nobody to answer; the donor resubmits
+  held_.push_back(HeldAck{c, correlation, accepted, need_lsn,
+                          std::chrono::steady_clock::now()});
+  hold_metrics().held.add(1);
+  if (!committing_) committing_ = lead = true;
+  return true;
+}
+
+void Server::group_commit() {
+  // The leader: sync what has been appended, answer what that covered,
+  // and go again while acks wait. The fsync holds no lock, so handlers —
+  // including the next requests of the donors waiting here — keep running.
+  // Once durability is lost (read under core_mutex_, where it is set), a
+  // held ack is answered as an un-held one would be.
+  auto lost = [this] {
+    return storage_failed_.load() ? Release::kNackAll : Release::kAckAll;
+  };
+  for (;;) {
+    std::optional<WalLog::SyncPoint> point;
+    Release how = Release::kDurable;
+    {
+      std::lock_guard lock(core_mutex_);
+      if (static_cast<Durability>(durability_.load()) == Durability::kDurable) {
+        try {
+          point = wal_->sync_point();
+        } catch (const Error& e) {  // a failed compaction left it failed
+          LOG_ERROR("wal sync failed: " << e.what());
+          degrade_locked("wal_sync", now());
+        }
+      }
+      if (!point) how = lost();
+    }
+    if (point) {
+      try {
+        WalLog::sync(*point);
+      } catch (const Error& e) {
+        LOG_ERROR("wal sync failed: " << e.what());
+        std::lock_guard lock(core_mutex_);
+        wal_->fail();  // fsyncgate: never retried
+        degrade_locked("wal_sync", now());
+        how = lost();
+      }
+    }
+    if (!release_acks(how, how == Release::kDurable ? point->lsn : 0)) return;
+  }
+}
+
+bool Server::release_acks(Release how, std::uint64_t synced_lsn) {
+  const auto t = std::chrono::steady_clock::now();
+  std::vector<HeldAck> ready;
+  bool waiting;
+  {
+    std::lock_guard lock(park_mutex_);
+    durable_lsn_ = std::max(durable_lsn_, synced_lsn);
+    for (auto it = held_.begin(); it != held_.end();) {
+      if (how == Release::kDurable && it->need_lsn > durable_lsn_) {
+        ++it;
+        continue;
+      }
+      ready.push_back(std::move(*it));
+      it = held_.erase(it);
+    }
+    waiting = !held_.empty();
+    if (!waiting) committing_ = false;
+  }
+  auto& m = hold_metrics();
+  m.held.add(-static_cast<double>(ready.size()));
+  for (HeldAck& h : ready) {
+    m.hold_s.observe(std::chrono::duration<double>(t - h.since).count());
+    net::Message reply;
+    if (how == Release::kNackAll) {
+      reply = retry_later(h.correlation, "fail_stop");
+    } else {
+      ResultAckPayload ack;
+      ack.accepted = h.accepted;
+      reply = encode_result_ack(ack, h.correlation);
+    }
+    // Not a HandlerOutcome: the connection stopped waiting on this reply
+    // when the ack was held, so its busy flag is someone else's.
+    h.conn->io->loop.post([this, c = h.conn,
+                           bytes = net::encode_frame(reply)]() mutable {
+      conn_enqueue(c, std::move(bytes), 0);
+      conn_flush(c);
+    });
+  }
+  return waiting;
+}
+
 void Server::compact_wal() {
   std::lock_guard lock(core_mutex_);
   if (!wal_) return;
@@ -1037,7 +1155,7 @@ void Server::maybe_compact_locked(double t) {
   last_compact_lsn_ = wal_->next_lsn();
 }
 
-void Server::log_record(WalRecord rec) {
+std::uint64_t Server::log_record(WalRecord rec) {
   // While degraded the WAL is frozen (its segment failed; only compact()
   // rebuilds it) — records flow to the replica feeds only, numbered by
   // repl_lsn_, so a hot standby stays exact through the primary's bad-disk
@@ -1045,7 +1163,7 @@ void Server::log_record(WalRecord rec) {
   const bool degraded = static_cast<Durability>(durability_.load()) ==
                         Durability::kDegraded;
   const bool use_wal = wal_ != nullptr && !degraded;
-  if (!use_wal && feeds_.empty()) return;
+  if (!use_wal && feeds_.empty()) return 0;
   rec.lsn = use_wal ? wal_->next_lsn() : repl_lsn_;
   bool append_failed = false;
   if (use_wal) {
@@ -1066,6 +1184,7 @@ void Server::log_record(WalRecord rec) {
     for (const auto& feed : feeds_) feed->push(bytes);
   }
   if (append_failed) degrade_locked("wal_append", rec.now);
+  return rec.lsn;
 }
 
 void Server::enter_new_term(const char* reason, double t) {
@@ -1171,17 +1290,19 @@ bool Server::try_rearm() {
   return true;
 }
 
+net::Message Server::retry_later(std::uint64_t correlation,
+                                 const char* reason) {
+  // The donor backs off and keeps its buffered state.
+  obs::Registry::global().counter("server.retry_laters").inc();
+  RetryLaterPayload p;
+  p.retry_after_s = config_.retry_later_s;
+  p.reason = reason;
+  return encode_retry_later(p, correlation);
+}
+
 Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
                                               const net::Message& request) {
   HandlerOutcome out;
-  // Retryable NACK: the donor backs off and keeps its buffered state.
-  auto retry_later = [this](const net::Message& req, const char* reason) {
-    obs::Registry::global().counter("server.retry_laters").inc();
-    RetryLaterPayload p;
-    p.retry_after_s = config_.retry_later_s;
-    p.reason = reason;
-    return encode_retry_later(p, req.correlation);
-  };
   net::Message response;
   bool have_response = true;
   // FetchBlobs bodies: shared_ptrs collected under the core lock, encoded
@@ -1214,7 +1335,7 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
         // buffered copy for the restarted server. (FetchStats stays up so
         // operators can see why; RequestWork already gets kShutdown from
         // the draining guard above.)
-        response = retry_later(request, "fail_stop");
+        response = retry_later(request.correlation, "fail_stop");
       } else switch (request.type) {
         case net::MessageType::kHello: {
           auto hello = decode_hello(request);
@@ -1230,7 +1351,7 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
                   .str("reason", "max_clients")
                   .str("name", hello.client_name);
             }
-            response = retry_later(request, "max_clients");
+            response = retry_later(request.correlation, "max_clients");
             break;
           }
           client_id = core_.client_joined(hello.client_name,
@@ -1290,6 +1411,8 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
         case net::MessageType::kSubmitResult: {
           auto [id, result] = decode_submit_result(request);
           ResultAckPayload ack;
+          bool durable;
+          std::uint64_t need_lsn;
           {
             std::lock_guard lock(core_mutex_);
             double t = now();
@@ -1299,28 +1422,25 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
             rec.now = t;
             rec.arg = id;
             rec.result = result;
-            log_record(std::move(rec));
-            // The accepted result must be durable before the donor learns
-            // it was accepted — the ack is what lets it drop its buffered
-            // copy, so after this fsync a kill -9 loses nothing. Once
-            // degraded there is nothing left to fsync; kContinue acks
-            // anyway (accepted-but-non-durable, epoch already fenced),
-            // kFailStop NACKs below so the donor keeps its copy.
-            if (wal_ && ack.accepted &&
-                static_cast<Durability>(durability_.load()) ==
-                    Durability::kDurable) {
-              try {
-                wal_->sync();
-              } catch (const Error& e) {
-                LOG_ERROR("wal sync failed: " << e.what());
-                degrade_locked("wal_sync", t);
-              }
-            }
+            const std::uint64_t lsn = log_record(std::move(rec));
+            if (ack.accepted) accepted_lsn_ = lsn;
+            // The ack is what lets the donor drop its buffered copy, so it
+            // waits until the result it reports is durable: this record,
+            // or for a duplicate the first copy's (accepted_lsn_ covers
+            // both). Once degraded there is nothing left to fsync:
+            // kContinue acks anyway (accepted-but-non-durable, epoch
+            // already fenced), kFailStop NACKs so the donor keeps its copy.
+            durable = wal_ && static_cast<Durability>(durability_.load()) ==
+                                  Durability::kDurable;
+            need_lsn = accepted_lsn_;
             wake_parked_locked();  // a merge can open a stage or finish
           }
           progress_cv_.notify_all();
-          if (storage_failed_.load()) {
-            response = retry_later(request, "fail_stop");
+          if (durable && hold_ack(c, request.correlation, ack.accepted,
+                                  need_lsn, out.lead_commit)) {
+            have_response = false;  // the commit leader answers it
+          } else if (storage_failed_.load()) {
+            response = retry_later(request.correlation, "fail_stop");
           } else {
             response = encode_result_ack(ack, request.correlation);
           }
@@ -1373,7 +1493,7 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
                     .str("reason", "blob_budget")
                     .str("name", "client:" + std::to_string(fetch.client_id));
               }
-              response = retry_later(request, "blob_budget");
+              response = retry_later(request.correlation, "blob_budget");
               break;
             }
             blob_inflight_bytes_.fetch_add(total);

@@ -16,7 +16,7 @@
 // A loop thread never takes core_mutex_ and never touches disk; a worker
 // never touches a socket. Requests hop loop -> worker -> loop (post), with
 // at most one worker job in flight per connection so responses keep their
-// request order.
+// request order — except a ResultAck held for the group commit below.
 //
 // Long-poll: a RequestWork with nothing to serve is *parked* — its NoWork
 // reply is held in a FIFO (no worker waits on it, the connection stays
@@ -25,6 +25,22 @@
 // tick, departure or served RequestWork; every entry once all problems are
 // complete, on drain() and on fail-stop; otherwise at its no_work_retry_s
 // deadline. Whoever pops an entry answers it, exactly once.
+//
+// Group commit: a SubmitResult is applied and appended under core_mutex_
+// as before (WAL order is mutation order), but with a WAL its ack is then
+// *held* — a second kind of entry, {conn, correlation, accepted,
+// need_lsn} — until the log is durable through need_lsn, the lsn of the
+// last record that accepted a result (so a duplicate also waits for its
+// first copy). A held ack does not keep its connection busy: the donor's
+// next request is served at once, and the ack follows later, out of
+// request order. The worker that holds an ack while no fsync runs becomes
+// the commit leader (no thread of its own): after posting its own reply it
+// takes a WalLog::SyncPoint under core_mutex_, fsyncs it without any lock,
+// releases every ack the fsync covered, and repeats while acks remain. A
+// failed fsync fails the log and degrades under core_mutex_; held acks are
+// then answered RetryLater under kFailStop and acked under kContinue. A
+// closed connection drops its held ack (the donor resubmits; the core
+// drops the duplicate).
 //
 // Liveness rides the work connection. Each connection stamps the last time
 // it received bytes; a Heartbeat frame (a donor's one-way keepalive while
@@ -236,6 +252,16 @@ class Server {
     std::chrono::steady_clock::time_point since;
     std::chrono::steady_clock::time_point deadline;
   };
+  /// A held ResultAck (see the group-commit note).
+  struct HeldAck {
+    std::shared_ptr<Conn> conn;
+    std::uint64_t correlation = 0;
+    bool accepted = false;
+    std::uint64_t need_lsn = 0;  // sent once the WAL is durable through it
+    std::chrono::steady_clock::time_point since;
+  };
+  /// What the commit leader does with the held acks it releases.
+  enum class Release { kDurable, kAckAll, kNackAll };
 
   // Event-loop path. All conn_* methods run on the connection's loop
   // thread; handle_request runs on a worker.
@@ -265,12 +291,24 @@ class Server {
   void answer_parked(std::size_t max, bool all_complete, bool expired_only);
   void wake_parked_locked();  // requires core_mutex_: work may exist now
 
+  // Group commit. hold_ack() queues c's ack (false: durable already, answer
+  // now) and sets `lead` when the caller must run group_commit() after
+  // posting its reply; release_acks() answers what `how` allows and says
+  // whether acks are still waiting for a later fsync.
+  bool hold_ack(const std::shared_ptr<Conn>& c, std::uint64_t correlation,
+                bool accepted, std::uint64_t need_lsn, bool& lead);
+  void group_commit();
+  bool release_acks(Release how, std::uint64_t synced_lsn);
+  /// Retryable NACK, counted in server.retry_laters.
+  net::Message retry_later(std::uint64_t correlation, const char* reason);
+
   void housekeeping_loop();
   void serve_replica(net::TcpStream& stream, const net::Message& hello);
   void replica_loop();  // standby: sync + tail the primary, promote on silence
   void promote(const char* reason);
-  // All four require core_mutex_ held.
-  void log_record(WalRecord rec);
+  // All four require core_mutex_ held. log_record returns the lsn it
+  // assigned (0: nothing logged — no WAL and no standby).
+  std::uint64_t log_record(WalRecord rec);
   void enter_new_term(const char* reason, double t);
   void maybe_compact_locked(double t);
   void degrade_locked(const char* reason, double t);
@@ -293,11 +331,19 @@ class Server {
   // Parked RequestWork replies, oldest first; every entry holds the same
   // no_work_retry_s, so the front also has the nearest deadline. Lock
   // order: core_mutex_ before park_mutex_; loop threads take only the
-  // latter. park_cv_ wakes the housekeeper for a new front deadline or
-  // stop().
+  // latter, and the commit leader holds neither while it fsyncs.
+  // park_cv_ wakes the housekeeper for a new front deadline or stop().
   std::mutex park_mutex_;
   std::condition_variable park_cv_;
   std::deque<Parked> parked_;
+  // Held acks, in hold order, and the group commit's state (park_mutex_):
+  // every record through durable_lsn_ is on disk; committing_ is true
+  // while a leader runs, which it does whenever held_ is non-empty.
+  std::deque<HeldAck> held_;
+  bool committing_ = false;
+  std::uint64_t durable_lsn_ = 0;
+  /// Lsn of the last record that accepted a result (core_mutex_).
+  std::uint64_t accepted_lsn_ = 0;
 
   std::atomic<bool> running_{false};
   std::atomic<int> connected_{0};

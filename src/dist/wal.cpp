@@ -19,6 +19,7 @@
 #include "util/byte_buffer.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
+#include "util/stopwatch.hpp"
 #include "util/vfs.hpp"
 
 namespace hdcs::dist {
@@ -41,6 +42,17 @@ std::string segment_path(const std::string& dir, std::uint64_t first_lsn) {
 }
 
 std::string base_path(const std::string& dir) { return dir + "/base.ckpt"; }
+
+/// One fsync of the log: wal.syncs counts them, wal.sync_s times them.
+void timed_sync(vfs::File& file) {
+  static obs::Counter& syncs = obs::Registry::global().counter("wal.syncs");
+  static obs::Histogram& sync_s = obs::Registry::global().histogram(
+      "wal.sync_s", obs::Histogram::latency_bounds());
+  Stopwatch sw;
+  file.sync();
+  sync_s.observe(sw.seconds());
+  syncs.inc();
+}
 
 }  // namespace
 
@@ -256,6 +268,7 @@ void WalLog::recover() {
   } else {
     // Append to the surviving last segment.
     file_ = vfs::File::append(segments_.back());
+    sync_file_ = std::make_shared<vfs::File>(file_.reopen());
   }
   reg.gauge("wal.segments").set(static_cast<double>(segments_.size()));
 }
@@ -265,12 +278,14 @@ void WalLog::open_segment(std::uint64_t first_lsn) {
   file_ = vfs::File::create(path);
   segments_.push_back(std::move(path));
   current_bytes_ = 0;
+  sync_file_ = std::make_shared<vfs::File>(file_.reopen());
   auto& reg = obs::Registry::global();
   reg.counter("wal.segments_opened").inc();
   reg.gauge("wal.segments").set(static_cast<double>(segments_.size()));
 }
 
 bool WalLog::close_segment(bool fsync_it) {
+  sync_file_.reset();  // a group commit still holding it keeps it open
   if (!file_.valid()) return true;
   bool ok = true;
   if (fsync_it) {
@@ -292,6 +307,7 @@ void WalLog::mark_failed() {
   // pages, so the descriptor must go — a later fsync on it would report
   // success for data that never hit the disk.
   file_.close();
+  sync_file_.reset();
   obs::Registry::global().counter("wal.failures").inc();
 }
 
@@ -352,14 +368,23 @@ void WalLog::sync() {
   }
   if (file_.valid()) {
     try {
-      file_.sync();
+      timed_sync(file_);
     } catch (const IoError&) {
       mark_failed();
       throw;
     }
   }
-  obs::Registry::global().counter("wal.syncs").inc();
 }
+
+WalLog::SyncPoint WalLog::sync_point() const {
+  if (failed_ || !sync_file_) {
+    throw IoError("wal sync: log is in the failed state (compact() "
+                  "rebuilds it from a fresh snapshot)");
+  }
+  return SyncPoint{sync_file_, next_lsn_ - 1};
+}
+
+void WalLog::sync(const SyncPoint& point) { timed_sync(*point.file); }
 
 void WalLog::compact(std::span<const std::byte> snapshot, double now) {
   const bool rebuilding = failed_;

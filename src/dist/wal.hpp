@@ -6,11 +6,13 @@
 // client join/leave, work request, result submission, tick, epoch bump —
 // and replaying them over an exact base snapshot reproduces
 // the pre-crash state field for field. The server appends each record
-// under the same lock that serialises the core call, fsyncs before
-// acknowledging a result (fsync persists every earlier buffered record
-// too, so durability is always a prefix of the log), and periodically
-// folds old segments into a fresh exact snapshot (compaction: checkpoint =
-// snapshot + WAL tail replay).
+// under the same lock that serialises the core call, makes a result
+// durable before acknowledging it (an fsync persists every earlier
+// buffered record too, so durability is always a prefix of the log, and
+// one fsync outside that lock — sync_point() + sync(point) — commits a
+// whole group of results), and periodically folds old segments into a
+// fresh exact snapshot (compaction: checkpoint = snapshot + WAL tail
+// replay).
 //
 // On-disk layout under one directory:
 //   base.ckpt            HKCP envelope; payload = u64 start_lsn,
@@ -33,6 +35,7 @@
 // WAL for the next failover.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -142,6 +145,28 @@ class WalLog {
   /// snapshot.
   void sync();
 
+  /// Group commit: the records appended so far, and a handle to make them
+  /// durable with outside the caller's lock. The handle is the current
+  /// segment opened a second time: rotation, compaction, reset() and the
+  /// failed state drop the log's reference but cannot close it, and its
+  /// own error cursor reports a writeback error that an fsync through the
+  /// append handle saw first. Records in earlier segments are already
+  /// durable: rotation seals a segment with an fsync, compaction folds
+  /// them into a synced base.
+  struct SyncPoint {
+    std::shared_ptr<vfs::File> file;
+    std::uint64_t lsn = 0;  // durable through this lsn once `file` syncs
+  };
+  /// Under the caller's lock. Throws IoError in the failed state.
+  [[nodiscard]] SyncPoint sync_point() const;
+  /// fsync a sync point; touches nothing else of the log, so it runs
+  /// without the caller's lock — one caller at a time per point. Throws
+  /// IoError, after which the caller must fail() the log under its lock.
+  static void sync(const SyncPoint& point);
+  /// Enter the failed state after a failed sync(point): fsyncgate, the
+  /// segment is closed, never re-fsynced, until compact() rebuilds.
+  void fail() { mark_failed(); }
+
   /// Fold everything logged so far into a new base snapshot: write
   /// base.ckpt (atomic tmp+rename), delete the old segments, start a
   /// fresh one at the current lsn. Emits a wal_compacted trace event via
@@ -182,6 +207,7 @@ class WalLog {
   bool recovery_taken_ = false;
   std::vector<std::string> segments_;  // live segment paths, oldest first
   vfs::File file_;                     // current (last) segment
+  std::shared_ptr<vfs::File> sync_file_;  // its group-commit handle
   std::size_t current_bytes_ = 0;      // size of the current segment
   std::uint64_t next_lsn_ = 1;
   bool failed_ = false;

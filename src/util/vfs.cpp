@@ -6,10 +6,13 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 #include <utility>
 
 #include "util/error.hpp"
@@ -112,6 +115,13 @@ bool StorageFaultPlan::fail_sync(const std::string& path) {
   return true;
 }
 
+double StorageFaultPlan::sync_delay(const std::string& path) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!matches(path) || !draw(spec_.sync_delay_prob)) return 0;
+  ++stats_.sync_delays;
+  return spec_.sync_delay_s;
+}
+
 StorageFaultPlan::RenameFault StorageFaultPlan::rename_fault(
     const std::string& to) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -137,6 +147,7 @@ bool StorageFaultPlan::fail_unlink(const std::string& path) {
 
 void StorageFaultPlan::note_unlink(const std::string& path) {
   std::lock_guard<std::mutex> lock(mu_);
+  synced_.erase(path);
   auto it = sizes_.find(path);
   if (it == sizes_.end()) return;
   live_bytes_ -= it->second;
@@ -146,6 +157,9 @@ void StorageFaultPlan::note_unlink(const std::string& path) {
 void StorageFaultPlan::note_truncate(const std::string& path,
                                      std::uint64_t new_size) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (auto s = synced_.find(path); s != synced_.end()) {
+    s->second = std::min(s->second, new_size);
+  }
   auto it = sizes_.find(path);
   if (it == sizes_.end()) return;  // never charged: nothing to credit back
   if (it->second > new_size) {
@@ -168,6 +182,22 @@ void StorageFaultPlan::note_rename(const std::string& from,
     sizes_.erase(it);
   }
   if (moved > 0) sizes_[to] = moved;
+  synced_.erase(to);
+  if (auto it = synced_.find(from); it != synced_.end()) {
+    synced_[to] = it->second;
+    synced_.erase(from);
+  }
+}
+
+void StorageFaultPlan::note_sync(const std::string& path, std::uint64_t bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (matches(path)) synced_[path] = bytes;
+}
+
+std::uint64_t StorageFaultPlan::synced_bytes(const std::string& path) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = synced_.find(path);
+  return it == synced_.end() ? 0 : it->second;
 }
 
 StorageFaultPlan::Stats StorageFaultPlan::stats() const {
@@ -270,15 +300,31 @@ void File::sync() {
                   ": handle poisoned by earlier failed fsync (rebuild the "
                   "file, do not retry the fsync)");
   }
-  if (auto plan = installed_storage_fault_plan();
-      plan && plan->fail_sync(path_)) {
+  auto plan = installed_storage_fault_plan();
+  if (plan && plan->fail_sync(path_)) {
     poisoned_ = true;
     throw IoError("fsync " + path_ + ": injected I/O error");
+  }
+  // What this fsync covers: everything written before it began.
+  struct stat st{};
+  if (plan) {
+    if (double d = plan->sync_delay(path_); d > 0) {
+      std::this_thread::sleep_for(std::chrono::duration<double>(d));
+    }
+    if (::fstat(fd_, &st) != 0) throw_errno("fstat " + path_);
   }
   if (::fsync(fd_) != 0) {
     poisoned_ = true;
     throw_errno("fsync " + path_);
   }
+  if (plan) plan->note_sync(path_, static_cast<std::uint64_t>(st.st_size));
+}
+
+File File::reopen() const {
+  if (fd_ < 0) throw IoError("reopen " + path_ + ": file not open");
+  const int fd = ::open(path_.c_str(), O_WRONLY);
+  if (fd < 0) throw_errno("open " + path_);
+  return File(fd, path_);
 }
 
 void File::close() noexcept {

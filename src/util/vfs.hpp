@@ -19,6 +19,9 @@
 //   - sync_error_prob: fsync reports EIO. Per fsyncgate semantics the
 //     caller must treat the file's durability as unknown and rebuild it;
 //     re-fsyncing the same descriptor is a bug, never a retry.
+//   - sync_delay_prob / sync_delay_s: an fsync first stalls sync_delay_s
+//     (a slow disk), mirroring net::FaultPlan's delay; with probability 1
+//     it makes "while an fsync is running" a window a test can aim at.
 //   - rename_error_prob: rename fails cleanly (destination untouched).
 //   - torn_rename_prob: rename "fails" leaving the destination a truncated
 //     copy of the source — a crash on a non-atomic filesystem. Readers must
@@ -34,6 +37,10 @@
 //   - path_filter: only paths containing this substring are faulted (and
 //     capacity-charged), so a test can break the WAL directory while the
 //     result files on the same real disk stay writable.
+//
+// The plan also records, per (filtered) path, how many bytes its last
+// successful fsync covered: the file's size when that fsync began. A test
+// can cut a file there to see exactly what a power cut would have kept.
 //
 // With no plan installed every operation is a thin RAII wrapper over the
 // raw syscalls (one relaxed atomic load of overhead), throwing IoError
@@ -66,6 +73,8 @@ struct StorageFaultSpec {
   double rename_error_prob = 0;
   double torn_rename_prob = 0;
   double unlink_error_prob = 0;
+  double sync_delay_prob = 0;
+  double sync_delay_s = 0;
   /// 0 = unlimited. See the capacity model above.
   std::uint64_t disk_capacity_bytes = 0;
   /// Only paths containing this substring are faulted; empty = all paths.
@@ -75,7 +84,8 @@ struct StorageFaultSpec {
     return open_error_prob > 0 || write_error_prob > 0 ||
            short_write_prob > 0 || sync_error_prob > 0 ||
            rename_error_prob > 0 || torn_rename_prob > 0 ||
-           unlink_error_prob > 0 || disk_capacity_bytes > 0;
+           unlink_error_prob > 0 || sync_delay_prob > 0 ||
+           disk_capacity_bytes > 0;
   }
 };
 
@@ -95,10 +105,12 @@ class StorageFaultPlan {
     std::uint64_t torn_renames = 0;
     std::uint64_t unlink_errors = 0;
     std::uint64_t enospc = 0;  // capacity-model rejections
+    std::uint64_t sync_delays = 0;
 
     [[nodiscard]] std::uint64_t injected() const {
       return open_errors + write_errors + short_writes + sync_errors +
-             rename_errors + torn_renames + unlink_errors + enospc;
+             rename_errors + torn_renames + unlink_errors + enospc +
+             sync_delays;
     }
   };
 
@@ -115,6 +127,8 @@ class StorageFaultPlan {
                                        std::size_t len,
                                        std::size_t& keep_prefix);
   [[nodiscard]] bool fail_sync(const std::string& path);
+  /// Seconds an fsync of `path` stalls before it runs (0 = none).
+  [[nodiscard]] double sync_delay(const std::string& path);
   [[nodiscard]] RenameFault rename_fault(const std::string& to);
   [[nodiscard]] bool fail_unlink(const std::string& path);
 
@@ -122,8 +136,13 @@ class StorageFaultPlan {
   void note_unlink(const std::string& path);
   void note_truncate(const std::string& path, std::uint64_t new_size);
   void note_rename(const std::string& from, const std::string& to);
+  /// A successful fsync of `path` covered its first `bytes` bytes.
+  void note_sync(const std::string& path, std::uint64_t bytes);
 
   [[nodiscard]] Stats stats() const;
+  /// Bytes of `path` its last successful fsync covered (0 = none since it
+  /// was created or emptied). Truncates clamp it, renames carry it along.
+  [[nodiscard]] std::uint64_t synced_bytes(const std::string& path) const;
   [[nodiscard]] const StorageFaultSpec& spec() const { return spec_; }
   /// Live bytes currently charged against disk_capacity_bytes.
   [[nodiscard]] std::uint64_t live_bytes() const;
@@ -138,6 +157,7 @@ class StorageFaultPlan {
   Stats stats_;
   std::uint64_t live_bytes_ = 0;
   std::unordered_map<std::string, std::uint64_t> sizes_;
+  std::unordered_map<std::string, std::uint64_t> synced_;
 };
 
 /// Install `plan` as the process-global plan consulted by every vfs
@@ -191,6 +211,12 @@ class File {
   /// fsync. Throws IoError on real or injected failure and poisons the
   /// handle (see class comment).
   void sync();
+  /// A second descriptor on the same file, opened anew rather than
+  /// dup(2)ed, so it keeps its own writeback-error cursor: its sync()
+  /// reports every error since this call even when another descriptor's
+  /// fsync saw it first. Adds no draw to an installed plan (its sync()
+  /// is injected as usual). Throws IoError.
+  [[nodiscard]] File reopen() const;
   /// Close, ignoring errors. Idempotent.
   void close() noexcept;
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -14,14 +15,21 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bio/seqgen.hpp"
+#include "dist/checkpoint_file.hpp"
 #include "dist/client.hpp"
+#include "dist/granularity.hpp"
 #include "dist/local_runner.hpp"
+#include "dist/scheduler_core.hpp"
 #include "dist/server.hpp"
+#include "dist/wal.hpp"
+#include "dist/wire.hpp"
 #include "dprml/dprml.hpp"
 #include "dsearch/dsearch.hpp"
 #include "net/fault.hpp"
@@ -1080,6 +1088,333 @@ TEST(Chaos, PoisonUnitQuarantinedOverTcp) {
   auto json = server.stats_json();
   EXPECT_NE(json.find("\"units_quarantined\":1"), std::string::npos) << json;
   server.stop();
+}
+
+// ---- group commit: an ack implies a durable result ----
+
+/// ToySum that also remembers which units it merged, in its snapshot too,
+/// so a core restored from a WAL directory names the results that survived.
+class MergeLedgerToy final : public DataManager {
+ public:
+  explicit MergeLedgerToy(std::uint64_t n) : inner_(n) {}
+  [[nodiscard]] std::string algorithm_name() const override {
+    return inner_.algorithm_name();
+  }
+  [[nodiscard]] std::vector<std::byte> problem_data() const override {
+    return inner_.problem_data();
+  }
+  std::optional<WorkUnit> next_unit(const SizeHint& hint) override {
+    return inner_.next_unit(hint);
+  }
+  void accept_result(const ResultUnit& result) override {
+    inner_.accept_result(result);
+    merged_.insert(result.unit_id);
+  }
+  [[nodiscard]] bool is_complete() const override {
+    return inner_.is_complete();
+  }
+  [[nodiscard]] std::vector<std::byte> final_result() const override {
+    return inner_.final_result();
+  }
+  [[nodiscard]] bool supports_snapshot() const override { return true; }
+  void snapshot(ByteWriter& w) const override {
+    inner_.snapshot(w);
+    w.u64(merged_.size());
+    for (UnitId id : merged_) w.u64(id);
+  }
+  void restore(ByteReader& r) override {
+    inner_.restore(r);
+    merged_.clear();
+    for (std::uint64_t n = r.u64(); n > 0; --n) merged_.insert(r.u64());
+  }
+  [[nodiscard]] const std::set<UnitId>& merged() const { return merged_; }
+  [[nodiscard]] std::uint64_t expected() const { return inner_.expected(); }
+
+ private:
+  test::ToySumDataManager inner_;
+  std::set<UnitId> merged_;
+};
+
+/// What a power cut would leave of a WAL directory: base.ckpt, plus every
+/// segment cut at the length its last fsync covered (the storage plan's
+/// ledger), decoded with decode_wal_record and replayed into a fresh core
+/// over the same problem, as a restarted server recovers. Returns the units
+/// that core merged. The caller keeps compaction from running meanwhile.
+std::set<UnitId> durably_merged(const std::string& dir,
+                                const vfs::StorageFaultPlan& plan,
+                                const ServerConfig& scfg, std::uint64_t n) {
+  SchedulerCore core(scfg.scheduler, make_policy(scfg.policy_spec));
+  auto dm = std::make_shared<MergeLedgerToy>(n);
+  core.submit_problem(dm);
+  std::uint64_t next_lsn = 1;
+  if (auto base = read_checkpoint_file(dir + "/base.ckpt")) {
+    ByteReader r{std::span<const std::byte>(*base)};
+    next_lsn = r.u64();
+    core.restore_exact(r);
+    r.expect_end();
+  }
+  std::vector<std::string> segments;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("wal-", 0) == 0) segments.push_back(entry.path().string());
+  }
+  std::sort(segments.begin(), segments.end());  // zero-padded first lsn
+  for (const std::string& path : segments) {
+    auto bytes = vfs::read_file(path);
+    bytes.resize(std::min<std::size_t>(bytes.size(), plan.synced_bytes(path)));
+    ByteReader r{std::span<const std::byte>(bytes)};
+    while (r.remaining() >= 8) {
+      const std::uint32_t len = r.u32();
+      r.u32();  // crc: a synced prefix is whole
+      if (r.remaining() < len) break;
+      WalRecord rec = decode_wal_record(r.raw(len));
+      if (rec.lsn < next_lsn) continue;  // folded into the base
+      if (rec.lsn != next_lsn) return dm->merged();  // past the durable prefix
+      apply_wal_record(core, rec);
+      next_lsn += 1;
+    }
+  }
+  return dm->merged();
+}
+
+ServerConfig group_commit_config(const std::string& wal_dir) {
+  ServerConfig scfg;
+  scfg.scheduler.bounds.min_ops = 1000;
+  scfg.policy_spec = "fixed:1000";
+  scfg.tick_interval_s = 60;  // no Tick records, no wakes
+  scfg.no_work_retry_s = 30;
+  scfg.wal_dir = wal_dir;
+  scfg.wal_segment_bytes = 1024;  // rotate every dozen records or so
+  scfg.wal_compact_every = 0;     // compaction only where the test says
+  return scfg;
+}
+
+ResultUnit toy_result(const WorkUnit& unit) {
+  test::ToySumAlgorithm algo;
+  algo.initialize(test::ToySumDataManager(0).problem_data());
+  ResultUnit result;
+  result.problem_id = unit.problem_id;
+  result.unit_id = unit.unit_id;
+  result.stage = unit.stage;
+  result.epoch = unit.epoch;
+  result.payload = algo.process(unit);
+  result.payload_crc = net::crc32(result.payload);
+  return result;
+}
+
+TEST(Chaos, GroupCommitAckImpliesDurableResult) {
+  // Three frame-level donors pipeline SubmitResult + RequestWork against a
+  // WAL'd server whose every fsync is slow, while its segments rotate and
+  // a compaction runs mid-stream. At every ResultAck, a power cut must
+  // keep the acked unit: the WAL's synced prefix merges it.
+  test::register_toy_algorithm();
+  std::string wal_dir = testing::TempDir() + "hdcs_group_commit_wal";
+  std::filesystem::remove_all(wal_dir);
+  vfs::StorageFaultSpec slow_disk;
+  slow_disk.sync_delay_prob = 1.0;
+  slow_disk.sync_delay_s = 0.02;
+  slow_disk.path_filter = "hdcs_group_commit_wal";
+  vfs::ScopedStorageFaultPlan scoped(slow_disk);
+  auto& reg = obs::Registry::global();
+  const auto compactions = reg.counter("wal.compactions").value();
+  const auto segments = reg.counter("wal.segments_opened").value();
+
+  constexpr std::uint64_t kN = 30000;  // 30 units
+  ServerConfig scfg = group_commit_config(wal_dir);
+  Server server(scfg);
+  auto dm = std::make_shared<MergeLedgerToy>(kN);
+  auto pid = server.submit_problem(dm);
+  server.start();
+
+  struct Donor {
+    net::TcpStream stream;
+    ClientId id = 0;
+    std::uint64_t corr = 1;
+    std::uint64_t ack_corr = 0;  // the SubmitResult awaiting its ack
+    UnitId ack_unit = 0;
+    std::optional<ResultUnit> next;  // computed, waits for that ack
+    bool told_complete = false;
+    bool done = false;
+  };
+  std::vector<Donor> donors(3);
+  for (std::size_t i = 0; i < donors.size(); ++i) {
+    Donor& d = donors[i];
+    d.stream = net::TcpStream::connect("127.0.0.1", server.port());
+    const std::string name = "pipe-" + std::to_string(i);
+    net::write_message(d.stream, encode_hello({name, 1, 1e6}, d.corr++));
+    d.id = decode_hello_ack(net::read_message(d.stream)).client_id;
+    net::write_message(d.stream, encode_request_work(d.id, d.corr++));
+  }
+  auto submit_and_ask = [](Donor& d, const ResultUnit& result) {
+    d.ack_corr = d.corr++;
+    d.ack_unit = result.unit_id;
+    net::write_message(d.stream,
+                       encode_submit_result(d.id, result, d.ack_corr));
+    net::write_message(d.stream, encode_request_work(d.id, d.corr++));
+  };
+
+  int acks = 0;
+  int overtakes = 0;  // assignments that arrived while an ack was held
+  bool compacted = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (std::any_of(donors.begin(), donors.end(),
+                     [](const Donor& d) { return !d.done; }) &&
+         std::chrono::steady_clock::now() < deadline) {
+    for (Donor& d : donors) {
+      if (d.done || !d.stream.readable(1)) continue;
+      net::Message m = net::read_message(d.stream);
+      if (m.type == net::MessageType::kWorkAssignment) {
+        ResultUnit result = toy_result(decode_work_assignment(m));
+        if (d.ack_corr != 0) {
+          overtakes += 1;
+          d.next = std::move(result);
+        } else {
+          submit_and_ask(d, result);
+        }
+      } else if (m.type == net::MessageType::kResultAck) {
+        ASSERT_EQ(m.correlation, d.ack_corr);
+        EXPECT_TRUE(decode_result_ack(m).accepted);
+        const auto durable = durably_merged(wal_dir, scoped.plan(), scfg, kN);
+        ASSERT_EQ(durable.count(d.ack_unit), 1u)
+            << "unit " << d.ack_unit << " acked before it was durable";
+        d.ack_corr = 0;
+        d.done = d.told_complete;
+        acks += 1;
+        if (d.next) {
+          submit_and_ask(d, *d.next);
+          d.next.reset();
+        }
+        if (acks == 10 && !compacted) {
+          // Fold the log while this donor's new ack is held and the commit
+          // leader may be mid-fsync on a segment compaction unlinks.
+          server.compact_wal();
+          compacted = true;
+        }
+      } else {
+        ASSERT_EQ(m.type, net::MessageType::kNoWorkAvailable);
+        if (decode_no_work(m).all_problems_complete) {
+          d.told_complete = true;
+          d.done = d.ack_corr == 0;  // else its held ack is still to come
+        } else {
+          net::write_message(d.stream, encode_request_work(d.id, d.corr++));
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(server.wait_for_problem(pid, 1.0));
+  EXPECT_EQ(test::read_u64_result(server.final_result(pid)), dm->expected());
+  EXPECT_EQ(acks, 30);
+  EXPECT_GT(overtakes, 0) << "no WorkAssignment overtook a held ack";
+  EXPECT_GT(reg.counter("wal.compactions").value(), compactions);
+  EXPECT_GE(reg.counter("wal.segments_opened").value(), segments + 3);
+  EXPECT_EQ(reg.gauge("server.held_acks").value(), 0);
+  server.stop();
+  std::filesystem::remove_all(wal_dir);
+}
+
+TEST(Chaos, GroupCommitDuplicateWaitsForFirstAcceptance) {
+  // A donor's connection drops while its accepted result's ack is held
+  // behind a slow fsync; it reconnects and resubmits. The duplicate's ack
+  // must wait for the first copy to be durable, like the first ack would.
+  test::register_toy_algorithm();
+  std::string wal_dir = testing::TempDir() + "hdcs_group_commit_dup_wal";
+  std::filesystem::remove_all(wal_dir);
+  vfs::StorageFaultSpec slow_disk;
+  slow_disk.sync_delay_prob = 1.0;
+  slow_disk.sync_delay_s = 0.3;
+  slow_disk.path_filter = "hdcs_group_commit_dup_wal";
+  vfs::ScopedStorageFaultPlan scoped(slow_disk);
+
+  constexpr std::uint64_t kN = 3000;
+  ServerConfig scfg = group_commit_config(wal_dir);
+  Server server(scfg);
+  auto dm = std::make_shared<MergeLedgerToy>(kN);
+  server.submit_problem(dm);
+  server.start();
+
+  ResultUnit result;
+  {
+    auto first = net::TcpStream::connect("127.0.0.1", server.port());
+    net::write_message(first, encode_hello({"flaky", 1, 1e6}, 1));
+    ClientId id = decode_hello_ack(net::read_message(first)).client_id;
+    net::write_message(first, encode_request_work(id, 2));
+    result = toy_result(decode_work_assignment(net::read_message(first)));
+    net::write_message(first, encode_submit_result(id, result, 3));
+    for (int i = 0; i < 500 && server.stats().results_accepted == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    ASSERT_EQ(server.stats().results_accepted, 1u);
+  }  // gone with its ack still held
+
+  auto second = net::TcpStream::connect("127.0.0.1", server.port());
+  net::write_message(second, encode_hello({"flaky", 1, 1e6}, 1));
+  ClientId id = decode_hello_ack(net::read_message(second)).client_id;
+  net::write_message(second, encode_submit_result(id, result, 2));
+  net::Message ack = net::read_message(second);
+  ASSERT_EQ(ack.type, net::MessageType::kResultAck);
+  EXPECT_FALSE(decode_result_ack(ack).accepted);  // a duplicate
+  const auto durable = durably_merged(wal_dir, scoped.plan(), scfg, kN);
+  EXPECT_EQ(durable.count(result.unit_id), 1u)
+      << "a duplicate was acked before the first copy was durable";
+  server.stop();
+  std::filesystem::remove_all(wal_dir);
+}
+
+TEST(Chaos, GroupCommitDonorKeepsAnAckThatArrivesFirst) {
+  // A persistent donor's last result completes the job, and its ack is
+  // held behind a slow fsync while its pipelined RequestWork is answered
+  // and the next one parks. The ack lands while the donor waits for that
+  // parked reply; the donor must keep it for the next SubmitResult, not
+  // take it for a stray reply and drop the session.
+  test::register_toy_algorithm();
+  std::string wal_dir = testing::TempDir() + "hdcs_group_commit_early_wal";
+  std::filesystem::remove_all(wal_dir);
+  vfs::StorageFaultSpec slow_disk;
+  slow_disk.sync_delay_prob = 1.0;
+  slow_disk.sync_delay_s = 0.1;
+  slow_disk.path_filter = "hdcs_group_commit_early_wal";
+  vfs::ScopedStorageFaultPlan scoped(slow_disk);
+  auto& reg = obs::Registry::global();
+
+  ServerConfig scfg = group_commit_config(wal_dir);
+  Server server(scfg);
+  auto first = std::make_shared<test::ToySumDataManager>(1000);  // 1 unit
+  auto pid_first = server.submit_problem(first);
+  server.start();
+  ClientConfig ccfg;
+  ccfg.server_port = server.port();
+  ccfg.name = "pipelined";
+  ccfg.exit_when_idle = false;
+  Client client(ccfg);
+  ClientRunStats stats;
+  std::thread donor([&] { stats = client.run(); });
+
+  const bool first_done = server.wait_for_problem(pid_first, 10.0);
+  // Released while the donor's repeat RequestWork is parked.
+  for (int i = 0; i < 1000; ++i) {
+    if (reg.gauge("server.held_acks").value() == 0 &&
+        reg.gauge("server.parked_requests").value() == 1) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  // New work, from a problem the donor must fetch first.
+  auto second = std::make_shared<test::ToySumDataManager>(3000, 7);
+  auto pid_second = server.submit_problem(second);
+  const bool second_done = server.wait_for_problem(pid_second, 10.0);
+  server.drain();
+  client.request_stop();  // it still collects its last ack first
+  donor.join();
+  ASSERT_TRUE(first_done && second_done);
+  EXPECT_EQ(stats.units_processed, 4u);
+  EXPECT_EQ(stats.reconnects, 0u) << "an early ack was taken for a stray reply";
+  EXPECT_EQ(test::read_u64_result(server.final_result(pid_first)),
+            first->expected());
+  EXPECT_EQ(test::read_u64_result(server.final_result(pid_second)),
+            second->expected());
+  server.stop();
+  std::filesystem::remove_all(wal_dir);
 }
 
 }  // namespace

@@ -126,6 +126,33 @@ TEST(Vfs, SyncFailurePoisonsHandle) {
   EXPECT_EQ(scoped.plan().stats().sync_errors, 1u);
 }
 
+TEST(Vfs, SyncLedgerRecordsCoveredBytesAndDelays) {
+  std::string dir = fresh_dir("vfs_synced");
+  std::string path = dir + "/log";
+  StorageFaultSpec spec;
+  spec.sync_delay_prob = 1.0;
+  spec.sync_delay_s = 0.01;
+  ScopedStorageFaultPlan scoped(spec);
+  File f = File::create(path);
+  f.write_all(bytes_of("abc"));
+  EXPECT_EQ(scoped.plan().synced_bytes(path), 0u);
+  // A second descriptor: an fsync through it covers what the first wrote.
+  File again = f.reopen();
+  again.sync();
+  EXPECT_EQ(scoped.plan().synced_bytes(path), 3u);
+  f.write_all(bytes_of("defg"));  // not covered until the next fsync
+  EXPECT_EQ(scoped.plan().synced_bytes(path), 3u);
+  f.sync();
+  EXPECT_EQ(scoped.plan().synced_bytes(path), 7u);
+  EXPECT_EQ(scoped.plan().stats().sync_delays, 2u);
+  // Truncation clamps the ledger, a rename carries it along.
+  truncate_file(path, 5);
+  EXPECT_EQ(scoped.plan().synced_bytes(path), 5u);
+  rename_file(path, dir + "/moved");
+  EXPECT_EQ(scoped.plan().synced_bytes(path), 0u);
+  EXPECT_EQ(scoped.plan().synced_bytes(dir + "/moved"), 5u);
+}
+
 TEST(Vfs, CapacityLedgerEnospcAndCreditBack) {
   std::string dir = fresh_dir("vfs_capacity");
   std::string path = dir + "/f";

@@ -546,6 +546,46 @@ TEST(Wal, FsyncFailureEntersFailedStateNotSilence) {
   EXPECT_THROW(wal.append(sample_record(WalOp::kTick, 0)), IoError);
 }
 
+TEST(Wal, SyncPointOutlivesRotationAndCompaction) {
+  // A group commit takes its sync point under the server's lock and fsyncs
+  // it after more records, a rotation and a compaction have happened: the
+  // handle stays open, and the fsync covers exactly what it was taken at.
+  std::string dir = fresh_dir("wal_sync_point");
+  vfs::StorageFaultSpec spec;
+  spec.path_filter = "wal_sync_point";
+  vfs::ScopedStorageFaultPlan scoped(spec);
+  WalLog wal({dir, 1024});
+  (void)wal.take_recovery();
+  wal.append(sample_record(WalOp::kTick, 0));
+  wal.append(sample_record(WalOp::kTick, 0));
+  const WalLog::SyncPoint point = wal.sync_point();
+  EXPECT_EQ(point.lsn, 2u);
+  const std::string first_segment = point.file->path();
+  const std::uint64_t covered = fs::file_size(first_segment);
+  for (int i = 0; i < 200 && wal.segment_count() < 2; ++i) {
+    wal.append(sample_record(WalOp::kTick, 0));
+  }
+  ASSERT_GE(wal.segment_count(), 2u);  // rotated past the point's segment
+  WalLog::sync(point);
+  EXPECT_GE(scoped.plan().synced_bytes(first_segment), covered);
+  wal.compact(std::vector<std::byte>(8), 0);  // unlinks that segment
+  WalLog::sync(point);  // still a valid handle, on an unlinked file
+  EXPECT_FALSE(wal.failed());
+
+  // Failed: no sync point until a rebuild, whatever a caller holds.
+  {
+    vfs::StorageFaultSpec fail = spec;
+    fail.sync_error_prob = 1.0;
+    vfs::ScopedStorageFaultPlan broken(fail);
+    const WalLog::SyncPoint doomed = wal.sync_point();
+    EXPECT_THROW(WalLog::sync(doomed), IoError);
+    wal.fail();
+  }
+  EXPECT_THROW((void)wal.sync_point(), IoError);
+  wal.compact(std::vector<std::byte>(8), 0);
+  EXPECT_EQ(wal.sync_point().lsn, wal.next_lsn() - 1);
+}
+
 TEST(Wal, WriteFailureMarksFailedAndCompactRebuilds) {
   std::string dir = fresh_dir("wal_rebuild");
   std::vector<std::byte> snapshot(64, std::byte{0xcd});
