@@ -311,7 +311,6 @@ class Storm {
     net::FrameReader reader;
     std::vector<std::byte> out;  // pending unsent bytes
     std::size_t out_off = 0;
-    dist::ClientId id = 0;
     int connect_attempts = 0;
     bool joined = false;
     bool idle = false;  // finished its script, waiting for the last join
@@ -446,7 +445,7 @@ class Storm {
     }
     switch (m.type) {
       case MessageType::kHelloAck: {
-        d.id = dist::decode_hello_ack(m).client_id;
+        dist::decode_hello_ack(m);
         d.joined = true;
         ++joined_;
         maybe_all_joined();
@@ -456,7 +455,7 @@ class Storm {
         beat.type = MessageType::kHeartbeat;
         for (int i = 0; i < opt_.heartbeats; ++i) queue(d, beat);
         report_.heartbeats += static_cast<std::uint64_t>(opt_.heartbeats);
-        send_request(d, dist::encode_request_work(d.id, d.corr++));
+        send_request(d, dist::encode_request_work(d.corr++));
         break;
       }
       case MessageType::kWorkAssignment: {
@@ -476,7 +475,7 @@ class Storm {
         result.payload = w.take();
         result.payload_crc = net::crc32(result.payload);
         ++report_.work_units;
-        send_request(d, dist::encode_submit_result(d.id, result, d.corr++));
+        send_request(d, dist::encode_submit_result(result, d.corr++));
         break;
       }
       case MessageType::kNoWorkAvailable:
@@ -518,7 +517,7 @@ class Storm {
   }
 
   void say_goodbye(Donor& d) {
-    queue(d, dist::encode_goodbye(d.id, d.corr++));
+    queue(d, dist::encode_goodbye(d.corr++));
     flush(d);  // EOF from the server-side close ends the connection
   }
 

@@ -51,16 +51,21 @@ double Client::now() const {
 double Client::measure_benchmark() {
   // A short fixed numeric loop; the returned "ops/sec" is the same abstract
   // currency DataManagers use for cost_ops, calibrated loosely (one "op" ~
-  // one inner-loop iteration of a dynamic-programming cell update).
-  Stopwatch sw;
-  volatile double acc = 0;
-  constexpr std::uint64_t kIters = 2'000'000;
-  for (std::uint64_t i = 0; i < kIters; ++i) {
-    acc = acc + std::fma(1e-9, static_cast<double>(i & 0xff), 1e-12);
-  }
-  double secs = sw.seconds();
-  if (secs <= 0) secs = 1e-6;
-  return static_cast<double>(kIters) / secs;
+  // one inner-loop iteration of a dynamic-programming cell update). It
+  // measures the machine, so it runs once per process: every later run()
+  // and every run_pool() worker reads the same score.
+  static const double ops_per_sec = [] {
+    Stopwatch sw;
+    volatile double acc = 0;
+    constexpr std::uint64_t kIters = 2'000'000;
+    for (std::uint64_t i = 0; i < kIters; ++i) {
+      acc = acc + std::fma(1e-9, static_cast<double>(i & 0xff), 1e-12);
+    }
+    double secs = sw.seconds();
+    if (secs <= 0) secs = 1e-6;
+    return static_cast<double>(kIters) / secs;
+  }();
+  return ops_per_sec;
 }
 
 std::vector<ClientRunStats> Client::run_pool(const ClientConfig& base,
@@ -168,7 +173,6 @@ bool Client::ensure_blobs(std::vector<WorkBlob>& blobs) {
   bool all_present = true;
   if (!missing.empty()) {
     FetchBlobsPayload need;
-    need.client_id = my_id_;
     for (std::size_t i : missing) need.digests.push_back(blobs[i].digest);
     auto reply = decode_blob_data(fetch_blobs_round(need));
     if (reply.blobs.size() != missing.size()) {
@@ -186,7 +190,7 @@ bool Client::ensure_blobs(std::vector<WorkBlob>& blobs) {
         all_present = false;
         continue;
       }
-      auto bytes = net::recv_blob_v4(stream_, config_.max_blob_bytes,
+      auto bytes = net::recv_blob_v4(stream_, net::kMaxBlobBytes,
                                      &profile_.decompress_s);
       if (net::blob_digest(bytes) != digest) {
         throw ProtocolError("fetched blob does not hash to its digest");
@@ -213,31 +217,36 @@ bool Client::backoff_wait(double delay) {
 }
 
 net::Message Client::await_reply(std::uint64_t correlation) {
+  std::optional<net::Message> reply;
   if (early_ack_ && early_ack_->correlation == correlation) {
-    net::Message m = std::move(*early_ack_);
+    reply = std::move(early_ack_);
     early_ack_.reset();
-    return m;
   }
-  for (;;) {
+  while (!reply) {
     net::Message m = net::read_message(stream_);
-    if (m.correlation == correlation) return m;
-    if (ack_corr_ != 0 && m.correlation == ack_corr_ && !early_ack_) {
+    if (m.correlation == correlation) {
+      reply = std::move(m);
+    } else if (ack_corr_ != 0 && m.correlation == ack_corr_ && !early_ack_) {
       early_ack_ = std::move(m);  // the ack came first; keep it
-      continue;
+    } else {
+      throw ProtocolError("reply for correlation " +
+                          std::to_string(m.correlation) + " while awaiting " +
+                          std::to_string(correlation));
     }
-    throw ProtocolError("reply for correlation " +
-                        std::to_string(m.correlation) + " while awaiting " +
-                        std::to_string(correlation));
   }
+  if (reply->type == net::MessageType::kError) {
+    throw ProtocolError("server refused the request: " + reply->reader().str());
+  }
+  return std::move(*reply);
 }
 
 void Client::submit(const ResultUnit& result) {
   ack_corr_ = next_correlation_++;
-  send(encode_submit_result(my_id_, result, ack_corr_));
+  send(encode_submit_result(result, ack_corr_));
 }
 
 bool Client::take_ack(std::optional<ResultUnit>& pending, bool& resubmitting,
-                      ClientRunStats& stats, double benchmark) {
+                      ClientRunStats& stats) {
   net::Message reply = await_reply(ack_corr_);
   ack_corr_ = 0;
   if (reply.type == net::MessageType::kRetryLater) {
@@ -247,10 +256,6 @@ bool Client::take_ack(std::optional<ResultUnit>& pending, bool& resubmitting,
     note_retry_later(nack);
     backoff_wait(nack.retry_after_s);
     return false;
-  }
-  if (reply.type == net::MessageType::kError) {
-    rehello(benchmark);
-    return false;  // pending survives; resent under the new id
   }
   auto result_ack = decode_result_ack(reply);
   backoff_.session_healthy();
@@ -305,35 +310,40 @@ void Client::keepalive_loop(double interval_s) {
   }
 }
 
-void Client::rehello(double benchmark) {
-  HelloPayload hello;
-  hello.client_name = config_.name;
-  hello.cores = 1;
-  hello.benchmark_ops_per_sec = benchmark;
-  const std::uint64_t corr = next_correlation_++;
-  send(encode_hello(hello, corr));
-  net::Message reply = await_reply(corr);
-  if (reply.type == net::MessageType::kRetryLater) {
-    // Shed at the door (max_clients / fail-stop): count it like a failed
-    // connect, so connect_session's backoff + endpoint rotation apply.
-    auto nack = decode_retry_later(reply);
-    note_retry_later(nack);
-    throw IoError("server shedding load: " + nack.reason);
-  }
-  auto ack = decode_hello_ack(reply);
-  my_id_ = ack.client_id;
-  heartbeat_interval_ = ack.heartbeat_interval_s;
-  LOG_INFO("client '" << config_.name << "' registered as id " << ack.client_id);
+bool Client::backoff_step() {
+  // The escalation lives in backoff_ and survives sessions: only a healthy
+  // session (an acked result) resets it.
+  const double jitter =
+      1.0 + kBackoffJitter * backoff_rng_.uniform(-1.0, 1.0);
+  return backoff_wait(backoff_.next_delay() * jitter);
 }
 
-bool Client::connect_session(double benchmark) {
+bool Client::connect_session() {
+  HelloPayload hello;
+  hello.client_name = config_.name;
+  hello.benchmark_ops_per_sec =
+      measure_benchmark() / std::max(config_.throttle, 1.0);
   int failures = 0;
   for (;;) {
     if (stop_.load() || crash_.load()) return false;
     const ServerEndpoint ep = endpoint();
     try {
       install(net::TcpStream::connect(ep.host, ep.port));
-      rehello(benchmark);
+      const std::uint64_t corr = next_correlation_++;
+      send(encode_hello(hello, corr));
+      net::Message reply = await_reply(corr);
+      if (reply.type == net::MessageType::kRetryLater) {
+        // Shed at the door (max_clients / fail-stop): count it like a
+        // failed connect, so the backoff + endpoint rotation below apply.
+        auto nack = decode_retry_later(reply);
+        note_retry_later(nack);
+        throw IoError("server shedding load: " + nack.reason);
+      }
+      auto ack = decode_hello_ack(reply);
+      my_id_ = ack.client_id;
+      heartbeat_interval_ = ack.heartbeat_interval_s;
+      LOG_INFO("client '" << config_.name << "' registered as id "
+                          << ack.client_id);
       return true;
     } catch (const IoError& e) {
       failures += 1;
@@ -358,11 +368,7 @@ bool Client::connect_session(double benchmark) {
                            << "); rotating");
     }
     rotate_endpoint();
-    // The escalation lives in backoff_ and survives this call: only a
-    // healthy session (an acked result) resets it.
-    double delay = backoff_.next_delay();
-    double jitter = 1.0 + config_.backoff_jitter * backoff_rng_.uniform(-1.0, 1.0);
-    if (!backoff_wait(delay * jitter)) return false;
+    if (!backoff_step()) return false;
   }
 }
 
@@ -370,7 +376,6 @@ ClientRunStats Client::run() {
   ClientRunStats stats;
   obs::Registry::global().gauge("client.exec_threads")
       .set(static_cast<double>(std::max<std::size_t>(config_.exec_threads, 1)));
-  double benchmark = measure_benchmark() / std::max(config_.throttle, 1.0);
 
   // However run() ends, the keepalive thread is joined before the work
   // connection closes.
@@ -389,7 +394,7 @@ ClientRunStats Client::run() {
     }
   } closer{*this, keepalive};
 
-  if (!connect_session(benchmark)) {
+  if (!connect_session()) {
     stats.retry_laters = retry_laters_;
     return stats;
   }
@@ -419,14 +424,14 @@ ClientRunStats Client::run() {
     try {
       if (pending && ack_corr_ == 0) submit(*pending);
       if (leaving) {
-        const bool acked = take_ack(pending, resubmitting, stats, benchmark);
+        const bool acked = take_ack(pending, resubmitting, stats);
         if (!acked && stop_.load()) break;
         continue;
       }
       if (!computed) {
         Stopwatch queue_sw;  // RequestWork sent -> assignment decoded
         const std::uint64_t corr = next_correlation_++;
-        send(encode_request_work(my_id_, corr));
+        send(encode_request_work(corr));
         net::Message reply = await_reply(corr);
 
         if (reply.type == net::MessageType::kNoWorkAvailable) {
@@ -436,11 +441,8 @@ ClientRunStats Client::run() {
               (no_work.all_problems_complete ||
                ++consecutive_idle >= config_.max_idle_polls)) {
             no_more_work = true;
-            continue;
           }
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(no_work.retry_after_s));
-          continue;
+          continue;  // sent when work can exist: ask again at once
         }
         if (reply.type == net::MessageType::kShutdown) {
           no_more_work = true;
@@ -452,15 +454,6 @@ ClientRunStats Client::run() {
           auto nack = decode_retry_later(reply);
           note_retry_later(nack);
           backoff_wait(nack.retry_after_s);
-          continue;
-        }
-        if (reply.type == net::MessageType::kError) {
-          // Our id is stale (the server restarted from its WAL and no
-          // longer knows it): re-register on this connection, carry on.
-          auto r = reply.reader();
-          LOG_WARN("server rejected request for client '" << config_.name
-                   << "': " << r.str() << " — re-registering");
-          rehello(benchmark);
           continue;
         }
 
@@ -549,29 +542,31 @@ ClientRunStats Client::run() {
       }
 
       // The previous result's ack comes before this one's SubmitResult.
-      if (pending && !take_ack(pending, resubmitting, stats, benchmark)) {
+      if (pending && !take_ack(pending, resubmitting, stats)) {
         continue;  // not acked: resend it first
       }
       pending = std::move(computed);
       computed.reset();
       submit(*pending);
     } catch (const Error& e) {
-      // A transport failure (IoError) or a corrupt frame (ProtocolError:
-      // CRC mismatch, torn header, a reply nobody asked for): either way
-      // the connection can no longer be trusted mid-stream — drop it and
-      // start a clean session. Any other Error is not the session's and
-      // ends the donor.
-      const bool corrupt = dynamic_cast<const ProtocolError*>(&e) != nullptr;
-      if (!corrupt && dynamic_cast<const IoError*>(&e) == nullptr) throw;
+      // The one session-recovery path. A transport failure (IoError), a
+      // corrupt frame or an Error reply (ProtocolError: CRC mismatch, torn
+      // header, a reply nobody asked for, a request the server refused):
+      // either way this session is over — drop it, wait one backoff step
+      // and start a clean one, which resubmits `pending`. Any other Error
+      // is not the session's and ends the donor.
+      if (dynamic_cast<const ProtocolError*>(&e) == nullptr &&
+          dynamic_cast<const IoError*>(&e) == nullptr) {
+        throw;
+      }
       if (stop_.load() || crash_.load()) break;
-      LOG_WARN("client '" << config_.name << "' "
-               << (corrupt ? "got a corrupt frame" : "lost its session")
-               << " (" << e.what() << "); reconnecting");
+      LOG_WARN("client '" << config_.name << "' lost its session ("
+                          << e.what() << "); reconnecting");
       install(net::TcpStream{});
       ack_corr_ = 0;
       early_ack_.reset();
       if (pending) resubmitting = true;
-      if (!connect_session(benchmark)) {
+      if (!backoff_step() || !connect_session()) {
         session_ok = false;
         break;
       }
@@ -584,7 +579,7 @@ ClientRunStats Client::run() {
     try {
       std::lock_guard lock(stream_mutex_);
       keepalive_done_ = true;  // nothing follows the Goodbye
-      net::write_message(stream_, encode_goodbye(my_id_, next_correlation_++));
+      net::write_message(stream_, encode_goodbye(next_correlation_++));
       stream_.shutdown_write();
     } catch (const Error&) {
       // Server may already be gone; departure is best-effort.

@@ -16,11 +16,13 @@
 // Every reply is matched by correlation through one reader, which keeps an
 // ack that arrives while another reply is awaited.
 //
-// Session resilience: any transport or framing failure — initial connect,
-// a mid-loop read/write, a corrupt frame, the server restarting — is
-// retried on a fresh connection with capped exponential backoff + jitter
-// instead of killing the donor. The new session re-Hellos (new client id),
-// and a computed-but-unsubmitted result is buffered across the reconnect
+// The connection is the session: its one Hello registers the donor, and no
+// later frame names a client id. Session resilience: any transport or
+// framing failure — initial connect, a mid-loop read/write, a corrupt
+// frame, an Error reply, the server restarting — ends the session: the
+// donor closes it, waits one step of capped exponential backoff + jitter,
+// and says Hello on a fresh connection (new client id) instead of dying.
+// A computed-but-unacknowledged result is buffered across the reconnect
 // and resubmitted so the unit is never recomputed.
 //
 // Liveness rides the work connection: while a unit computes, a keepalive
@@ -105,15 +107,11 @@ struct ClientConfig {
   int max_connect_attempts = 8;
   /// Reconnect backoff: delay starts at backoff_initial_s, doubles per
   /// consecutive failure up to backoff_max_s, and each wait is scaled by a
-  /// deterministic (per-name) jitter in [1-backoff_jitter, 1+backoff_jitter]
-  /// so a donor herd doesn't stampede a restarted server.
+  /// deterministic (per-name) jitter of ±kBackoffJitter so a donor herd
+  /// doesn't stampede a restarted server.
   /// The escalation persists across sessions (see ReconnectBackoff).
   double backoff_initial_s = 0.05;
   double backoff_max_s = 2.0;
-  double backoff_jitter = 0.25;
-  /// Largest single blob this donor will accept on the bulk channel; a
-  /// corrupt length header can cost at most this much allocation.
-  std::size_t max_blob_bytes = net::kDefaultMaxBlobBytes;
   /// Blob cache: LRU memory-tier budget, plus an optional disk tier
   /// (empty dir = memory only) that survives donor restarts.
   std::size_t blob_cache_bytes = 64ull * 1024 * 1024;
@@ -124,6 +122,9 @@ struct ClientConfig {
   obs::Tracer* tracer = nullptr;
   const AlgorithmRegistry* registry = &AlgorithmRegistry::global();
 };
+
+/// Relative spread of each reconnect wait (see ClientConfig::backoff_*).
+inline constexpr double kBackoffJitter = 0.25;
 
 /// Reconnect backoff that survives sessions. Each failed attempt escalates
 /// the delay (x2, capped); merely reconnecting does NOT reset it — the
@@ -185,7 +186,9 @@ class Client {
   /// for lease-expiry tests.
   void request_crash() { crash_.store(true); }
 
-  /// Synthetic CPU benchmark in abstract ops/sec (public for tests).
+  /// Synthetic CPU benchmark in abstract ops/sec, probed once per process
+  /// (public for tests and benchmarks). A donor reports it divided by its
+  /// throttle.
   static double measure_benchmark();
 
   /// Run `count` donor clients concurrently — one per CPU of a multi-core
@@ -214,15 +217,16 @@ class Client {
 
   /// Read frames until the reply to `correlation` arrives. The ack of the
   /// outstanding SubmitResult (ack_corr_) may come first; it is kept for
-  /// take_ack(). Any other correlation is a ProtocolError.
+  /// take_ack(). Any other correlation, or an Error reply, is a
+  /// ProtocolError: either ends the session.
   net::Message await_reply(std::uint64_t correlation);
   /// Send SubmitResult for `result`; its ack is then outstanding.
   void submit(const ResultUnit& result);
   /// Wait for the outstanding ack. True: acked, and `pending` is done.
-  /// False: it must be resubmitted (RetryLater, or an Error whose
-  /// re-registration this has done), or stop/crash cut the wait short.
+  /// False: a RetryLater asks to resubmit it, or stop/crash cut the wait
+  /// short.
   bool take_ack(std::optional<ResultUnit>& pending, bool& resubmitting,
-                ClientRunStats& stats, double benchmark);
+                ClientRunStats& stats);
 
   /// Send a FetchBlobs request and read its reply, riding RetryLater NACKs
   /// (blob-budget shedding): wait retry_after_s and resend on the same
@@ -243,15 +247,15 @@ class Client {
   /// Heartbeat whenever the work connection has been silent for interval_s.
   void keepalive_loop(double interval_s);
 
-  /// Connect + Hello with exponential backoff. On success the work
-  /// connection holds the new session and my_id_ is updated. Returns false
-  /// if stop/crash was requested while waiting; rethrows the last
-  /// transport error once max_connect_attempts consecutive failures
+  /// Connect + Hello, one backoff step between failed attempts. On success
+  /// the work connection holds the new session and my_id_ is its client.
+  /// Returns false if stop/crash was requested while waiting; rethrows the
+  /// last transport error once max_connect_attempts consecutive failures
   /// accumulate.
-  bool connect_session(double benchmark);
-  /// Register on the work connection (a fresh one, or the server restarted
-  /// or expired our id): send Hello, adopt the newly assigned client id.
-  void rehello(double benchmark);
+  bool connect_session();
+  /// Wait one jittered ReconnectBackoff step; false if stop/crash
+  /// interrupted it.
+  bool backoff_step();
   /// Sleep ~delay seconds in small slices; false if stop/crash interrupted.
   bool backoff_wait(double delay);
 

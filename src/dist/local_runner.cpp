@@ -1,20 +1,12 @@
 #include "dist/local_runner.hpp"
 
-#include <deque>
-#include <future>
-#include <utility>
-
-#include "util/blocking_queue.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hdcs::dist {
 
-namespace {
-
-std::vector<std::byte> run_serial(DataManager& dm, double unit_ops,
-                                  LocalRunStats* stats,
-                                  const AlgorithmRegistry& registry) {
+std::vector<std::byte> run_locally(DataManager& dm, double unit_ops,
+                                   LocalRunStats* stats,
+                                   const AlgorithmRegistry& registry) {
   auto algorithm = registry.create(dm.algorithm_name());
   auto data = dm.problem_data();
   algorithm->initialize(data);
@@ -46,88 +38,6 @@ std::vector<std::byte> run_serial(DataManager& dm, double unit_ops,
     dm.accept_result(result);
   }
   return dm.final_result();
-}
-
-std::vector<std::byte> run_threaded(DataManager& dm, double unit_ops,
-                                    LocalRunStats* stats,
-                                    const AlgorithmRegistry& registry,
-                                    std::size_t threads) {
-  auto data = dm.problem_data();
-  // One Algorithm per worker, exactly as each donor process would hold its
-  // own instance; a free-list hands instances to whichever task runs next.
-  // (Declared before the pool so in-flight tasks outlive neither.)
-  std::vector<std::unique_ptr<Algorithm>> algorithms;
-  BlockingQueue<std::size_t> free_algorithms;
-  for (std::size_t i = 0; i < threads; ++i) {
-    algorithms.push_back(registry.create(dm.algorithm_name()));
-    algorithms.back()->initialize(data);
-    free_algorithms.push(i);
-  }
-  ThreadPool pool(threads);
-
-  SizeHint hint;
-  hint.target_ops = unit_ops;
-  UnitId next_id = 1;
-  struct InFlight {
-    WorkUnit unit;
-    std::future<std::vector<std::byte>> payload;
-  };
-  std::deque<InFlight> in_flight;
-  const std::size_t max_in_flight = threads * 2;
-
-  while (!dm.is_complete()) {
-    while (in_flight.size() < max_in_flight) {
-      auto unit = dm.next_unit(hint);
-      if (!unit) break;  // barrier (or drained) — drain results below
-      unit->problem_id = 1;
-      unit->unit_id = next_id++;
-      WorkUnit u = *unit;
-      auto payload = pool.submit_with_result(
-          [&algorithms, &free_algorithms, u = std::move(u)] {
-            // At most `threads` tasks run at once, so an instance is
-            // always available without blocking.
-            auto idx = free_algorithms.pop();
-            if (!idx) throw Error("run_locally: algorithm pool closed");
-            struct ReturnToPool {
-              BlockingQueue<std::size_t>& queue;
-              std::size_t index;
-              ~ReturnToPool() { queue.push(index); }
-            } guard{free_algorithms, *idx};
-            return algorithms[*idx]->process(u);
-          });
-      in_flight.push_back({std::move(*unit), std::move(payload)});
-    }
-    if (in_flight.empty()) {
-      throw Error(
-          "DataManager stalled: no unit available, none in flight, problem "
-          "not complete (broken barrier bookkeeping?)");
-    }
-    // Accept strictly in issue order: DataManagers may fold results into
-    // running reductions, so order is part of byte-level determinism.
-    InFlight done = std::move(in_flight.front());
-    in_flight.pop_front();
-    ResultUnit result;
-    result.problem_id = done.unit.problem_id;
-    result.unit_id = done.unit.unit_id;
-    result.stage = done.unit.stage;
-    result.payload = done.payload.get();
-    if (stats) {
-      stats->units += 1;
-      stats->total_cost_ops += done.unit.cost_ops;
-    }
-    dm.accept_result(result);
-  }
-  return dm.final_result();
-}
-
-}  // namespace
-
-std::vector<std::byte> run_locally(DataManager& dm, double unit_ops,
-                                   LocalRunStats* stats,
-                                   const AlgorithmRegistry& registry,
-                                   std::size_t threads) {
-  if (threads <= 1) return run_serial(dm, unit_ops, stats, registry);
-  return run_threaded(dm, unit_ops, stats, registry, threads);
 }
 
 }  // namespace hdcs::dist

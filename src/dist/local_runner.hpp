@@ -20,18 +20,10 @@ struct LocalRunStats {
   double total_cost_ops = 0;
 };
 
-/// Run to completion; returns the DataManager's final_result().
-/// `unit_ops` is the SizeHint used for every unit.
-///
-/// `threads` > 1 fans independent units onto a util::ThreadPool (one
-/// Algorithm instance per worker, mirroring real donors) while results are
-/// merged back in unit-issue order — so the answer is byte-identical to the
-/// serial run even for order-sensitive DataManagers. Stage barriers are
-/// honoured: when next_unit() withholds units, in-flight results are
-/// drained in order until the barrier lifts.
+/// Run to completion on the calling thread; returns the DataManager's
+/// final_result(). `unit_ops` is the SizeHint used for every unit.
 std::vector<std::byte> run_locally(
     DataManager& dm, double unit_ops = 1e6, LocalRunStats* stats = nullptr,
-    const AlgorithmRegistry& registry = AlgorithmRegistry::global(),
-    std::size_t threads = 1);
+    const AlgorithmRegistry& registry = AlgorithmRegistry::global());
 
 }  // namespace hdcs::dist

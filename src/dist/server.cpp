@@ -162,8 +162,10 @@ struct Server::IoLoop {
 };
 
 // Per-connection state machine. Everything here is owned by the
-// connection's loop thread, except client_id (read by workers for log
-// lines, written on the loop thread as Hello/Goodbye outcomes land).
+// connection's loop thread, except client_id: the client this connection's
+// Hello registered (0 = none), written on the loop thread as Hello/Goodbye
+// outcomes land and read by workers, which take every request's client
+// from it.
 struct Server::Conn {
   net::TcpStream stream;
   IoLoop* io = nullptr;
@@ -173,7 +175,8 @@ struct Server::Conn {
   bool closed = false;
   bool paused = false;            // backpressure: EPOLLIN off
   bool want_write = false;        // EPOLLOUT armed (kernel buffer was full)
-  bool close_after_flush = false; // Goodbye: close once the queue drains
+  bool close_after_flush = false; // Goodbye: serve nothing more, close
+                                  // once the queue drains
   std::uint32_t armed = 0;        // epoll mask currently registered
   std::atomic<ClientId> client_id{0};
   /// Set by the loop when the connection closes (guarded by park_mutex_):
@@ -626,7 +629,9 @@ void Server::conn_readable(const std::shared_ptr<Conn>& c) {
 }
 
 void Server::conn_pump(const std::shared_ptr<Conn>& c) {
-  if (c->busy || c->closed || c->inbox.empty()) return;
+  if (c->busy || c->closed || c->close_after_flush || c->inbox.empty()) {
+    return;
+  }
   net::Message request = std::move(c->inbox.front());
   c->inbox.pop_front();
   c->busy = true;
@@ -743,7 +748,7 @@ void Server::conn_flush(const std::shared_ptr<Conn>& c) {
       c->write_deadline =
           std::chrono::steady_clock::now() +
           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(config_.write_stall_timeout_s));
+              std::chrono::duration<double>(kWriteStallTimeoutS));
     }
   }
   // Backpressure: a queue past the bound stops reads (no new requests, no
@@ -795,7 +800,7 @@ void Server::sweep_conns(IoLoop& io) {
     loop_io_metrics().connections_shed.inc();
     LOG_WARN("shedding stalled connection (client "
              << c->client_id.load() << "): " << c->outq_bytes
-             << " bytes undrained for " << config_.write_stall_timeout_s
+             << " bytes undrained for " << kWriteStallTimeoutS
              << "s");
     conn_disconnect(std::move(c), nullptr);
   }
@@ -1019,7 +1024,6 @@ void Server::answer_parked(std::size_t max, bool all_complete,
       reply.correlation = p.correlation;
     } else {
       NoWorkPayload np;
-      np.retry_after_s = 0;  // ask again now
       np.all_problems_complete = all_complete;
       reply = encode_no_work(np, p.correlation);
     }
@@ -1197,8 +1201,8 @@ void Server::enter_new_term(const char* reason, double t) {
   log_record(std::move(rec));
   // Every active client row belongs to the previous term — its connection
   // died with the old server. Sweeping them requeues their leases now
-  // instead of waiting out the lease timeout; reconnecting donors re-Hello
-  // and get fresh ids.
+  // instead of waiting out the lease timeout; reconnecting donors say Hello
+  // on new connections and get fresh ids.
   for (const auto& c : core_.all_client_stats()) {
     if (!c.active) continue;
     core_.client_left(c.id, t);
@@ -1310,9 +1314,15 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
   std::vector<std::pair<std::uint64_t,
                         std::shared_ptr<const std::vector<std::byte>>>>
       blob_bodies;
-  ClientId blob_client = 0;
   std::size_t inflight_charged = 0;
   ClientId client_id = 0;  // Hello-assigned, mirrored into the outcome
+  // The connection is the session: every request speaks for the client
+  // its one Hello registered (0 = none yet).
+  const ClientId session = c->client_id.load();
+  auto registered = [session] {
+    if (session == 0) throw ProtocolError("no Hello on this connection");
+    return session;
+  };
   Stopwatch handle_timer;
 
   try {
@@ -1339,6 +1349,10 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
       } else switch (request.type) {
         case net::MessageType::kHello: {
           auto hello = decode_hello(request);
+          if (session != 0) {
+            throw ProtocolError("this connection already said Hello (client " +
+                                std::to_string(session) + ")");
+          }
           std::lock_guard lock(core_mutex_);
           double t = now();
           if (config_.max_clients > 0 &&
@@ -1371,7 +1385,8 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
           break;
         }
         case net::MessageType::kRequestWork: {
-          ClientId id = decode_request_work(request);
+          decode_request_work(request);
+          const ClientId id = registered();
           std::lock_guard lock(core_mutex_);
           double t = now();
           auto unit = core_.request_work(id, t);
@@ -1392,7 +1407,6 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
             break;
           }
           NoWorkPayload p;
-          p.retry_after_s = 0;  // sent when work can exist: ask again at once
           p.all_problems_complete = core_.all_complete();
           if (p.all_problems_complete && c->told_complete_gen != problem_gen_) {
             // The first unserved request after completion is answered at
@@ -1409,7 +1423,8 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
           break;
         }
         case net::MessageType::kSubmitResult: {
-          auto [id, result] = decode_submit_result(request);
+          const ResultUnit result = decode_submit_result(request);
+          const ClientId id = registered();
           ResultAckPayload ack;
           bool durable;
           std::uint64_t need_lsn;
@@ -1468,12 +1483,11 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
             std::lock_guard lock(core_mutex_);
             for (std::uint64_t digest : fetch.digests) {
               auto bytes = core_.blob_bytes(digest);
-              bool ok = bytes && bytes->size() <= config_.max_blob_bytes;
+              bool ok = bytes && bytes->size() <= net::kMaxBlobBytes;
               reply.blobs.push_back({digest, ok});
               if (ok) blob_bodies.emplace_back(digest, std::move(bytes));
             }
           }
-          blob_client = fetch.client_id;
           // Global in-flight budget: bodies sit in memory from here until
           // the socket writes below finish, so a burst of cold donors can
           // multiply resident bytes. Over budget -> shed the whole fetch
@@ -1491,7 +1505,7 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
               if (config_.tracer) {
                 config_.tracer->event(now(), "retry_later")
                     .str("reason", "blob_budget")
-                    .str("name", "client:" + std::to_string(fetch.client_id));
+                    .str("name", "client:" + std::to_string(session));
               }
               response = retry_later(request.correlation, "blob_budget");
               break;
@@ -1510,7 +1524,8 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
           break;
         }
         case net::MessageType::kGoodbye: {
-          ClientId id = decode_goodbye(request);
+          decode_goodbye(request);
+          const ClientId id = registered();
           {
             std::lock_guard lock(core_mutex_);
             double t = now();
@@ -1545,20 +1560,17 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
           break;
       }
   } catch (const Error& e) {
-    // A bad request (unknown problem, expired client, malformed payload)
-    // must not kill the connection: report it to the peer.
-    LOG_WARN("request failed (client "
-             << (client_id ? client_id : c->client_id.load())
-             << "): " << e.what());
+    // A bad request (unknown problem, no Hello, malformed payload) must
+    // not kill the connection: report it to the peer.
+    LOG_WARN("request failed (client " << session << "): " << e.what());
     response = net::make_error(request.correlation, e.what());
   } catch (const std::exception& e) {
     // Anything else (a DataManager's std::out_of_range, bad_alloc) must not
     // reach the worker pool's task loop, where it would terminate the
     // server: answer it the same way, and count it.
     obs::Registry::global().counter("server.handler_exceptions").inc();
-    LOG_ERROR("request handler threw (client "
-              << (client_id ? client_id : c->client_id.load())
-              << "): " << e.what());
+    LOG_ERROR("request handler threw (client " << session
+                                                << "): " << e.what());
     response = net::make_error(request.correlation, e.what());
   }
 
@@ -1579,7 +1591,7 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
       bm.bytes_wire.inc(enc.info.wire_bytes);
       if (config_.tracer) {
         config_.tracer->event(now(), "blob_sent")
-            .u64("client", blob_client)
+            .u64("client", session)
             .u64("digest", digest)
             .u64("raw", enc.info.raw_bytes)
             .u64("wire", enc.info.wire_bytes)

@@ -18,13 +18,19 @@
 // at most one worker job in flight per connection so responses keep their
 // request order — except a ResultAck held for the group commit below.
 //
+// The connection is the session: its one Hello registers a client, and
+// every later RequestWork, SubmitResult and Goodbye on it is that client's
+// (no frame names a client id). Such a request before the Hello, or a
+// second Hello, is answered Error and changes nothing. Closing a registered
+// connection is the client's departure.
+//
 // Long-poll: a RequestWork with nothing to serve is *parked* — its NoWork
 // reply is held in a FIFO (no worker waits on it, the connection stays
-// busy) and sent with retry_after_s = 0, so the donor asks again at once,
-// when work can exist: the oldest entry on a SubmitResult, submit_problem,
-// tick, departure or served RequestWork; every entry once all problems are
-// complete, on drain() and on fail-stop; otherwise at its no_work_retry_s
-// deadline. Whoever pops an entry answers it, exactly once.
+// busy) and sent when work can exist, so the donor asks again at once:
+// the oldest entry on a SubmitResult, submit_problem, tick, departure or
+// served RequestWork; every entry once all problems are complete, on
+// drain() and on fail-stop; otherwise at its no_work_retry_s deadline.
+// Whoever pops an entry answers it, exactly once.
 //
 // Group commit: a SubmitResult is applied and appended under core_mutex_
 // as before (WAL order is mutation order), but with a WAL its ack is then
@@ -87,6 +93,10 @@ enum class DurabilityMode {
   kFailStop,
 };
 
+/// A connection whose queued replies make no write progress for this long
+/// is shed: its donor stopped reading.
+inline constexpr double kWriteStallTimeoutS = 30.0;
+
 struct ServerConfig {
   std::uint16_t port = 0;  // 0 = ephemeral; read back via port()
   SchedulerConfig scheduler;
@@ -103,9 +113,6 @@ struct ServerConfig {
   /// Optional structured event trace. The server stamps events with wall
   /// time (seconds since start()); must outlive the server. Not owned.
   obs::Tracer* tracer = nullptr;
-  /// Largest blob the server will serve over FetchBlobs; larger interned
-  /// blobs are reported absent (the donor drops the unit).
-  std::size_t max_blob_bytes = net::kDefaultMaxBlobBytes;
 
   // ---- write-ahead log (see dist/wal.hpp) ----
 
@@ -157,9 +164,8 @@ struct ServerConfig {
   int worker_threads = 4;
   /// Per-connection write-queue bound. Above it the connection's reads are
   /// paused (backpressure) until the donor drains half; a donor that stops
-  /// draining entirely is shed after write_stall_timeout_s.
+  /// draining entirely is shed after kWriteStallTimeoutS.
   std::size_t max_write_buffer_bytes = 64u << 20;
-  double write_stall_timeout_s = 30.0;
 
   // ---- hot standby (protocol v6 replication) ----
 
@@ -286,7 +292,7 @@ class Server {
   // Long-poll. park() queues c's RequestWork (false: c hung up or the
   // server drains, so answer now); answer_parked() pops up to `max` entries
   // (only those past their deadline when expired_only) and answers each
-  // NoWork(retry_after_s = 0, all_complete), or kShutdown while draining.
+  // NoWork(all_complete), or kShutdown while draining.
   bool park(const std::shared_ptr<Conn>& c, std::uint64_t correlation);
   void answer_parked(std::size_t max, bool all_complete, bool expired_only);
   void wake_parked_locked();  // requires core_mutex_: work may exist now

@@ -24,7 +24,6 @@ net::Message make(net::MessageType type, std::uint64_t correlation, ByteWriter w
 net::Message encode_hello(const HelloPayload& p, std::uint64_t correlation) {
   ByteWriter w;
   w.str(p.client_name);
-  w.u32(p.cores);
   w.f64(p.benchmark_ops_per_sec);
   return make(net::MessageType::kHello, correlation, std::move(w));
 }
@@ -34,7 +33,6 @@ HelloPayload decode_hello(const net::Message& m) {
   auto r = m.reader();
   HelloPayload p;
   p.client_name = r.str();
-  p.cores = r.u32();
   p.benchmark_ops_per_sec = r.f64();
   r.expect_end();
   return p;
@@ -57,18 +55,13 @@ HelloAckPayload decode_hello_ack(const net::Message& m) {
   return p;
 }
 
-net::Message encode_request_work(ClientId client, std::uint64_t correlation) {
-  ByteWriter w;
-  w.u64(client);
-  return make(net::MessageType::kRequestWork, correlation, std::move(w));
+net::Message encode_request_work(std::uint64_t correlation) {
+  return make(net::MessageType::kRequestWork, correlation, ByteWriter{});
 }
 
-ClientId decode_request_work(const net::Message& m) {
+void decode_request_work(const net::Message& m) {
   check_type(m, net::MessageType::kRequestWork);
-  auto r = m.reader();
-  ClientId id = r.u64();
-  r.expect_end();
-  return id;
+  m.reader().expect_end();
 }
 
 namespace {
@@ -117,7 +110,6 @@ WorkUnit decode_work_assignment(const net::Message& m) {
 
 net::Message encode_no_work(const NoWorkPayload& p, std::uint64_t correlation) {
   ByteWriter w;
-  w.f64(p.retry_after_s);
   w.boolean(p.all_problems_complete);
   return make(net::MessageType::kNoWorkAvailable, correlation, std::move(w));
 }
@@ -126,7 +118,6 @@ NoWorkPayload decode_no_work(const net::Message& m) {
   check_type(m, net::MessageType::kNoWorkAvailable);
   auto r = m.reader();
   NoWorkPayload p;
-  p.retry_after_s = r.f64();
   p.all_problems_complete = r.boolean();
   r.expect_end();
   return p;
@@ -150,10 +141,9 @@ RetryLaterPayload decode_retry_later(const net::Message& m) {
   return p;
 }
 
-net::Message encode_submit_result(ClientId client, const ResultUnit& result,
+net::Message encode_submit_result(const ResultUnit& result,
                                   std::uint64_t correlation) {
   ByteWriter w;
-  w.u64(client);
   write_unit_fields(w, result.problem_id, result.unit_id, result.stage);
   w.bytes(result.payload);
   w.u32(result.payload_crc);
@@ -172,10 +162,9 @@ net::Message encode_submit_result(ClientId client, const ResultUnit& result,
   return make(net::MessageType::kSubmitResult, correlation, std::move(w));
 }
 
-std::pair<ClientId, ResultUnit> decode_submit_result(const net::Message& m) {
+ResultUnit decode_submit_result(const net::Message& m) {
   check_type(m, net::MessageType::kSubmitResult);
   auto r = m.reader();
-  ClientId client = r.u64();
   ResultUnit result;
   result.problem_id = r.u64();
   result.unit_id = r.u64();
@@ -195,7 +184,7 @@ std::pair<ClientId, ResultUnit> decode_submit_result(const net::Message& m) {
   }
   result.epoch = r.u64();
   r.expect_end();
-  return {client, std::move(result)};
+  return result;
 }
 
 net::Message encode_result_ack(const ResultAckPayload& p, std::uint64_t correlation) {
@@ -254,7 +243,6 @@ ProblemDataHeaderPayload decode_problem_data_header(const net::Message& m) {
 net::Message encode_fetch_blobs(const FetchBlobsPayload& p,
                                 std::uint64_t correlation) {
   ByteWriter w;
-  w.u64(p.client_id);
   w.u32(static_cast<std::uint32_t>(p.digests.size()));
   for (std::uint64_t digest : p.digests) w.u64(digest);
   return make(net::MessageType::kFetchBlobs, correlation, std::move(w));
@@ -264,7 +252,6 @@ FetchBlobsPayload decode_fetch_blobs(const net::Message& m) {
   check_type(m, net::MessageType::kFetchBlobs);
   auto r = m.reader();
   FetchBlobsPayload p;
-  p.client_id = r.u64();
   std::uint32_t count = r.u32();
   p.digests.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) p.digests.push_back(r.u64());
@@ -299,18 +286,13 @@ BlobDataPayload decode_blob_data(const net::Message& m) {
   return p;
 }
 
-net::Message encode_goodbye(ClientId client, std::uint64_t correlation) {
-  ByteWriter w;
-  w.u64(client);
-  return make(net::MessageType::kGoodbye, correlation, std::move(w));
+net::Message encode_goodbye(std::uint64_t correlation) {
+  return make(net::MessageType::kGoodbye, correlation, ByteWriter{});
 }
 
-ClientId decode_goodbye(const net::Message& m) {
+void decode_goodbye(const net::Message& m) {
   check_type(m, net::MessageType::kGoodbye);
-  auto r = m.reader();
-  ClientId id = r.u64();
-  r.expect_end();
-  return id;
+  m.reader().expect_end();
 }
 
 net::Message encode_fetch_stats(const FetchStatsPayload& p,

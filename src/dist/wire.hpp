@@ -12,9 +12,11 @@
 
 namespace hdcs::dist {
 
+/// A connection's one registration: every later RequestWork, SubmitResult
+/// and Goodbye on it speaks for the client this Hello registered, so none
+/// of them names a client id.
 struct HelloPayload {
   std::string client_name;
-  std::uint32_t cores = 1;
   double benchmark_ops_per_sec = 0;
 };
 
@@ -26,8 +28,9 @@ struct HelloAckPayload {
   double heartbeat_interval_s = 0;
 };
 
+/// Sent when work can exist (see the long-poll note in dist/server.hpp),
+/// so the donor asks again at once.
 struct NoWorkPayload {
-  double retry_after_s = 1.0;
   bool all_problems_complete = false;
 };
 
@@ -55,7 +58,6 @@ struct ProblemDataHeaderPayload {
 
 /// NEED list: the digests a donor wants after checking its cache.
 struct FetchBlobsPayload {
-  ClientId client_id = 0;
   std::vector<std::uint64_t> digests;
 };
 
@@ -121,8 +123,9 @@ HelloPayload decode_hello(const net::Message& m);
 net::Message encode_hello_ack(const HelloAckPayload& p, std::uint64_t correlation);
 HelloAckPayload decode_hello_ack(const net::Message& m);
 
-net::Message encode_request_work(ClientId client, std::uint64_t correlation);
-ClientId decode_request_work(const net::Message& m);
+/// Empty payload: the connection names the client.
+net::Message encode_request_work(std::uint64_t correlation);
+void decode_request_work(const net::Message& m);
 
 /// The payload is followed by the blob reference list {digest, size} (no
 /// blob bytes) and the issuing epoch.
@@ -138,9 +141,9 @@ RetryLaterPayload decode_retry_later(const net::Message& m);
 
 /// payload_crc is followed by the optional span-profile trailer (presence
 /// flag + phase durations) and the echoed epoch.
-net::Message encode_submit_result(ClientId client, const ResultUnit& result,
+net::Message encode_submit_result(const ResultUnit& result,
                                   std::uint64_t correlation);
-std::pair<ClientId, ResultUnit> decode_submit_result(const net::Message& m);
+ResultUnit decode_submit_result(const net::Message& m);
 
 net::Message encode_result_ack(const ResultAckPayload& p, std::uint64_t correlation);
 ResultAckPayload decode_result_ack(const net::Message& m);
@@ -161,8 +164,9 @@ net::Message encode_blob_data(const BlobDataPayload& p,
                               std::uint64_t correlation);
 BlobDataPayload decode_blob_data(const net::Message& m);
 
-net::Message encode_goodbye(ClientId client, std::uint64_t correlation);
-ClientId decode_goodbye(const net::Message& m);
+/// Empty payload: the connection names the client.
+net::Message encode_goodbye(std::uint64_t correlation);
+void decode_goodbye(const net::Message& m);
 
 net::Message encode_fetch_stats(const FetchStatsPayload& p,
                                 std::uint64_t correlation);

@@ -17,10 +17,10 @@ namespace hdcs::net {
 
 inline constexpr std::size_t kBulkChunk = 256 * 1024;
 
-/// Default receive-side blob cap. The old default of 4 GiB meant one
-/// corrupt length header could exhaust donor RAM; anything bigger than this
-/// must be opted into via ClientConfig/ServerConfig::max_blob_bytes.
-inline constexpr std::size_t kDefaultMaxBlobBytes = 256ull * 1024 * 1024;
+/// Largest blob either side moves: a donor refuses a bigger length header
+/// before allocating (one corrupt header cannot exhaust its RAM), and the
+/// server reports a bigger interned blob absent from FetchBlobs.
+inline constexpr std::size_t kMaxBlobBytes = 256ull * 1024 * 1024;
 
 /// CRC-32 (IEEE, reflected) of a byte span.
 std::uint32_t crc32(std::span<const std::byte> data);
@@ -55,7 +55,7 @@ EncodedBlobV4 encode_blob_v4(std::span<const std::byte> data);
 /// before any allocation. When `decompress_s` is non-null, the wall seconds
 /// spent in LZ decompression are *added* to it (span profiling).
 std::vector<std::byte> recv_blob_v4(
-    TcpStream& stream, std::size_t max_bytes = kDefaultMaxBlobBytes,
+    TcpStream& stream, std::size_t max_bytes = kMaxBlobBytes,
     double* decompress_s = nullptr);
 
 }  // namespace hdcs::net

@@ -30,16 +30,18 @@ inline constexpr std::uint32_t kMagic = 0x48444353;  // "HDCS"
 // SubmitResult digest, v4 the content-addressed bulk-data plane, v5 the
 // span-profile trailer, v6 the server epoch and the hot-standby stream,
 // v7 the retryable RetryLater NACK, v8 the one-way Heartbeat keepalive on
-// the work connection (HeartbeatAck retired). A format change bumps this
-// constant for both sides at once.
-inline constexpr std::uint16_t kProtocolVersion = 8;
+// the work connection (HeartbeatAck retired), v9 the connection as the
+// session (no client id in RequestWork, SubmitResult, Goodbye or
+// FetchBlobs; Hello's cores and NoWork's retry_after_s retired). A format
+// change bumps this constant for both sides at once.
+inline constexpr std::uint16_t kProtocolVersion = 9;
 inline constexpr std::size_t kFrameHeaderBytes = 24;
 /// Upper bound on a single frame; bulk data uses the chunked bulk channel.
 inline constexpr std::uint32_t kMaxPayload = 64u * 1024 * 1024;
 
 enum class MessageType : std::uint16_t {
   // Client -> server
-  kHello = 1,          // client registers: name, cores, benchmark score
+  kHello = 1,          // client registers: name, benchmark score (once)
   kRequestWork = 2,    // idle worker asks for a unit
   kSubmitResult = 3,   // finished unit's result payload
   kHeartbeat = 4,      // one-way keepalive on the work connection
@@ -52,7 +54,7 @@ enum class MessageType : std::uint16_t {
   // Server -> client
   kHelloAck = 32,      // assigned client id
   kWorkAssignment = 33,  // a WorkUnit
-  kNoWorkAvailable = 34,  // nothing to do right now; retry after delay
+  kNoWorkAvailable = 34,  // nothing to do right now; ask again
   kProblemData = 35,   // problem data header: algorithm, size, blob digest
   kResultAck = 36,
   kShutdown = 38,      // server is stopping; client should exit

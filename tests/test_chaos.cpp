@@ -1228,7 +1228,6 @@ TEST(Chaos, GroupCommitAckImpliesDurableResult) {
 
   struct Donor {
     net::TcpStream stream;
-    ClientId id = 0;
     std::uint64_t corr = 1;
     std::uint64_t ack_corr = 0;  // the SubmitResult awaiting its ack
     UnitId ack_unit = 0;
@@ -1241,16 +1240,15 @@ TEST(Chaos, GroupCommitAckImpliesDurableResult) {
     Donor& d = donors[i];
     d.stream = net::TcpStream::connect("127.0.0.1", server.port());
     const std::string name = "pipe-" + std::to_string(i);
-    net::write_message(d.stream, encode_hello({name, 1, 1e6}, d.corr++));
-    d.id = decode_hello_ack(net::read_message(d.stream)).client_id;
-    net::write_message(d.stream, encode_request_work(d.id, d.corr++));
+    net::write_message(d.stream, encode_hello({name, 1e6}, d.corr++));
+    decode_hello_ack(net::read_message(d.stream));
+    net::write_message(d.stream, encode_request_work(d.corr++));
   }
   auto submit_and_ask = [](Donor& d, const ResultUnit& result) {
     d.ack_corr = d.corr++;
     d.ack_unit = result.unit_id;
-    net::write_message(d.stream,
-                       encode_submit_result(d.id, result, d.ack_corr));
-    net::write_message(d.stream, encode_request_work(d.id, d.corr++));
+    net::write_message(d.stream, encode_submit_result(result, d.ack_corr));
+    net::write_message(d.stream, encode_request_work(d.corr++));
   };
 
   int acks = 0;
@@ -1297,7 +1295,7 @@ TEST(Chaos, GroupCommitAckImpliesDurableResult) {
           d.told_complete = true;
           d.done = d.ack_corr == 0;  // else its held ack is still to come
         } else {
-          net::write_message(d.stream, encode_request_work(d.id, d.corr++));
+          net::write_message(d.stream, encode_request_work(d.corr++));
         }
       }
     }
@@ -1336,11 +1334,11 @@ TEST(Chaos, GroupCommitDuplicateWaitsForFirstAcceptance) {
   ResultUnit result;
   {
     auto first = net::TcpStream::connect("127.0.0.1", server.port());
-    net::write_message(first, encode_hello({"flaky", 1, 1e6}, 1));
-    ClientId id = decode_hello_ack(net::read_message(first)).client_id;
-    net::write_message(first, encode_request_work(id, 2));
+    net::write_message(first, encode_hello({"flaky", 1e6}, 1));
+    decode_hello_ack(net::read_message(first));
+    net::write_message(first, encode_request_work(2));
     result = toy_result(decode_work_assignment(net::read_message(first)));
-    net::write_message(first, encode_submit_result(id, result, 3));
+    net::write_message(first, encode_submit_result(result, 3));
     for (int i = 0; i < 500 && server.stats().results_accepted == 0; ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
@@ -1348,9 +1346,9 @@ TEST(Chaos, GroupCommitDuplicateWaitsForFirstAcceptance) {
   }  // gone with its ack still held
 
   auto second = net::TcpStream::connect("127.0.0.1", server.port());
-  net::write_message(second, encode_hello({"flaky", 1, 1e6}, 1));
-  ClientId id = decode_hello_ack(net::read_message(second)).client_id;
-  net::write_message(second, encode_submit_result(id, result, 2));
+  net::write_message(second, encode_hello({"flaky", 1e6}, 1));
+  decode_hello_ack(net::read_message(second));
+  net::write_message(second, encode_submit_result(result, 2));
   net::Message ack = net::read_message(second);
   ASSERT_EQ(ack.type, net::MessageType::kResultAck);
   EXPECT_FALSE(decode_result_ack(ack).accepted);  // a duplicate

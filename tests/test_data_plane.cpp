@@ -433,11 +433,9 @@ TEST(WireV4, WorkAssignmentCarriesBlobRefsNotBytes) {
 
 TEST(WireV4, FetchBlobsAndBlobDataRoundTrip) {
   dist::FetchBlobsPayload req;
-  req.client_id = 7;
   req.digests = {0x1111, 0xffffffffffffffffull, 3};
   auto reqm = dist::encode_fetch_blobs(req, 21);
   auto reqb = dist::decode_fetch_blobs(reqm);
-  EXPECT_EQ(reqb.client_id, req.client_id);
   EXPECT_EQ(reqb.digests, req.digests);
 
   dist::BlobDataPayload rep;

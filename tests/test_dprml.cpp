@@ -251,25 +251,6 @@ TEST(DPRmlDistributed, SchedulerCoreMatchesSerial) {
   EXPECT_DOUBLE_EQ(distributed.log_likelihood, serial.log_likelihood);
 }
 
-TEST(DPRmlDistributed, ThreadedLocalRunIsByteIdenticalToSerial) {
-  // DPRml has stage barriers (init -> per-taxon eval waves -> refine); the
-  // threaded local runner must drain in-flight units at each barrier and
-  // still produce the exact bytes of the serial run.
-  auto aln = make_dataset(71, 6, 300);
-  auto config = fast_config();
-  register_algorithm();
-
-  DPRmlDataManager serial_dm(aln, config);
-  auto serial_bytes = dist::run_locally(serial_dm, 1.0);  // one-edge units
-
-  for (std::size_t threads : {2, 4}) {
-    DPRmlDataManager dm(aln, config);
-    auto bytes = dist::run_locally(dm, 1.0, nullptr,
-                                   dist::AlgorithmRegistry::global(), threads);
-    EXPECT_EQ(bytes, serial_bytes) << threads << " threads";
-  }
-}
-
 TEST(DPRmlNni, RearrangementNeverHurtsAndCanFixStepwiseErrors) {
   // NNI rounds must be monotone in likelihood, and on data where plain
   // stepwise insertion lands off the optimum they should improve it.

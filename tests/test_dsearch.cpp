@@ -236,22 +236,6 @@ TEST(DSearchDataManager, LocalRunMatchesSerial) {
   EXPECT_GT(stats.units, 1u) << "database should have been chunked";
 }
 
-TEST(DSearchDataManager, ThreadedLocalRunIsByteIdenticalToSerial) {
-  auto w = make_workload(11);
-  auto config = default_config();
-  register_algorithm();
-
-  DSearchDataManager serial_dm(w.queries, w.database, config);
-  auto serial_bytes = dist::run_locally(serial_dm, 150000);
-
-  for (std::size_t threads : {2, 4}) {
-    DSearchDataManager dm(w.queries, w.database, config);
-    auto bytes = dist::run_locally(dm, 150000, nullptr,
-                                   dist::AlgorithmRegistry::global(), threads);
-    EXPECT_EQ(bytes, serial_bytes) << threads << " threads";
-  }
-}
-
 TEST(DSearchAlgorithm, SetParallelismKeepsPayloadByteIdentical) {
   // Within-unit threading (donor --threads) must not change a single byte
   // of the submitted payload, for every alignment mode.

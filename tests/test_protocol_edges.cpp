@@ -1,6 +1,6 @@
 // Protocol-level robustness: what the server does when peers misbehave
-// (wrong versions, bogus ids, raw garbage) — the connection and the other
-// clients must survive all of it.
+// (wrong versions, requests before Hello, raw garbage) — the connection and
+// the other clients must survive all of it.
 
 #include <gtest/gtest.h>
 
@@ -42,7 +42,7 @@ TEST(ProtocolEdges, FetchUnknownProblemGetsErrorFrameNotDisconnect) {
   EXPECT_EQ(reply.type, net::MessageType::kError);
 
   // The connection is still usable afterwards.
-  net::write_message(stream, encode_hello({"late-hello", 1, 1e6}, 2));
+  net::write_message(stream, encode_hello({"late-hello", 1e6}, 2));
   auto ack = decode_hello_ack(net::read_message(stream));
   EXPECT_GT(ack.client_id, 0u);
   server.stop();
@@ -54,7 +54,7 @@ TEST(ProtocolEdges, RequestWorkWithoutHelloGetsErrorFrame) {
   server.submit_problem(std::make_shared<ToySumDataManager>(1000));
   auto stream = connect_to(server);
 
-  net::write_message(stream, encode_request_work(424242, 1));
+  net::write_message(stream, encode_request_work(1));
   auto reply = net::read_message(stream);
   EXPECT_EQ(reply.type, net::MessageType::kError);
   server.stop();
@@ -75,7 +75,7 @@ TEST(ProtocolEdges, WrongProtocolVersionRejected) {
   w.u32(0);
   // A well-formed Hello (valid length and payload CRC) from an older
   // dialect: only the version field is wrong.
-  auto older = net::encode_frame(encode_hello({"old-donor", 1, 1e6}, 1));
+  auto older = net::encode_frame(encode_hello({"old-donor", 1e6}, 1));
   ByteWriter version;
   version.u16(net::kProtocolVersion - 1);
   std::copy(version.data().begin(), version.data().end(), older.begin() + 4);
@@ -157,14 +157,14 @@ TEST(ProtocolEdges, SubmitResultForForeignProblemRejectedGracefully) {
   Server server(server_config());
   server.start();
   auto stream = connect_to(server);
-  net::write_message(stream, encode_hello({"h", 1, 1e6}, 1));
-  auto ack = decode_hello_ack(net::read_message(stream));
+  net::write_message(stream, encode_hello({"h", 1e6}, 1));
+  decode_hello_ack(net::read_message(stream));
 
   ResultUnit bogus;
   bogus.problem_id = 12345;
   bogus.unit_id = 1;
   bogus.epoch = server.epoch();
-  net::write_message(stream, encode_submit_result(ack.client_id, bogus, 2));
+  net::write_message(stream, encode_submit_result(bogus, 2));
   auto reply = decode_result_ack(net::read_message(stream));
   EXPECT_FALSE(reply.accepted);
   server.stop();

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -61,6 +62,12 @@ double parked_requests() {
   return obs::Registry::global().gauge("server.parked_requests").value();
 }
 
+int active_clients(Server& server) {
+  int n = 0;
+  for (const auto& c : server.client_stats()) n += c.active ? 1 : 0;
+  return n;
+}
+
 // Poll `done` for up to 10 s; false if it never held.
 bool eventually(const std::function<bool()>& done) {
   for (int i = 0; i < 1000; ++i) {
@@ -70,7 +77,8 @@ bool eventually(const std::function<bool()>& done) {
   return done();
 }
 
-// A donor driven frame by frame over its own connection.
+// A donor driven frame by frame over its own connection, which its Hello
+// registered: every later frame speaks for `id` without naming it.
 struct RawDonor {
   net::TcpStream stream;
   ClientId id = 0;
@@ -78,16 +86,11 @@ struct RawDonor {
 
   RawDonor(const Server& server, const std::string& name)
       : stream(net::TcpStream::connect("127.0.0.1", server.port())) {
-    net::write_message(stream, encode_hello({name, 1, 1e6}, corr++));
+    net::write_message(stream, encode_hello({name, 1e6}, corr++));
     id = decode_hello_ack(net::read_message(stream)).client_id;
   }
-  /// A second connection for an existing client, without a Hello of its
-  /// own: closing it records no departure, so nothing else wakes.
-  RawDonor(const Server& server, ClientId existing)
-      : stream(net::TcpStream::connect("127.0.0.1", server.port())),
-        id(existing) {}
   void send_request_work() {
-    net::write_message(stream, encode_request_work(id, corr++));
+    net::write_message(stream, encode_request_work(corr++));
   }
   net::Message request_work() {
     send_request_work();
@@ -107,14 +110,19 @@ struct RawDonor {
   net::Message submit(const WorkUnit& unit) {
     test::ToySumAlgorithm algo;
     algo.initialize(test::ToySumDataManager(0).problem_data());
+    return submit(unit, algo.process(unit));
+  }
+  /// Submit `payload` (digest and all, a self-consistent answer, true or
+  /// not) for `unit`; returns the server's reply.
+  net::Message submit(const WorkUnit& unit, std::vector<std::byte> payload) {
     ResultUnit result;
     result.problem_id = unit.problem_id;
     result.unit_id = unit.unit_id;
     result.stage = unit.stage;
     result.epoch = unit.epoch;
-    result.payload = algo.process(unit);
+    result.payload = std::move(payload);
     result.payload_crc = net::crc32(result.payload);
-    net::write_message(stream, encode_submit_result(id, result, corr++));
+    net::write_message(stream, encode_submit_result(result, corr++));
     return net::read_message(stream);
   }
 };
@@ -343,9 +351,28 @@ TEST(ServerClient, OneConnectionPerDonor) {
 
 TEST(ServerClient, ThrottledClientReportsLowerBenchmark) {
   // The throttle knob exists so one box can emulate heterogeneous donors;
-  // check it scales the self-reported benchmark.
-  double full = Client::measure_benchmark();
+  // check it scales the self-reported benchmark. Both donors read the
+  // process's one probe, so the halving is exact.
+  Server server(quick_server_config());
+  server.start();
+  auto dm = std::make_shared<ToySumDataManager>(200000);
+  auto pid = server.submit_problem(dm);
+  auto slow = client_config(server.port(), "throttled");
+  slow.throttle = 2.0;
+  std::thread slow_donor([&slow] { Client(slow).run(); });
+  Client(client_config(server.port(), "full-speed")).run();
+  slow_donor.join();
+  ASSERT_TRUE(server.wait_for_problem(pid, 30.0));
+
+  std::map<std::string, double> reported;
+  for (const auto& c : server.client_stats()) {
+    reported[c.name] = c.stats.benchmark_ops_per_sec;
+  }
+  const double full = Client::measure_benchmark();
   EXPECT_GT(full, 0.0);
+  EXPECT_EQ(reported.at("full-speed"), full);
+  EXPECT_EQ(reported.at("throttled"), full / 2.0);
+  server.stop();
 }
 
 TEST(ServerClient, DonorPoolContributesAllCpus) {
@@ -386,11 +413,7 @@ TEST(ServerClient, MaxClientsShedsHelloUntilASeatFrees) {
   cfg.tracer = &tracer;
   Server server(cfg);
   server.start();
-  auto active = [&server] {
-    int n = 0;
-    for (const auto& c : server.client_stats()) n += c.active ? 1 : 0;
-    return n;
-  };
+  auto active = [&server] { return active_clients(server); };
   auto shed_events = [&tracer] {
     int n = 0;
     for (const auto& line : tracer.lines()) {
@@ -404,7 +427,7 @@ TEST(ServerClient, MaxClientsShedsHelloUntilASeatFrees) {
   RawDonor b(server, "seat-b");
   const std::uint64_t shed_before = counter("server.clients_shed");
   auto third = net::TcpStream::connect("127.0.0.1", server.port());
-  net::write_message(third, encode_hello({"third", 1, 1e6}, 1));
+  net::write_message(third, encode_hello({"third", 1e6}, 1));
   auto nack = net::read_message(third);
   ASSERT_EQ(nack.type, net::MessageType::kRetryLater);
   EXPECT_EQ(decode_retry_later(nack).reason, "max_clients");
@@ -413,14 +436,14 @@ TEST(ServerClient, MaxClientsShedsHelloUntilASeatFrees) {
   EXPECT_EQ(active(), 2);
 
   // One Goodbye frees a seat: the next Hello is admitted, not shed.
-  net::write_message(a.stream, encode_goodbye(a.id, a.corr++));
+  net::write_message(a.stream, encode_goodbye(a.corr++));
   ASSERT_TRUE(eventually([&] { return active() == 1; }));
   RawDonor c(server, "seat-c");
   EXPECT_NE(c.id, 0u);
   EXPECT_EQ(counter("server.clients_shed"), shed_before + 1);
   EXPECT_EQ(active(), 2);
-  net::write_message(b.stream, encode_goodbye(b.id, b.corr++));
-  net::write_message(c.stream, encode_goodbye(c.id, c.corr++));
+  net::write_message(b.stream, encode_goodbye(b.corr++));
+  net::write_message(c.stream, encode_goodbye(c.corr++));
   ASSERT_TRUE(eventually([&] { return active() == 0; }));
 
   // Four donors, two seats: the shed ones back off and retry until a seat
@@ -592,12 +615,11 @@ TEST(ServerClient, LongPollDrainShutsDownParkedDonors) {
   server.start();
   const auto timeouts = counter("server.park_timeouts");
   // Nothing submitted: a donor's first request is told "all complete" at
-  // once, with no wait before asking again...
+  // once...
   RawDonor raw(server, "raw");
   auto first = raw.request_work();
   ASSERT_EQ(first.type, net::MessageType::kNoWorkAvailable);
   EXPECT_TRUE(decode_no_work(first).all_problems_complete);
-  EXPECT_EQ(decode_no_work(first).retry_after_s, 0.0);
   // ...and persistent donors, which do ask again, park. Only kShutdown
   // ends their run.
   std::vector<std::thread> donors;
@@ -620,9 +642,8 @@ TEST(ServerClient, LongPollClosedConnectionLeavesNothingParked) {
   Server server(long_poll_config());
   server.start();
   const auto timeouts = counter("server.park_timeouts");
-  RawDonor owner(server, "owner");
   {
-    RawDonor gone(server, owner.id);
+    RawDonor gone(server, "gone");
     gone.send_request_work();
     ASSERT_TRUE(settle({&gone}, 1));
   }  // closed while parked
@@ -646,11 +667,15 @@ TEST(ServerClient, LongPollClosedConnectionLeavesNothingParked) {
   EXPECT_EQ(parked_requests(), 0);
 }
 
-// A problem whose result decoder fails with a standard-library exception
-// rather than an hdcs::Error.
-class ThrowingToyDataManager final : public DataManager {
+// A ToySum problem that fails on purpose: kDecoder's result decoder always
+// throws a standard-library exception rather than an hdcs::Error (so the
+// problem never completes); kGeneratorOnce's next_unit throws an Error
+// once, so the server answers that RequestWork Error.
+class FaultyToyDataManager final : public DataManager {
  public:
-  explicit ThrowingToyDataManager(std::uint64_t n) : inner_(n) {}
+  enum class Fault { kDecoder, kGeneratorOnce };
+  FaultyToyDataManager(std::uint64_t n, Fault fault)
+      : inner_(n), fault_(fault) {}
   [[nodiscard]] std::string algorithm_name() const override {
     return inner_.algorithm_name();
   }
@@ -658,25 +683,38 @@ class ThrowingToyDataManager final : public DataManager {
     return inner_.problem_data();
   }
   std::optional<WorkUnit> next_unit(const SizeHint& hint) override {
+    if (fault_ == Fault::kGeneratorOnce && !fired_) {
+      fired_ = true;
+      throw Error("unit generator hiccup");
+    }
     return inner_.next_unit(hint);
   }
-  void accept_result(const ResultUnit&) override {
-    throw std::out_of_range("result decoder read past the end");
+  void accept_result(const ResultUnit& result) override {
+    if (fault_ == Fault::kDecoder) {
+      throw std::out_of_range("result decoder read past the end");
+    }
+    inner_.accept_result(result);
   }
-  [[nodiscard]] bool is_complete() const override { return false; }
+  [[nodiscard]] bool is_complete() const override {
+    return fault_ != Fault::kDecoder && inner_.is_complete();
+  }
   [[nodiscard]] std::vector<std::byte> final_result() const override {
-    return {};
+    return inner_.final_result();
   }
+  [[nodiscard]] std::uint64_t expected() const { return inner_.expected(); }
 
  private:
   ToySumDataManager inner_;
+  Fault fault_;
+  bool fired_ = false;
 };
 
 TEST(ServerClient, NonErrorExceptionFromDataManagerAnswersErrorFrame) {
   Server server(quick_server_config());
   server.start();
   const auto exceptions = counter("server.handler_exceptions");
-  server.submit_problem(std::make_shared<ThrowingToyDataManager>(100000));
+  server.submit_problem(std::make_shared<FaultyToyDataManager>(
+      100000, FaultyToyDataManager::Fault::kDecoder));
   RawDonor raw(server, "raw");
   auto assignment = raw.request_work();
   ASSERT_EQ(assignment.type, net::MessageType::kWorkAssignment);
@@ -696,6 +734,98 @@ TEST(ServerClient, NonErrorExceptionFromDataManagerAnswersErrorFrame) {
   server.drain();  // the broken problem never completes
   for (auto& t : donors) t.join();
   EXPECT_EQ(test::read_u64_result(server.final_result(pid)), dm->expected());
+  server.stop();
+}
+
+// ---- The connection is the session -------------------------------------
+
+TEST(ServerClient, SessionHostileDonorVotesOnlyAsItself) {
+  // A hostile donor votes twice on a replicated unit. No frame names a
+  // client, so its second SubmitResult is its own duplicate vote, not a
+  // vote for another donor: the lie cannot reach a quorum by itself.
+  auto cfg = quick_server_config();
+  cfg.scheduler.replication_factor = 2;
+  cfg.scheduler.quorum = 2;
+  cfg.scheduler.spot_check_rate = 0.0;
+  Server server(cfg);
+  server.start();
+  auto dm = std::make_shared<ToySumDataManager>(1000);  // one unit
+  auto pid = server.submit_problem(dm);
+
+  RawDonor honest(server, "honest");
+  RawDonor hostile(server, "hostile");
+  auto lease = hostile.request_work();
+  ASSERT_EQ(lease.type, net::MessageType::kWorkAssignment);
+  const WorkUnit unit = decode_work_assignment(lease);
+  auto lie = [] {
+    ByteWriter w;
+    w.u64(42);
+    return w.take();
+  };
+  EXPECT_TRUE(decode_result_ack(hostile.submit(unit, lie())).accepted);
+  EXPECT_FALSE(decode_result_ack(hostile.submit(unit, lie())).accepted);
+  EXPECT_EQ(server.stats().votes_recorded, 1u);
+  EXPECT_EQ(server.stats().duplicate_results_dropped, 1u);
+  EXPECT_EQ(server.stats().vote_quorums, 0u);
+
+  // The honest vote ties it; a third donor's tie-breaker settles it.
+  auto replica = honest.request_work();
+  ASSERT_EQ(replica.type, net::MessageType::kWorkAssignment);
+  EXPECT_TRUE(
+      decode_result_ack(honest.submit(decode_work_assignment(replica)))
+          .accepted);
+  EXPECT_EQ(server.stats().vote_quorums, 0u);
+  Client(client_config(server.port(), "referee")).run();
+  ASSERT_TRUE(server.wait_for_problem(pid, 30.0));
+  EXPECT_EQ(test::read_u64_result(server.final_result(pid)), dm->expected());
+  for (const auto& c : server.client_stats()) {
+    EXPECT_EQ(c.vote_losses, c.name == "hostile" ? 1u : 0u) << c.name;
+  }
+  server.stop();
+}
+
+TEST(ServerClient, SessionSecondHelloIsRefused) {
+  // One Hello per connection: a second one is answered Error and changes
+  // nothing — no second row, and the first id keeps its lease.
+  Server server(quick_server_config());
+  server.start();
+  server.submit_problem(std::make_shared<ToySumDataManager>(200000));
+  {
+    RawDonor raw(server, "first");
+    auto lease = raw.request_work();
+    ASSERT_EQ(lease.type, net::MessageType::kWorkAssignment);
+    net::write_message(raw.stream, encode_hello({"second", 1e6}, raw.corr++));
+    EXPECT_EQ(net::read_message(raw.stream).type, net::MessageType::kError);
+    auto rows = server.client_stats();
+    EXPECT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows.front().id, raw.id);
+    EXPECT_EQ(rows.front().stats.outstanding, 1);
+    // The connection still speaks for the first id.
+    EXPECT_TRUE(decode_result_ack(raw.submit(decode_work_assignment(lease)))
+                    .accepted);
+    EXPECT_EQ(server.client_stats().front().stats.units_completed, 1);
+  }  // closed without a Goodbye: the departure is the close
+  EXPECT_TRUE(eventually([&] { return active_clients(server) == 0; }));
+  EXPECT_EQ(active_clients(server), 0);
+  server.stop();
+}
+
+TEST(ServerClient, SessionErrorReplyEndsSessionWithoutOrphan) {
+  // An Error reply ends the donor's session like a corrupt frame: it
+  // closes the connection (its row departs), backs off one step and says
+  // Hello on a new one. No row is left active behind it.
+  Server server(quick_server_config());
+  server.start();
+  auto dm = std::make_shared<FaultyToyDataManager>(
+      200000, FaultyToyDataManager::Fault::kGeneratorOnce);
+  auto pid = server.submit_problem(dm);
+  auto stats = Client(client_config(server.port(), "hiccup")).run();
+  ASSERT_TRUE(server.wait_for_problem(pid, 30.0));
+  EXPECT_EQ(test::read_u64_result(server.final_result(pid)), dm->expected());
+  EXPECT_EQ(stats.reconnects, 1u);
+  EXPECT_TRUE(eventually([&] { return active_clients(server) == 0; }));
+  EXPECT_EQ(active_clients(server), 0);
+  EXPECT_EQ(server.client_stats().size(), 2u);  // one row per session
   server.stop();
 }
 

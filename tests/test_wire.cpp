@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/frame_reader.hpp"
 #include "util/error.hpp"
 
 namespace hdcs::dist {
@@ -10,13 +11,11 @@ namespace {
 TEST(Wire, HelloRoundTrip) {
   HelloPayload p;
   p.client_name = "lab-piii-7";
-  p.cores = 2;
   p.benchmark_ops_per_sec = 5.25e7;
   auto msg = encode_hello(p, 42);
   EXPECT_EQ(msg.correlation, 42u);
   auto q = decode_hello(msg);
   EXPECT_EQ(q.client_name, p.client_name);
-  EXPECT_EQ(q.cores, p.cores);
   EXPECT_DOUBLE_EQ(q.benchmark_ops_per_sec, p.benchmark_ops_per_sec);
 }
 
@@ -57,8 +56,7 @@ TEST(Wire, SubmitResultRoundTrip) {
   result.payload = w.take();
   result.payload_crc = 0xdeadbeefu;  // the donor's digest over payload
 
-  auto [client, decoded] = decode_submit_result(encode_submit_result(9, result, 6));
-  EXPECT_EQ(client, 9u);
+  auto decoded = decode_submit_result(encode_submit_result(result, 6));
   EXPECT_EQ(decoded.unit_id, 2u);
   EXPECT_EQ(decoded.payload, result.payload);
   EXPECT_EQ(decoded.payload_crc, 0xdeadbeefu);
@@ -80,8 +78,7 @@ TEST(Wire, SubmitResultV5ProfileTrailerRoundTrip) {
   prof.saturations = 17;
   result.profile = prof;
 
-  auto [client, decoded] = decode_submit_result(encode_submit_result(9, result, 6));
-  EXPECT_EQ(client, 9u);
+  auto decoded = decode_submit_result(encode_submit_result(result, 6));
   ASSERT_TRUE(decoded.profile.has_value());
   EXPECT_DOUBLE_EQ(decoded.profile->queue_wait_s, 0.015);
   EXPECT_DOUBLE_EQ(decoded.profile->blob_fetch_s, 0.25);
@@ -93,9 +90,8 @@ TEST(Wire, SubmitResultV5ProfileTrailerRoundTrip) {
 
   // A frame without a profile carries only the presence flag.
   result.profile.reset();
-  auto [c2, d2] = decode_submit_result(encode_submit_result(9, result, 7));
-  EXPECT_EQ(c2, 9u);
-  EXPECT_FALSE(d2.profile.has_value());
+  EXPECT_FALSE(decode_submit_result(encode_submit_result(result, 7))
+                   .profile.has_value());
 }
 
 TEST(Wire, V6EpochRoundTripsOnWorkAndResult) {
@@ -111,9 +107,7 @@ TEST(Wire, V6EpochRoundTripsOnWorkAndResult) {
   result.problem_id = 3;
   result.unit_id = 99;
   result.epoch = 7;
-  auto [client, decoded] = decode_submit_result(encode_submit_result(9, result, 5));
-  EXPECT_EQ(client, 9u);
-  EXPECT_EQ(decoded.epoch, 7u);
+  EXPECT_EQ(decode_submit_result(encode_submit_result(result, 5)).epoch, 7u);
 }
 
 std::string hex(const std::vector<std::byte>& bytes) {
@@ -127,11 +121,12 @@ std::string hex(const std::vector<std::byte>& bytes) {
   return out;
 }
 
-TEST(Wire, GoldenV8FramesAreByteStable) {
-  // Whole frames (header + payload) as v8 peers exchange them. A donor or
-  // server built against an older v8 tree must keep decoding these bytes,
-  // so any difference here is a wire-format break. (v8 changed no payload
-  // here: these are the v7 bytes with 08 in the header's version field.)
+TEST(Wire, GoldenV9FramesAreByteStable) {
+  // Whole frames (header + payload) as v9 peers exchange them. A donor or
+  // server built against an older v9 tree must keep decoding these bytes,
+  // so any difference here is a wire-format break. (v9 dropped the client
+  // id that led the SubmitResult payload; the WorkAssignment and
+  // ProblemData payloads are the v8 bytes with 09 in the version field.)
   WorkUnit unit;
   unit.problem_id = 3;
   unit.unit_id = 17;
@@ -145,7 +140,7 @@ TEST(Wire, GoldenV8FramesAreByteStable) {
   unit.blobs[1].size = 77;
   unit.epoch = 5;
   EXPECT_EQ(hex(net::encode_frame(encode_work_assignment(unit, 9))),
-            "534344480800210009000000000000004f000000974691b7030000000000"
+            "534344480900210009000000000000004f000000974691b7030000000000"
             "000011000000000000000200000000000000004a9340030000006864720200"
             "0000efcdab896745230100100000000000001032547698badcfe4d00000000"
             "0000000500000000000000");
@@ -166,12 +161,11 @@ TEST(Wire, GoldenV8FramesAreByteStable) {
   prof.saturations = 17;
   result.profile = prof;
   result.epoch = 5;
-  EXPECT_EQ(hex(net::encode_frame(encode_submit_result(11, result, 10))),
-            "53434448080003000a0000000000000065000000d9b1b5a10b000000000000"
-            "0003000000000000001100000000000000020000000400000001020304efbe"
-            "adde01000000000000e03f000000000000d03f000000000000c03f00000000"
-            "00000040000000000000b03f04000000110000000000000005000000000000"
-            "00");
+  EXPECT_EQ(hex(net::encode_frame(encode_submit_result(result, 10))),
+            "53434448090003000a000000000000005d00000032d2600103000000000000"
+            "001100000000000000020000000400000001020304efbeadde010000000000"
+            "00e03f000000000000d03f000000000000c03f000000000000004000000000"
+            "0000b03f0400000011000000000000000500000000000000");
 
   ProblemDataHeaderPayload header;
   header.problem_id = 3;
@@ -179,8 +173,16 @@ TEST(Wire, GoldenV8FramesAreByteStable) {
   header.data_bytes = 1234567;
   header.data_digest = 0x0badc0ffee0ddf00ull;
   EXPECT_EQ(hex(net::encode_frame(encode_problem_data_header(header, 12))),
-            "53434448080023000c0000000000000023000000cefc64c403000000000000"
+            "53434448090023000c0000000000000023000000cefc64c403000000000000"
             "00070000006473656172636887d612000000000000df0deeffc0ad0b");
+
+  // The same frame stamped v8 is refused whole: one dialect on the wire.
+  auto v8 = net::encode_frame(encode_problem_data_header(header, 12));
+  v8[4] = std::byte{8};
+  net::FrameReader reader;
+  std::vector<net::Message> out;
+  EXPECT_THROW(reader.feed(v8, out), ProtocolError);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Wire, ReplicationPayloadsRoundTrip) {
@@ -212,11 +214,11 @@ TEST(Wire, ReplicationPayloadsRoundTrip) {
 
 TEST(Wire, NoWorkRoundTrip) {
   NoWorkPayload p;
-  p.retry_after_s = 2.5;
   p.all_problems_complete = true;
-  auto q = decode_no_work(encode_no_work(p, 0));
-  EXPECT_DOUBLE_EQ(q.retry_after_s, 2.5);
-  EXPECT_TRUE(q.all_problems_complete);
+  auto msg = encode_no_work(p, 0);
+  EXPECT_EQ(msg.payload.size(), 1u);  // the completion flag alone
+  EXPECT_TRUE(decode_no_work(msg).all_problems_complete);
+  EXPECT_FALSE(decode_no_work(encode_no_work({}, 0)).all_problems_complete);
 }
 
 TEST(Wire, ProblemDataHeaderRoundTrip) {
@@ -231,27 +233,30 @@ TEST(Wire, ProblemDataHeaderRoundTrip) {
 }
 
 TEST(Wire, SmallIdMessagesRoundTrip) {
-  EXPECT_EQ(decode_request_work(encode_request_work(7, 1)), 7u);
-  EXPECT_EQ(decode_goodbye(encode_goodbye(9, 3)), 9u);
+  // RequestWork and Goodbye name no client: the connection does.
+  EXPECT_TRUE(encode_request_work(1).payload.empty());
+  EXPECT_TRUE(encode_goodbye(3).payload.empty());
+  EXPECT_NO_THROW(decode_request_work(encode_request_work(1)));
+  EXPECT_NO_THROW(decode_goodbye(encode_goodbye(3)));
   EXPECT_EQ(decode_fetch_problem_data(encode_fetch_problem_data({11}, 4)).problem_id,
             11u);
   EXPECT_TRUE(decode_result_ack(encode_result_ack({true}, 5)).accepted);
 }
 
 TEST(Wire, WrongTypeThrowsProtocolError) {
-  auto msg = encode_request_work(1, 1);
+  auto msg = encode_request_work(1);
   EXPECT_THROW(decode_hello(msg), ProtocolError);
   EXPECT_THROW(decode_work_assignment(msg), ProtocolError);
 }
 
 TEST(Wire, TruncatedPayloadThrows) {
-  auto msg = encode_hello({"name", 1, 2.0}, 1);
+  auto msg = encode_hello({"name", 2.0}, 1);
   msg.payload.pop_back();
   EXPECT_THROW(decode_hello(msg), SerializationError);
 }
 
 TEST(Wire, TrailingGarbageDetected) {
-  auto msg = encode_request_work(1, 1);
+  auto msg = encode_request_work(1);
   msg.payload.push_back(std::byte{0});
   EXPECT_THROW(decode_request_work(msg), SerializationError);
 }
