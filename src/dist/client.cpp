@@ -345,25 +345,20 @@ bool Client::connect_session() {
       LOG_INFO("client '" << config_.name << "' registered as id "
                           << ack.client_id);
       return true;
-    } catch (const IoError& e) {
+    } catch (const Error& e) {
+      // A failed connect, a corrupt HelloAck, or an unpromoted standby
+      // rejecting Hello with an error frame: the same backoff, and the
+      // rotation below moves on to the next endpoint in the list.
+      if (!dynamic_cast<const IoError*>(&e) &&
+          !dynamic_cast<const ProtocolError*>(&e)) {
+        throw;
+      }
       failures += 1;
       if (config_.max_connect_attempts > 0 &&
           failures >= config_.max_connect_attempts) {
         throw;
       }
-      LOG_DEBUG("client '" << config_.name << "' connect to " << ep.host << ":"
-                           << ep.port << " failed (" << e.what()
-                           << "); rotating");
-    } catch (const ProtocolError& e) {
-      // A corrupt HelloAck — or an unpromoted standby rejecting Hello with
-      // an error frame — counts like a failed connect: same backoff, and
-      // the rotation below moves on to the next endpoint in the list.
-      failures += 1;
-      if (config_.max_connect_attempts > 0 &&
-          failures >= config_.max_connect_attempts) {
-        throw;
-      }
-      LOG_DEBUG("client '" << config_.name << "' handshake with " << ep.host
+      LOG_DEBUG("client '" << config_.name << "' session with " << ep.host
                            << ":" << ep.port << " failed (" << e.what()
                            << "); rotating");
     }

@@ -639,15 +639,35 @@ TEST(ServerClient, LongPollDrainShutsDownParkedDonors) {
 }
 
 TEST(ServerClient, LongPollClosedConnectionLeavesNothingParked) {
-  Server server(long_poll_config());
+  auto cfg = long_poll_config();
+  cfg.policy_spec = "fixed:100000";
+  Server server(cfg);
   server.start();
   const auto timeouts = counter("server.park_timeouts");
+  // A leased unit keeps its problem open, so the departure of `gone` wakes
+  // one parked request, the first in line: `first`'s. Only the close
+  // itself can drop `gone`'s.
+  auto held = std::make_shared<ToySumDataManager>(100000);
+  auto held_pid = server.submit_problem(held);
+  RawDonor holder(server, "holder");
+  auto assignment = holder.request_work();
+  ASSERT_EQ(assignment.type, net::MessageType::kWorkAssignment);
+  RawDonor first(server, "first");
+  first.send_request_work();
+  ASSERT_TRUE(settle({&first}, 1));
   {
     RawDonor gone(server, "gone");
     gone.send_request_work();
-    ASSERT_TRUE(settle({&gone}, 1));
+    ASSERT_TRUE(settle({&first, &gone}, 2));
   }  // closed while parked
+  ASSERT_TRUE(eventually([&first] { return first.stream.readable(0); }));
+  auto woken = net::read_message(first.stream);
+  ASSERT_EQ(woken.type, net::MessageType::kNoWorkAvailable);
+  EXPECT_FALSE(decode_no_work(woken).all_problems_complete);
   ASSERT_TRUE(eventually([] { return parked_requests() == 0; }));
+  auto ack = holder.submit(decode_work_assignment(assignment));
+  EXPECT_TRUE(decode_result_ack(ack).accepted);
+  EXPECT_TRUE(server.wait_for_problem(held_pid, 1.0));
 
   // A later persistent donor parks in its place and the next submit
   // reaches it, not the dead connection.
@@ -741,8 +761,9 @@ TEST(ServerClient, NonErrorExceptionFromDataManagerAnswersErrorFrame) {
 
 TEST(ServerClient, SessionHostileDonorVotesOnlyAsItself) {
   // A hostile donor votes twice on a replicated unit. No frame names a
-  // client, so its second SubmitResult is its own duplicate vote, not a
-  // vote for another donor: the lie cannot reach a quorum by itself.
+  // client, so its second SubmitResult on its connection is its own
+  // duplicate vote, not a vote for another donor: the lie waits for an
+  // honest vote.
   auto cfg = quick_server_config();
   cfg.scheduler.replication_factor = 2;
   cfg.scheduler.quorum = 2;
