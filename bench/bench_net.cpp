@@ -459,7 +459,7 @@ class Storm {
         break;
       }
       case MessageType::kWorkAssignment: {
-        auto unit = dist::decode_work_assignment(m);
+        auto unit = dist::decode_work_assignment(m).unit;
         ByteReader r(unit.payload);
         std::uint64_t begin = r.u64();
         std::uint64_t end = r.u64();

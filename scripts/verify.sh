@@ -37,7 +37,7 @@ echo "== TSan: obs + scheduler + integration + chaos + data-plane tests =="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan --target test_obs test_dist test_integration test_chaos test_data_plane test_wal test_vfs -j >/dev/null
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-  -R 'Metrics|Jsonl|Tracer|MsgStats|Wire|Scheduler|ServerClient|Granularity|Chaos|DataPlane|BulkV4|BlobCache|Compress|Wal|Vfs'
+  -R 'Metrics|Jsonl|Tracer|MsgStats|Wire|Scheduler|ServerClient|ProtocolEdges|Granularity|Chaos|DataPlane|BulkV4|BlobCache|Compress|Wal|Vfs'
 
 echo "== ASan: kernel equivalence + SIMD tiers + chaos + data-plane =="
 cmake --preset asan >/dev/null

@@ -97,37 +97,34 @@ std::vector<ClientRunStats> Client::run_pool(const ClientConfig& base,
   return stats;
 }
 
-Client::ProblemContext& Client::context_for(ProblemId id) {
-  auto it = contexts_.find(id);
-  if (it != contexts_.end()) return it->second;
-
-  // First unit of this problem: build the Algorithm named by the
-  // DataManager. The header names the problem data by digest, which we
-  // resolve through the blob cache like any other blob — a donor that saw
-  // this problem before a restart (disk cache) skips the download entirely.
-  FetchProblemDataPayload fetch;
-  fetch.problem_id = id;
-  const std::uint64_t corr = next_correlation_++;
-  send(encode_fetch_problem_data(fetch, corr));
-  auto header = decode_problem_data_header(await_reply(corr));
-  std::vector<WorkBlob> data(1);
-  data[0].digest = header.data_digest;
-  if (!ensure_blobs(data)) {
-    throw ProtocolError("server no longer holds problem data blob");
+Algorithm* Client::prepare(WorkAssignmentPayload& assignment) {
+  std::vector<WorkBlob>& blobs = assignment.unit.blobs;
+  ContextKey key{assignment.algorithm_name, assignment.problem_data.digest};
+  if (auto it = contexts_.find(key); it != contexts_.end()) {
+    return ensure_blobs(blobs) ? it->second.get() : nullptr;
   }
-  std::vector<std::byte> blob = std::move(data[0].bytes);
-  if (blob.size() != header.data_bytes) {
+
+  // First unit of this problem: its data joins the unit's NEED list, so a
+  // new problem costs no extra round trip, and a donor that saw this data
+  // before a restart (disk cache) skips the download entirely.
+  blobs.push_back(assignment.problem_data);
+  const bool present = ensure_blobs(blobs);
+  WorkBlob data = std::move(blobs.back());
+  blobs.pop_back();
+  if (!present) return nullptr;
+  if (data.bytes.size() != data.size) {
     throw ProtocolError("problem data size mismatch");
   }
-  ProblemContext ctx;
-  ctx.algorithm = config_.registry->create(header.algorithm_name);
-  ctx.algorithm->initialize(blob);
+  auto algorithm = config_.registry->create(key.first);
+  algorithm->initialize(data.bytes);
   if (config_.exec_threads > 1) {
-    ctx.algorithm->set_parallelism(config_.exec_threads);
+    algorithm->set_parallelism(config_.exec_threads);
   }
-  LOG_INFO("problem " << id << ": fetched " << blob.size()
-                      << " bytes, algorithm " << header.algorithm_name);
-  return contexts_.emplace(id, std::move(ctx)).first->second;
+  LOG_INFO("problem " << assignment.unit.problem_id << ": fetched "
+                      << data.bytes.size() << " bytes, algorithm "
+                      << key.first);
+  return contexts_.emplace(std::move(key), std::move(algorithm))
+      .first->second.get();
 }
 
 void Client::note_retry_later(const RetryLaterPayload& nack) {
@@ -283,19 +280,26 @@ void Client::install(net::TcpStream stream) {
   last_write_ = std::chrono::steady_clock::now();
 }
 
-void Client::keepalive_loop(double interval_s) {
-  const auto interval =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(interval_s));
+void Client::keepalive_loop() {
   net::Message beat;
   beat.type = net::MessageType::kHeartbeat;
   std::unique_lock lock(stream_mutex_);
-  for (;;) {
+  while (!keepalive_done_) {
+    // A new session wakes this thread with its own interval (0 = none).
+    const double interval_s = heartbeat_interval_;
+    const auto changed = [&] {
+      return keepalive_done_ || heartbeat_interval_ != interval_s;
+    };
+    if (interval_s <= 0) {
+      keepalive_cv_.wait(lock, changed);
+      continue;
+    }
     // Every write pushes the silent interval's end back; wake at it.
-    const auto due = last_write_ + interval;
-    if (keepalive_cv_.wait_until(lock, due,
-                                 [this] { return keepalive_done_; })) {
-      return;
+    const auto interval =
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(interval_s));
+    if (keepalive_cv_.wait_until(lock, last_write_ + interval, changed)) {
+      continue;
     }
     if (std::chrono::steady_clock::now() < last_write_ + interval) continue;
     if (stream_.valid()) {
@@ -341,9 +345,17 @@ bool Client::connect_session() {
       }
       auto ack = decode_hello_ack(reply);
       my_id_ = ack.client_id;
-      heartbeat_interval_ = ack.heartbeat_interval_s;
       LOG_INFO("client '" << config_.name << "' registered as id "
                           << ack.client_id);
+      {
+        std::lock_guard lock(stream_mutex_);
+        heartbeat_interval_ = ack.heartbeat_interval_s;
+      }
+      keepalive_cv_.notify_all();  // the keepalive follows this session
+      if (config_.send_heartbeats && ack.heartbeat_interval_s > 0 &&
+          !keepalive_.joinable()) {
+        keepalive_ = std::thread([this] { keepalive_loop(); });
+      }
       return true;
     } catch (const Error& e) {
       // A failed connect, a corrupt HelloAck, or an unpromoted standby
@@ -374,28 +386,22 @@ ClientRunStats Client::run() {
 
   // However run() ends, the keepalive thread is joined before the work
   // connection closes.
-  std::thread keepalive;
   struct SessionCloser {
     Client& self;
-    std::thread& keepalive;
     ~SessionCloser() {
       {
         std::lock_guard lock(self.stream_mutex_);
         self.keepalive_done_ = true;
       }
       self.keepalive_cv_.notify_all();
-      if (keepalive.joinable()) keepalive.join();
+      if (self.keepalive_.joinable()) self.keepalive_.join();
       self.install(net::TcpStream{});
     }
-  } closer{*this, keepalive};
+  } closer{*this};
 
   if (!connect_session()) {
     stats.retry_laters = retry_laters_;
     return stats;
-  }
-  if (config_.send_heartbeats && heartbeat_interval_ > 0) {
-    keepalive = std::thread(
-        [this, interval = heartbeat_interval_] { keepalive_loop(interval); });
   }
 
   // The work loop. `pending` is the one unacknowledged result, sent
@@ -432,6 +438,9 @@ ClientRunStats Client::run() {
         if (reply.type == net::MessageType::kNoWorkAvailable) {
           auto no_work = decode_no_work(reply);
           stats.idle_polls += 1;
+          // Every problem is finished: no unit of any of them comes again,
+          // so let go of what was built from their data.
+          if (no_work.all_problems_complete) contexts_.clear();
           if (config_.exit_when_idle &&
               (no_work.all_problems_complete ||
                ++consecutive_idle >= config_.max_idle_polls)) {
@@ -452,7 +461,8 @@ ClientRunStats Client::run() {
           continue;
         }
 
-        WorkUnit unit = decode_work_assignment(reply);
+        WorkAssignmentPayload assignment = decode_work_assignment(reply);
+        const WorkUnit& unit = assignment.unit;
         profile_ = obs::UnitProfile{};
         profile_.queue_wait_s = queue_sw.seconds();
         profile_.threads = static_cast<std::uint32_t>(
@@ -462,16 +472,14 @@ ClientRunStats Client::run() {
         // inflation inside recv_blob_v4 accumulates separately into
         // decompress_s, so subtract it to keep the two spans disjoint.
         double fetch_total = 0;
-        ProblemContext* ctx = nullptr;
-        bool blobs_ok;
+        Algorithm* algorithm = nullptr;
         {
           obs::SpanTimer fetch(fetch_total);
-          ctx = &context_for(unit.problem_id);
-          blobs_ok = ensure_blobs(unit.blobs);
+          algorithm = prepare(assignment);
         }
         profile_.blob_fetch_s =
             std::max(0.0, fetch_total - profile_.decompress_s);
-        if (!blobs_ok) {
+        if (algorithm == nullptr) {
           // A referenced blob is gone server-side: a replica finished the
           // unit while our NEED list was in flight. Drop it and ask for
           // fresh work.
@@ -491,7 +499,7 @@ ClientRunStats Client::run() {
         // Echo the lease's term: a result computed for a deposed
         // primary carries its old epoch, and the promoted server fences it.
         result.epoch = unit.epoch;
-        result.payload = ctx->algorithm->process(unit);
+        result.payload = algorithm->process(unit);
         profile_.compute_s = sw.seconds();
         profile_.saturations = saturation_counter.value() - saturations_before;
         {

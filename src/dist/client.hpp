@@ -3,10 +3,17 @@
 //
 // Connects to the server, reports a self-measured benchmark score (so the
 // scheduler can size the first unit before any EWMA data exists), then
-// loops: request work -> (fetch problem data once per problem) -> run the
-// registered Algorithm -> submit the result. Designed to run "as a low
-// priority background service" (paper §3); priority is the deployer's
-// concern (nice/SCHED_IDLE), not this class's.
+// loops: request work -> resolve the unit's blobs (and, on a problem's
+// first unit, its data) -> run the registered Algorithm -> submit the
+// result. Designed to run "as a low priority background service" (paper
+// §3); priority is the deployer's concern (nice/SCHED_IDLE), not this
+// class's.
+//
+// An assignment names its problem by content: the Algorithm's name and the
+// problem data's digest. That pair, never the server's problem id, keys
+// what the donor builds from the data, so a donor that moves between
+// servers never runs a unit with another problem's data. Once the server
+// reports every problem complete, the donor lets go of all of it.
 //
 // The next RequestWork overtakes the ack: a WAL'd server holds a result's
 // ack until its group commit has made the result durable, so the donor
@@ -27,10 +34,12 @@
 //
 // Liveness rides the work connection: while a unit computes, a keepalive
 // thread writes an empty one-way Heartbeat frame whenever the connection
-// has been silent for the HelloAck's interval, so the server's silence
-// sweep never closes a donor that is merely busy. Only the work loop reads
-// the connection; every write, and every replacement or close, holds one
-// mutex, so keepalive frames never interleave with the loop's.
+// has been silent for the current session's HelloAck interval, so the
+// server's silence sweep never closes a donor that is merely busy. The
+// thread starts with the first session that asks for keepalives and
+// follows every later one. Only the work loop reads the connection; every
+// write, and every replacement or close, holds one mutex, so keepalive
+// frames never interleave with the loop's.
 
 #include <atomic>
 #include <chrono>
@@ -41,6 +50,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "dist/registry.hpp"
@@ -200,11 +211,16 @@ class Client {
                                               int count);
 
  private:
-  struct ProblemContext {
-    std::unique_ptr<Algorithm> algorithm;
-  };
+  /// (algorithm name, problem data digest): what an Algorithm was built
+  /// from. A problem id is unique only within one server's lifetime.
+  using ContextKey = std::pair<std::string, std::uint64_t>;
 
-  ProblemContext& context_for(ProblemId id);
+  /// Resolve the assignment's blobs and return the Algorithm to run its
+  /// unit with. On a problem's first unit the problem data joins the same
+  /// FetchBlobs round trip as the unit's own blobs, and a new Algorithm is
+  /// initialised from it. nullptr when the server no longer holds one of
+  /// the blobs (see ensure_blobs).
+  Algorithm* prepare(WorkAssignmentPayload& assignment);
 
   /// Resolve every blob in `blobs`: cache hits fill in the bytes locally,
   /// misses are batched into one FetchBlobs round-trip. Returns false when
@@ -244,11 +260,13 @@ class Client {
   /// Replace the work connection (an empty stream just closes it).
   void install(net::TcpStream stream);
   /// Keepalive thread body: until keepalive_done_, write an empty
-  /// Heartbeat whenever the work connection has been silent for interval_s.
-  void keepalive_loop(double interval_s);
+  /// Heartbeat whenever the work connection has been silent for the
+  /// current session's heartbeat_interval_ (none while it is 0).
+  void keepalive_loop();
 
   /// Connect + Hello, one backoff step between failed attempts. On success
-  /// the work connection holds the new session and my_id_ is its client.
+  /// the work connection holds the new session, my_id_ is its client, and
+  /// the keepalive thread follows its interval (started on first need).
   /// Returns false if stop/crash was requested while waiting; rethrows the
   /// last transport error once max_connect_attempts consecutive failures
   /// accumulate.
@@ -273,15 +291,14 @@ class Client {
   ReconnectBackoff backoff_;
   net::BlobCache blob_cache_;
   /// Span profile of the unit currently being processed. Reset when an
-  /// assignment is decoded; context_for/ensure_blobs accumulate blob-fetch
-  /// and decompress spans into it; attached to the outgoing ResultUnit.
+  /// assignment is decoded; prepare/ensure_blobs accumulate blob-fetch and
+  /// decompress spans into it; attached to the outgoing ResultUnit.
   obs::UnitProfile profile_;
   std::chrono::steady_clock::time_point epoch_;
-  std::map<ProblemId, ProblemContext> contexts_;
+  std::map<ContextKey, std::unique_ptr<Algorithm>> contexts_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> crash_{false};
   ClientId my_id_ = 0;
-  double heartbeat_interval_ = 0;  // from the latest HelloAck
   Rng backoff_rng_;
   std::uint64_t next_correlation_ = 1;
   std::uint64_t retry_laters_ = 0;  // work-loop thread only
@@ -291,14 +308,16 @@ class Client {
   std::optional<net::Message> early_ack_;
 
   // The work connection. stream_mutex_ guards every write to stream_,
-  // every replacement or close of it, last_write_ and keepalive_done_;
-  // reads need no lock, because only the work loop reads (and it is also
-  // the only thread that replaces the stream).
+  // every replacement or close of it, last_write_, heartbeat_interval_ and
+  // keepalive_done_; reads need no lock, because only the work loop reads
+  // (and it is also the only thread that replaces the stream).
   std::mutex stream_mutex_;
   std::condition_variable keepalive_cv_;
   net::TcpStream stream_;
   std::chrono::steady_clock::time_point last_write_;
+  double heartbeat_interval_ = 0;  // from the current session's HelloAck
   bool keepalive_done_ = false;
+  std::thread keepalive_;  // started by the first session that wants it
 };
 
 }  // namespace hdcs::dist

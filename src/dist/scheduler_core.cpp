@@ -36,7 +36,7 @@ SchedulerCore::SchedulerCore(SchedulerConfig config,
                              std::unique_ptr<GranularityPolicy> policy)
     : config_(config),
       policy_(std::move(policy)),
-      integrity_rng_(config.integrity_seed) {
+      integrity_rng_(kIntegritySeed) {
   if (!policy_) throw InputError("SchedulerCore: null granularity policy");
   if (config_.lease_timeout <= 0) throw InputError("lease_timeout must be > 0");
   if (config_.replication_factor < 1) {
@@ -408,7 +408,7 @@ std::optional<WorkUnit> SchedulerCore::hedge_from(ProblemId pid, ProblemState& p
   for (auto it = ps.in_flight.begin(); it != ps.in_flight.end(); ++it) {
     UnitState& us = it->second;
     if (us.leases.empty()) continue;  // queued or mid-vote, not hedgeable
-    if (us.hedges >= config_.max_hedges_per_unit) continue;
+    if (us.hedges >= kMaxHedgesPerUnit) continue;
     if (us.holds_lease(cs.self_id) || us.votes.count(cs.name)) continue;
     double oldest = us.leases.front().issued_at;
     for (const auto& l : us.leases) oldest = std::min(oldest, l.issued_at);

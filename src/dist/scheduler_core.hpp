@@ -41,6 +41,13 @@ class Tracer;
 
 namespace hdcs::dist {
 
+/// Times one unit may be hedged (see SchedulerConfig::hedge_endgame).
+inline constexpr int kMaxHedgesPerUnit = 1;
+/// Seed of the deterministic spot-check RNG (see
+/// SchedulerConfig::spot_check_rate); its state is part of the exact
+/// snapshot.
+inline constexpr std::uint64_t kIntegritySeed = 1;
+
 struct SchedulerConfig {
   /// Units not completed within lease_timeout seconds are reissued.
   double lease_timeout = 300.0;
@@ -51,10 +58,8 @@ struct SchedulerConfig {
   /// outstanding lease (owned by someone else). Whichever result arrives
   /// first wins; the loser is dropped as a duplicate. Bounds the tail a
   /// slow semi-idle donor can add to a problem without waiting for the
-  /// lease timeout.
+  /// lease timeout. A unit is hedged at most kMaxHedgesPerUnit times.
   bool hedge_endgame = false;
-  /// Maximum times a unit may be hedged.
-  int max_hedges_per_unit = 1;
   /// Poison-unit quarantine: a unit whose every lease has failed (expiry,
   /// donor crash/timeout) this many times is quarantined instead of
   /// reissued forever — one unit that crashes every donor it touches must
@@ -84,9 +89,8 @@ struct SchedulerConfig {
   int quorum = 0;
   /// Trusted donors run un-replicated, but each fresh unit issued to one
   /// is spot-checked (replicated anyway) with this probability, drawn from
-  /// a deterministic RNG seeded by integrity_seed.
+  /// a deterministic RNG seeded by kIntegritySeed.
   double spot_check_rate = 0.05;
-  std::uint64_t integrity_seed = 1;
   /// Reputation EWMA: score <- (1-a)*score + a*(win ? 1 : 0), starting at
   /// 0.5. A donor is trusted once score >= reputation_trust_threshold.
   double reputation_alpha = 0.2;
@@ -420,7 +424,7 @@ class SchedulerCore {
   ProblemId rr_cursor_ = 0;  // last problem served (round-robin fairness)
   SchedulerStats stats_;
   std::uint64_t evicted_units_completed_ = 0;
-  Rng integrity_rng_;  // spot-check draws; seeded by integrity_seed
+  Rng integrity_rng_;  // spot-check draws; seeded by kIntegritySeed
   obs::Tracer* tracer_ = nullptr;
   double last_now_ = 0;  // latest timestamp seen; stamps clock-less events
   std::uint64_t epoch_ = 1;  // server term; see epoch()/bump_epoch()

@@ -47,10 +47,6 @@ obs::Histogram* handler_histogram(net::MessageType type) {
       static obs::Histogram* h = make("SubmitResult");
       return h;
     }
-    case net::MessageType::kFetchProblemData: {
-      static obs::Histogram* h = make("FetchProblemData");
-      return h;
-    }
     case net::MessageType::kFetchBlobs: {
       static obs::Histogram* h = make("FetchBlobs");
       return h;
@@ -1402,7 +1398,17 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
             log_record(std::move(rec));
           }
           if (unit) {
-            response = encode_work_assignment(*unit, request.correlation);
+            // The assignment names its problem by content, so a donor
+            // never runs it with another server's data of the same id.
+            WorkAssignmentPayload assignment;
+            assignment.algorithm_name =
+                core_.data_manager(unit->problem_id).algorithm_name();
+            assignment.problem_data.digest =
+                core_.problem_data_digest(unit->problem_id);
+            assignment.problem_data.size =
+                core_.problem_data_bytes(unit->problem_id);
+            assignment.unit = std::move(*unit);
+            response = encode_work_assignment(assignment, request.correlation);
             wake_parked_locked();  // more units may be queued behind it
             break;
           }
@@ -1459,21 +1465,6 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
           } else {
             response = encode_result_ack(ack, request.correlation);
           }
-          break;
-        }
-        case net::MessageType::kFetchProblemData: {
-          auto fetch = decode_fetch_problem_data(request);
-          ProblemDataHeaderPayload header;
-          header.problem_id = fetch.problem_id;
-          {
-            std::lock_guard lock(core_mutex_);
-            const DataManager& dm = core_.data_manager(fetch.problem_id);
-            header.algorithm_name = dm.algorithm_name();
-            header.data_bytes = core_.problem_data_bytes(fetch.problem_id);
-            header.data_digest = core_.problem_data_digest(fetch.problem_id);
-          }
-          // The donor resolves data_digest through its cache/FetchBlobs.
-          response = encode_problem_data_header(header, request.correlation);
           break;
         }
         case net::MessageType::kFetchBlobs: {

@@ -70,26 +70,41 @@ void write_unit_fields(ByteWriter& w, ProblemId pid, UnitId uid, std::uint32_t s
   w.u64(uid);
   w.u32(stage);
 }
+
+// A blob reference: {digest, size}, never the bytes.
+void write_blob_ref(ByteWriter& w, const WorkBlob& blob) {
+  w.u64(blob.digest);
+  w.u64(blob.size);
+}
+
+WorkBlob read_blob_ref(ByteReader& r) {
+  WorkBlob blob;
+  blob.digest = r.u64();
+  blob.size = r.u64();
+  return blob;
+}
 }  // namespace
 
-net::Message encode_work_assignment(const WorkUnit& unit, std::uint64_t correlation) {
+net::Message encode_work_assignment(const WorkAssignmentPayload& p,
+                                    std::uint64_t correlation) {
+  const WorkUnit& unit = p.unit;
   ByteWriter w;
   write_unit_fields(w, unit.problem_id, unit.unit_id, unit.stage);
   w.f64(unit.cost_ops);
   w.bytes(unit.payload);
   w.u32(static_cast<std::uint32_t>(unit.blobs.size()));
-  for (const WorkBlob& blob : unit.blobs) {
-    w.u64(blob.digest);
-    w.u64(blob.size);
-  }
+  for (const WorkBlob& blob : unit.blobs) write_blob_ref(w, blob);
+  w.str(p.algorithm_name);
+  write_blob_ref(w, p.problem_data);
   w.u64(unit.epoch);
   return make(net::MessageType::kWorkAssignment, correlation, std::move(w));
 }
 
-WorkUnit decode_work_assignment(const net::Message& m) {
+WorkAssignmentPayload decode_work_assignment(const net::Message& m) {
   check_type(m, net::MessageType::kWorkAssignment);
   auto r = m.reader();
-  WorkUnit unit;
+  WorkAssignmentPayload p;
+  WorkUnit& unit = p.unit;
   unit.problem_id = r.u64();
   unit.unit_id = r.u64();
   unit.stage = r.u32();
@@ -97,15 +112,12 @@ WorkUnit decode_work_assignment(const net::Message& m) {
   unit.payload = r.bytes();
   std::uint32_t count = r.u32();
   unit.blobs.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    WorkBlob blob;
-    blob.digest = r.u64();
-    blob.size = r.u64();
-    unit.blobs.push_back(std::move(blob));
-  }
+  for (std::uint32_t i = 0; i < count; ++i) unit.blobs.push_back(read_blob_ref(r));
+  p.algorithm_name = r.str();
+  p.problem_data = read_blob_ref(r);
   unit.epoch = r.u64();
   r.expect_end();
-  return unit;
+  return p;
 }
 
 net::Message encode_no_work(const NoWorkPayload& p, std::uint64_t correlation) {
@@ -198,44 +210,6 @@ ResultAckPayload decode_result_ack(const net::Message& m) {
   auto r = m.reader();
   ResultAckPayload p;
   p.accepted = r.boolean();
-  r.expect_end();
-  return p;
-}
-
-net::Message encode_fetch_problem_data(const FetchProblemDataPayload& p,
-                                       std::uint64_t correlation) {
-  ByteWriter w;
-  w.u64(p.problem_id);
-  return make(net::MessageType::kFetchProblemData, correlation, std::move(w));
-}
-
-FetchProblemDataPayload decode_fetch_problem_data(const net::Message& m) {
-  check_type(m, net::MessageType::kFetchProblemData);
-  auto r = m.reader();
-  FetchProblemDataPayload p;
-  p.problem_id = r.u64();
-  r.expect_end();
-  return p;
-}
-
-net::Message encode_problem_data_header(const ProblemDataHeaderPayload& p,
-                                        std::uint64_t correlation) {
-  ByteWriter w;
-  w.u64(p.problem_id);
-  w.str(p.algorithm_name);
-  w.u64(p.data_bytes);
-  w.u64(p.data_digest);
-  return make(net::MessageType::kProblemData, correlation, std::move(w));
-}
-
-ProblemDataHeaderPayload decode_problem_data_header(const net::Message& m) {
-  check_type(m, net::MessageType::kProblemData);
-  auto r = m.reader();
-  ProblemDataHeaderPayload p;
-  p.problem_id = r.u64();
-  p.algorithm_name = r.str();
-  p.data_bytes = r.u64();
-  p.data_digest = r.u64();
   r.expect_end();
   return p;
 }

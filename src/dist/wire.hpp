@@ -28,6 +28,17 @@ struct HelloAckPayload {
   double heartbeat_interval_s = 0;
 };
 
+/// A leased unit and the problem it belongs to, named by content: the
+/// Algorithm to run it with and the problem data's blob reference. A
+/// problem id is unique only within one server's lifetime, so a donor keys
+/// what it builds from the data by (algorithm_name, problem_data.digest),
+/// and resolves the data like any other blob.
+struct WorkAssignmentPayload {
+  WorkUnit unit;
+  std::string algorithm_name;
+  WorkBlob problem_data;  // {digest, size}; no bytes on the wire
+};
+
 /// Sent when work can exist (see the long-poll note in dist/server.hpp),
 /// so the donor asks again at once.
 struct NoWorkPayload {
@@ -40,20 +51,6 @@ struct NoWorkPayload {
 struct RetryLaterPayload {
   double retry_after_s = 1.0;
   std::string reason;  // "max_clients" | "blob_budget" | "degraded" | ...
-};
-
-struct FetchProblemDataPayload {
-  ProblemId problem_id = 0;
-};
-
-struct ProblemDataHeaderPayload {
-  ProblemId problem_id = 0;
-  std::string algorithm_name;
-  std::uint64_t data_bytes = 0;
-  /// Content digest of the problem data. Nothing follows the frame: the
-  /// donor resolves the digest through its blob cache / FetchBlobs like
-  /// any other blob.
-  std::uint64_t data_digest = 0;
 };
 
 /// NEED list: the digests a donor wants after checking its cache.
@@ -127,10 +124,12 @@ HelloAckPayload decode_hello_ack(const net::Message& m);
 net::Message encode_request_work(std::uint64_t correlation);
 void decode_request_work(const net::Message& m);
 
-/// The payload is followed by the blob reference list {digest, size} (no
-/// blob bytes) and the issuing epoch.
-net::Message encode_work_assignment(const WorkUnit& unit, std::uint64_t correlation);
-WorkUnit decode_work_assignment(const net::Message& m);
+/// The unit's fields and its blob reference list {digest, size} (no blob
+/// bytes), then the algorithm name, the problem data reference and the
+/// issuing epoch.
+net::Message encode_work_assignment(const WorkAssignmentPayload& p,
+                                    std::uint64_t correlation);
+WorkAssignmentPayload decode_work_assignment(const net::Message& m);
 
 net::Message encode_no_work(const NoWorkPayload& p, std::uint64_t correlation);
 NoWorkPayload decode_no_work(const net::Message& m);
@@ -147,14 +146,6 @@ ResultUnit decode_submit_result(const net::Message& m);
 
 net::Message encode_result_ack(const ResultAckPayload& p, std::uint64_t correlation);
 ResultAckPayload decode_result_ack(const net::Message& m);
-
-net::Message encode_fetch_problem_data(const FetchProblemDataPayload& p,
-                                       std::uint64_t correlation);
-FetchProblemDataPayload decode_fetch_problem_data(const net::Message& m);
-
-net::Message encode_problem_data_header(const ProblemDataHeaderPayload& p,
-                                        std::uint64_t correlation);
-ProblemDataHeaderPayload decode_problem_data_header(const net::Message& m);
 
 net::Message encode_fetch_blobs(const FetchBlobsPayload& p,
                                 std::uint64_t correlation);

@@ -32,7 +32,6 @@ const char* to_string(MessageType type) {
     case MessageType::kRequestWork: return "RequestWork";
     case MessageType::kSubmitResult: return "SubmitResult";
     case MessageType::kHeartbeat: return "Heartbeat";
-    case MessageType::kFetchProblemData: return "FetchProblemData";
     case MessageType::kGoodbye: return "Goodbye";
     case MessageType::kFetchStats: return "FetchStats";
     case MessageType::kFetchBlobs: return "FetchBlobs";
@@ -40,7 +39,6 @@ const char* to_string(MessageType type) {
     case MessageType::kHelloAck: return "HelloAck";
     case MessageType::kWorkAssignment: return "WorkAssignment";
     case MessageType::kNoWorkAvailable: return "NoWorkAvailable";
-    case MessageType::kProblemData: return "ProblemData";
     case MessageType::kResultAck: return "ResultAck";
     case MessageType::kShutdown: return "Shutdown";
     case MessageType::kStatsSnapshot: return "StatsSnapshot";

@@ -32,9 +32,11 @@ inline constexpr std::uint32_t kMagic = 0x48444353;  // "HDCS"
 // v7 the retryable RetryLater NACK, v8 the one-way Heartbeat keepalive on
 // the work connection (HeartbeatAck retired), v9 the connection as the
 // session (no client id in RequestWork, SubmitResult, Goodbye or
-// FetchBlobs; Hello's cores and NoWork's retry_after_s retired). A format
-// change bumps this constant for both sides at once.
-inline constexpr std::uint16_t kProtocolVersion = 9;
+// FetchBlobs; Hello's cores and NoWork's retry_after_s retired), v10 the
+// problem named by content (WorkAssignment carries the algorithm name and
+// the problem data's blob reference; FetchProblemData and ProblemData
+// retired). A format change bumps this constant for both sides at once.
+inline constexpr std::uint16_t kProtocolVersion = 10;
 inline constexpr std::size_t kFrameHeaderBytes = 24;
 /// Upper bound on a single frame; bulk data uses the chunked bulk channel.
 inline constexpr std::uint32_t kMaxPayload = 64u * 1024 * 1024;
@@ -45,7 +47,6 @@ enum class MessageType : std::uint16_t {
   kRequestWork = 2,    // idle worker asks for a unit
   kSubmitResult = 3,   // finished unit's result payload
   kHeartbeat = 4,      // one-way keepalive on the work connection
-  kFetchProblemData = 5,  // ask for a problem's bulk input data
   kGoodbye = 6,        // orderly departure (donor machine reclaimed)
   kFetchStats = 7,     // MSG_STATS: ask for a live metrics snapshot
   kFetchBlobs = 8,     // NEED list — digests missing from donor cache
@@ -53,9 +54,8 @@ enum class MessageType : std::uint16_t {
 
   // Server -> client
   kHelloAck = 32,      // assigned client id
-  kWorkAssignment = 33,  // a WorkUnit
+  kWorkAssignment = 33,  // a WorkUnit, its algorithm and problem data ref
   kNoWorkAvailable = 34,  // nothing to do right now; ask again
-  kProblemData = 35,   // problem data header: algorithm, size, blob digest
   kResultAck = 36,
   kShutdown = 38,      // server is stopping; client should exit
   kStatsSnapshot = 39, // MSG_STATS reply: JSON metrics snapshot

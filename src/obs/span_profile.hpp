@@ -37,9 +37,9 @@ struct UnitProfile {
 
 /// Accumulating scope timer: adds elapsed wall seconds to a target double
 /// when stopped (or destroyed). One phase is often split across several
-/// code regions — e.g. blob_fetch across context_for and ensure_blobs — so
-/// the timer *adds* rather than assigns, and one target can be fed by many
-/// timers.
+/// code regions — e.g. compute across process() and a throttled donor's
+/// padding — so the timer *adds* rather than assigns, and one target can be
+/// fed by many timers.
 class SpanTimer {
  public:
   explicit SpanTimer(double& target) : target_(&target) {}

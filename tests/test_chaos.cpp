@@ -1263,7 +1263,7 @@ TEST(Chaos, GroupCommitAckImpliesDurableResult) {
       if (d.done || !d.stream.readable(1)) continue;
       net::Message m = net::read_message(d.stream);
       if (m.type == net::MessageType::kWorkAssignment) {
-        ResultUnit result = toy_result(decode_work_assignment(m));
+        ResultUnit result = toy_result(decode_work_assignment(m).unit);
         if (d.ack_corr != 0) {
           overtakes += 1;
           d.next = std::move(result);
@@ -1337,7 +1337,7 @@ TEST(Chaos, GroupCommitDuplicateWaitsForFirstAcceptance) {
     net::write_message(first, encode_hello({"flaky", 1e6}, 1));
     decode_hello_ack(net::read_message(first));
     net::write_message(first, encode_request_work(2));
-    result = toy_result(decode_work_assignment(net::read_message(first)));
+    result = toy_result(decode_work_assignment(net::read_message(first)).unit);
     net::write_message(first, encode_submit_result(result, 3));
     for (int i = 0; i < 500 && server.stats().results_accepted == 0; ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));

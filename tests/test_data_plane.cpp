@@ -411,7 +411,8 @@ TEST(BulkV4, TruncatedSendSurfacesAsError) {
 // ----------------------------------------------------------- blob wire --
 
 TEST(WireV4, WorkAssignmentCarriesBlobRefsNotBytes) {
-  dist::WorkUnit unit;
+  dist::WorkAssignmentPayload assignment;
+  dist::WorkUnit& unit = assignment.unit;
   unit.problem_id = 3;
   unit.unit_id = 17;
   unit.stage = 2;
@@ -419,16 +420,22 @@ TEST(WireV4, WorkAssignmentCarriesBlobRefsNotBytes) {
   unit.payload = bytes_of("header-fields");
   unit.blobs.push_back(dist::make_work_blob(compressible_blob(10)));
   unit.blobs.push_back(dist::make_work_blob(bytes_of("second blob")));
+  assignment.algorithm_name = "dsearch";
+  assignment.problem_data = dist::make_work_blob(compressible_blob(20));
 
-  auto back = dist::decode_work_assignment(dist::encode_work_assignment(unit, 9));
-  EXPECT_EQ(back.unit_id, unit.unit_id);
-  EXPECT_EQ(back.payload, unit.payload);
-  ASSERT_EQ(back.blobs.size(), 2u);
+  auto back = dist::decode_work_assignment(
+      dist::encode_work_assignment(assignment, 9));
+  EXPECT_EQ(back.unit.unit_id, unit.unit_id);
+  EXPECT_EQ(back.unit.payload, unit.payload);
+  ASSERT_EQ(back.unit.blobs.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(back.blobs[i].digest, unit.blobs[i].digest);
-    EXPECT_EQ(back.blobs[i].size, unit.blobs[i].size);
-    EXPECT_TRUE(back.blobs[i].bytes.empty()) << "refs only on the wire";
+    EXPECT_EQ(back.unit.blobs[i].digest, unit.blobs[i].digest);
+    EXPECT_EQ(back.unit.blobs[i].size, unit.blobs[i].size);
+    EXPECT_TRUE(back.unit.blobs[i].bytes.empty()) << "refs only on the wire";
   }
+  EXPECT_EQ(back.problem_data.digest, assignment.problem_data.digest);
+  EXPECT_EQ(back.problem_data.size, assignment.problem_data.size);
+  EXPECT_TRUE(back.problem_data.bytes.empty()) << "refs only on the wire";
 }
 
 TEST(WireV4, FetchBlobsAndBlobDataRoundTrip) {
@@ -660,6 +667,113 @@ TEST(DataPlaneTcp, ReplicatedChunksTransferOncePerDonorAndReuseAcrossRuns) {
     EXPECT_EQ(after.sent - before.sent,
               (units_b - units_a) + (kDonors - participants_a));
   }
+}
+
+// ------------------------------------------------- problems by content --
+
+/// A problem that issues no unit and never completes. While it is open, its
+/// server never tells a donor that every problem is complete.
+class OpenProblem final : public dist::DataManager {
+ public:
+  [[nodiscard]] std::string algorithm_name() const override {
+    return dsearch::kAlgorithmName;
+  }
+  [[nodiscard]] std::vector<std::byte> problem_data() const override {
+    return bytes_of("never complete");
+  }
+  std::optional<dist::WorkUnit> next_unit(const dist::SizeHint&) override {
+    return std::nullopt;
+  }
+  void accept_result(const dist::ResultUnit&) override {}
+  [[nodiscard]] bool is_complete() const override { return false; }
+  [[nodiscard]] std::vector<std::byte> final_result() const override {
+    return {};
+  }
+};
+
+TEST(DataPlaneTcp, ContextNeverCrossesProblems) {
+  // A problem id names a problem only within one server's lifetime. A
+  // persistent donor serves problem 1 on server A (queries Q1 over D), then
+  // moves to server B, whose problem 1 searches queries Q2 over the same
+  // D. B's units must run with B's data. A's second, open problem keeps
+  // the donor from ever being told that A is done, so nothing but the
+  // content key stands between A's context and B's units.
+  dsearch::register_algorithm();
+  auto c = dsearch_case(411);
+  const auto q2 = dsearch_case(412).queries;
+  const double unit_ops = 200000;  // dsearch_server_config()'s fixed policy
+  dsearch::DSearchDataManager serial_q1(c.queries, c.database, c.config);
+  dsearch::DSearchDataManager serial_q2(q2, c.database, c.config);
+  const auto answer_q1 = dist::run_locally(serial_q1, unit_ops);
+  const auto answer_q2 = dist::run_locally(serial_q2, unit_ops);
+  ASSERT_NE(answer_q1, answer_q2) << "the test needs answers that differ";
+
+  dist::Server a(dsearch_server_config());
+  dist::Server b(dsearch_server_config());
+  a.start();
+  b.start();
+  auto dm_a = std::make_shared<dsearch::DSearchDataManager>(
+      c.queries, c.database, c.config);
+  auto dm_b = std::make_shared<dsearch::DSearchDataManager>(
+      q2, c.database, c.config);
+  auto pid_a = a.submit_problem(dm_a);
+  a.submit_problem(std::make_shared<OpenProblem>());
+  auto pid_b = b.submit_problem(dm_b);
+  ASSERT_EQ(pid_a, pid_b) << "both servers call their first problem the same";
+
+  auto cfg = donor_config(0, "mover");
+  cfg.servers = {{"127.0.0.1", a.port()}, {"127.0.0.1", b.port()}};
+  cfg.exit_when_idle = false;
+  dist::Client donor(cfg);
+  dist::ClientRunStats stats;
+  std::thread runner([&] { stats = donor.run(); });
+  const bool a_done = a.wait_for_problem(pid_a, 60.0);
+  a.stop();  // the donor moves on to B
+  const bool b_done = b.wait_for_problem(pid_b, 60.0);
+  b.drain();
+  runner.join();
+  b.stop();
+  ASSERT_TRUE(a_done);
+  ASSERT_TRUE(b_done);
+  EXPECT_EQ(dm_a->final_result(), answer_q1);
+  EXPECT_EQ(dm_b->final_result(), answer_q2);
+  EXPECT_EQ(stats.reconnects, 1u);
+}
+
+TEST(DataPlaneTcp, NewProblemCostsOneFetchBlobsRoundTrip) {
+  // The assignment names its problem's data by digest, and the donor
+  // fetches that data in the same FetchBlobs round trip as the first
+  // unit's chunk: one round trip per unit and none extra per problem.
+  auto c = dsearch_case(413);
+  auto serial = dsearch::search_serial(c.queries, c.database, c.config);
+  auto fetches = [] {
+    return obs::Registry::global()
+        .histogram("server.handle_s.FetchBlobs",
+                   obs::Histogram::latency_bounds())
+        .snapshot()
+        .count;
+  };
+
+  dist::Server server(dsearch_server_config());
+  server.start();
+  auto dm = std::make_shared<dsearch::DSearchDataManager>(
+      c.queries, c.database, c.config);
+  const auto fetches_before = fetches();
+  const auto before = BulkSnapshot::take();
+  auto pid = server.submit_problem(dm);
+  dist::Client(donor_config(server.port(), "solo")).run();
+  ASSERT_TRUE(server.wait_for_problem(pid, 60.0));
+  const auto after = BulkSnapshot::take();
+  const auto stats = server.stats();
+  server.stop();
+
+  EXPECT_EQ(dm->result(), serial);
+  ASSERT_GT(stats.units_issued, 1u) << "the database should be chunked";
+  EXPECT_EQ(stats.units_reissued, 0u);
+  // Every unit's chunk is new to the donor (a miss), and so is the
+  // problem data: one transfer each.
+  EXPECT_EQ(after.sent - before.sent, stats.units_issued + 1);
+  EXPECT_EQ(fetches() - fetches_before, stats.units_issued);
 }
 
 // ------------------------------------------------------------ simulator --

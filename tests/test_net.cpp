@@ -210,11 +210,10 @@ std::vector<Message> frame_reader_corpus() {
   const MessageType kTypes[] = {
       MessageType::kHello,          MessageType::kRequestWork,
       MessageType::kSubmitResult,   MessageType::kHeartbeat,
-      MessageType::kFetchProblemData, MessageType::kGoodbye,
-      MessageType::kFetchStats,     MessageType::kFetchBlobs,
-      MessageType::kReplicaHello,   MessageType::kHelloAck,
-      MessageType::kWorkAssignment, MessageType::kNoWorkAvailable,
-      MessageType::kProblemData,    MessageType::kResultAck,
+      MessageType::kGoodbye,        MessageType::kFetchStats,
+      MessageType::kFetchBlobs,     MessageType::kReplicaHello,
+      MessageType::kHelloAck,       MessageType::kWorkAssignment,
+      MessageType::kNoWorkAvailable, MessageType::kResultAck,
       MessageType::kShutdown,       MessageType::kStatsSnapshot,
       MessageType::kBlobData,       MessageType::kReplicaSnapshot,
       MessageType::kWalAppend,      MessageType::kRetryLater,

@@ -37,9 +37,19 @@ TEST(ProtocolEdges, FetchUnknownProblemGetsErrorFrameNotDisconnect) {
   server.start();
   auto stream = connect_to(server);
 
-  net::write_message(stream, encode_fetch_problem_data({999}, 1));
+  // FetchProblemData (type 5, a problem id) was retired in protocol v10 and
+  // its number is not reused: a peer that still asks for a problem that
+  // way is answered Error like any unexpected request, not dropped.
+  net::Message fetch;
+  fetch.type = static_cast<net::MessageType>(5);
+  fetch.correlation = 1;
+  ByteWriter w;
+  w.u64(999);
+  fetch.payload = w.take();
+  net::write_message(stream, fetch);
   auto reply = net::read_message(stream);
   EXPECT_EQ(reply.type, net::MessageType::kError);
+  EXPECT_EQ(reply.correlation, 1u);
 
   // The connection is still usable afterwards.
   net::write_message(stream, encode_hello({"late-hello", 1e6}, 2));
@@ -57,6 +67,13 @@ TEST(ProtocolEdges, RequestWorkWithoutHelloGetsErrorFrame) {
   net::write_message(stream, encode_request_work(1));
   auto reply = net::read_message(stream);
   EXPECT_EQ(reply.type, net::MessageType::kError);
+  EXPECT_EQ(reply.correlation, 1u);
+
+  // An Error reply does not drop the connection: it is still usable, and
+  // a Hello on it now registers a donor.
+  net::write_message(stream, encode_hello({"late-hello", 1e6}, 2));
+  auto ack = decode_hello_ack(net::read_message(stream));
+  EXPECT_GT(ack.client_id, 0u);
   server.stop();
 }
 

@@ -312,7 +312,7 @@ TEST(SchedulerCore, HedgingBoundedByAttemptCap) {
   auto cfg = small_config();
   cfg.lease_timeout = 1000.0;
   cfg.hedge_endgame = true;
-  cfg.max_hedges_per_unit = 1;
+  static_assert(kMaxHedgesPerUnit == 1, "the attempts below assume one hedge");
   SchedulerCore core(cfg, std::make_unique<FixedGranularity>(1000));
   auto dm = std::make_shared<ToySumDataManager>(1000);
   core.submit_problem(dm);

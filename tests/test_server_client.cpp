@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <map>
@@ -318,6 +319,45 @@ TEST(ServerClient, KeepalivesKeepSlowClientAlive) {
   server.stop();
 }
 
+TEST(ServerClient, KeepaliveFollowsTheCurrentSession) {
+  // A persistent donor finishes a job on server A, which asks for no
+  // keepalives, and moves to server B when A stops. B closes connections
+  // silent for 0.4 s, so the keepalives must follow the session the donor
+  // is on now: B's unit computes well past that timeout, and the donor
+  // keeps its session through it.
+  auto cfg = quick_server_config();
+  cfg.policy_spec = "fixed:3000000";  // one unit per job
+  Server a(cfg);
+  cfg.client_timeout_s = 0.4;
+  Server b(cfg);
+  a.start();
+  b.start();
+  auto first = std::make_shared<ToySumDataManager>(1000);
+  auto second = std::make_shared<ToySumDataManager>(3000000, 5);
+  auto pid_a = a.submit_problem(first);
+  auto pid_b = b.submit_problem(second);
+
+  auto ccfg = client_config(0, "mover");
+  ccfg.servers = {{"127.0.0.1", a.port()}, {"127.0.0.1", b.port()}};
+  ccfg.exit_when_idle = false;
+  ccfg.throttle = 300.0;  // B's 3M-element unit computes for about a second
+  Client client(ccfg);
+  ClientRunStats stats;
+  std::thread donor([&] { stats = client.run(); });
+  const bool a_done = a.wait_for_problem(pid_a, 30.0);
+  a.stop();  // the donor moves on to B
+  const bool b_done = b.wait_for_problem(pid_b, 60.0);
+  b.drain();
+  donor.join();
+  ASSERT_TRUE(a_done);
+  ASSERT_TRUE(b_done);
+  EXPECT_EQ(test::read_u64_result(b.final_result(pid_b)), second->expected());
+  EXPECT_EQ(b.clients_expired(), 0u)
+      << "the donor sent no keepalives on its second session";
+  EXPECT_EQ(stats.reconnects, 1u);  // A's stop, and nothing after it
+  b.stop();
+}
+
 TEST(ServerClient, OneConnectionPerDonor) {
   // Liveness rides the work connection, so N donors hold N connections —
   // not 2N — even with keepalives on (interval 0.1 s here).
@@ -597,7 +637,7 @@ TEST(ServerClient, LongPollExitWhenIdleDonorsReturnAtCompletion) {
   }
   EXPECT_TRUE(settle({&stays}, 3));
   // The last result completes every problem: all three are told at once.
-  auto ack = holder.submit(decode_work_assignment(assignment));
+  auto ack = holder.submit(decode_work_assignment(assignment).unit);
   EXPECT_TRUE(decode_result_ack(ack).accepted);
   auto told = stays.next_answer();
   EXPECT_TRUE(told.type == net::MessageType::kNoWorkAvailable &&
@@ -665,7 +705,7 @@ TEST(ServerClient, LongPollClosedConnectionLeavesNothingParked) {
   ASSERT_EQ(woken.type, net::MessageType::kNoWorkAvailable);
   EXPECT_FALSE(decode_no_work(woken).all_problems_complete);
   ASSERT_TRUE(eventually([] { return parked_requests() == 0; }));
-  auto ack = holder.submit(decode_work_assignment(assignment));
+  auto ack = holder.submit(decode_work_assignment(assignment).unit);
   EXPECT_TRUE(decode_result_ack(ack).accepted);
   EXPECT_TRUE(server.wait_for_problem(held_pid, 1.0));
 
@@ -685,6 +725,55 @@ TEST(ServerClient, LongPollClosedConnectionLeavesNothingParked) {
   EXPECT_EQ(counter("server.park_timeouts"), timeouts);
   server.stop();
   EXPECT_EQ(parked_requests(), 0);
+}
+
+// A ToySum Algorithm that counts the live instances of its kind.
+class CountedToySum final : public Algorithm {
+ public:
+  explicit CountedToySum(std::atomic<int>& live) : live_(live) { live_ += 1; }
+  ~CountedToySum() override { live_ -= 1; }
+  void initialize(std::span<const std::byte> data) override {
+    inner_.initialize(data);
+  }
+  std::vector<std::byte> process(const WorkUnit& unit) override {
+    return inner_.process(unit);
+  }
+
+ private:
+  std::atomic<int>& live_;
+  test::ToySumAlgorithm inner_;
+};
+
+TEST(ServerClient, PersistentDonorLetsGoOfFinishedProblems) {
+  // A persistent donor serves one job after another. Told that every
+  // problem is complete, it drops what it built for them, so what it
+  // holds does not grow with the jobs it has served.
+  std::atomic<int> live{0};
+  int created = 0;
+  AlgorithmRegistry registry;
+  registry.register_algorithm(test::kToyAlgorithmName, [&live, &created] {
+    created += 1;  // only the donor's work loop creates
+    return std::make_unique<CountedToySum>(live);
+  });
+  Server server(quick_server_config());
+  server.start();
+  auto ccfg = client_config(server.port(), "persistent");
+  ccfg.exit_when_idle = false;
+  ccfg.registry = &registry;
+  Client client(ccfg);
+  std::thread donor([&] { client.run(); });
+  for (std::uint64_t job = 0; job < 3; ++job) {
+    auto dm = std::make_shared<ToySumDataManager>(200000, job);  // new data
+    auto pid = server.submit_problem(dm);
+    EXPECT_TRUE(server.wait_for_problem(pid, 30.0)) << "job " << job;
+    EXPECT_EQ(test::read_u64_result(server.final_result(pid)), dm->expected());
+    EXPECT_TRUE(eventually([&live] { return live.load() == 0; }))
+        << "job " << job << " left " << live.load() << " Algorithm(s) alive";
+  }
+  server.drain();
+  donor.join();
+  EXPECT_EQ(created, 3);  // one per job
+  server.stop();
 }
 
 // A ToySum problem that fails on purpose: kDecoder's result decoder always
@@ -738,7 +827,7 @@ TEST(ServerClient, NonErrorExceptionFromDataManagerAnswersErrorFrame) {
   RawDonor raw(server, "raw");
   auto assignment = raw.request_work();
   ASSERT_EQ(assignment.type, net::MessageType::kWorkAssignment);
-  EXPECT_EQ(raw.submit(decode_work_assignment(assignment)).type,
+  EXPECT_EQ(raw.submit(decode_work_assignment(assignment).unit).type,
             net::MessageType::kError);
   EXPECT_EQ(counter("server.handler_exceptions"), exceptions + 1);
 
@@ -777,7 +866,7 @@ TEST(ServerClient, SessionHostileDonorVotesOnlyAsItself) {
   RawDonor hostile(server, "hostile");
   auto lease = hostile.request_work();
   ASSERT_EQ(lease.type, net::MessageType::kWorkAssignment);
-  const WorkUnit unit = decode_work_assignment(lease);
+  const WorkUnit unit = decode_work_assignment(lease).unit;
   auto lie = [] {
     ByteWriter w;
     w.u64(42);
@@ -793,7 +882,7 @@ TEST(ServerClient, SessionHostileDonorVotesOnlyAsItself) {
   auto replica = honest.request_work();
   ASSERT_EQ(replica.type, net::MessageType::kWorkAssignment);
   EXPECT_TRUE(
-      decode_result_ack(honest.submit(decode_work_assignment(replica)))
+      decode_result_ack(honest.submit(decode_work_assignment(replica).unit))
           .accepted);
   EXPECT_EQ(server.stats().vote_quorums, 0u);
   Client(client_config(server.port(), "referee")).run();
@@ -822,7 +911,7 @@ TEST(ServerClient, SessionSecondHelloIsRefused) {
     EXPECT_EQ(rows.front().id, raw.id);
     EXPECT_EQ(rows.front().stats.outstanding, 1);
     // The connection still speaks for the first id.
-    EXPECT_TRUE(decode_result_ack(raw.submit(decode_work_assignment(lease)))
+    EXPECT_TRUE(decode_result_ack(raw.submit(decode_work_assignment(lease).unit))
                     .accepted);
     EXPECT_EQ(server.client_stats().front().stats.units_completed, 1);
   }  // closed without a Goodbye: the departure is the close

@@ -29,21 +29,29 @@ TEST(Wire, HelloAckRoundTrip) {
 }
 
 TEST(Wire, WorkAssignmentRoundTrip) {
-  WorkUnit unit;
-  unit.problem_id = 3;
-  unit.unit_id = 99;
-  unit.stage = 7;
-  unit.cost_ops = 1.5e6;
+  WorkAssignmentPayload p;
+  p.unit.problem_id = 3;
+  p.unit.unit_id = 99;
+  p.unit.stage = 7;
+  p.unit.cost_ops = 1.5e6;
   ByteWriter w;
   w.str("chunk payload");
-  unit.payload = w.take();
+  p.unit.payload = w.take();
+  // The problem, named by content: no problem-data bytes on the wire.
+  p.algorithm_name = "dsearch";
+  p.problem_data.digest = 0x0badc0ffee0ddf00ull;
+  p.problem_data.size = 1234567;
 
-  auto decoded = decode_work_assignment(encode_work_assignment(unit, 5));
-  EXPECT_EQ(decoded.problem_id, 3u);
-  EXPECT_EQ(decoded.unit_id, 99u);
-  EXPECT_EQ(decoded.stage, 7u);
-  EXPECT_DOUBLE_EQ(decoded.cost_ops, 1.5e6);
-  EXPECT_EQ(decoded.payload, unit.payload);
+  auto decoded = decode_work_assignment(encode_work_assignment(p, 5));
+  EXPECT_EQ(decoded.unit.problem_id, 3u);
+  EXPECT_EQ(decoded.unit.unit_id, 99u);
+  EXPECT_EQ(decoded.unit.stage, 7u);
+  EXPECT_DOUBLE_EQ(decoded.unit.cost_ops, 1.5e6);
+  EXPECT_EQ(decoded.unit.payload, p.unit.payload);
+  EXPECT_EQ(decoded.algorithm_name, "dsearch");
+  EXPECT_EQ(decoded.problem_data.digest, 0x0badc0ffee0ddf00ull);
+  EXPECT_EQ(decoded.problem_data.size, 1234567u);
+  EXPECT_TRUE(decoded.problem_data.bytes.empty());
 }
 
 TEST(Wire, SubmitResultRoundTrip) {
@@ -97,11 +105,13 @@ TEST(Wire, SubmitResultV5ProfileTrailerRoundTrip) {
 TEST(Wire, V6EpochRoundTripsOnWorkAndResult) {
   // The fencing epoch (introduced in v6) rides on both the lease and the
   // echo.
-  WorkUnit unit;
-  unit.problem_id = 3;
-  unit.unit_id = 99;
-  unit.epoch = 7;
-  EXPECT_EQ(decode_work_assignment(encode_work_assignment(unit, 5)).epoch, 7u);
+  WorkAssignmentPayload assignment;
+  assignment.unit.problem_id = 3;
+  assignment.unit.unit_id = 99;
+  assignment.unit.epoch = 7;
+  EXPECT_EQ(
+      decode_work_assignment(encode_work_assignment(assignment, 5)).unit.epoch,
+      7u);
 
   ResultUnit result;
   result.problem_id = 3;
@@ -121,13 +131,15 @@ std::string hex(const std::vector<std::byte>& bytes) {
   return out;
 }
 
-TEST(Wire, GoldenV9FramesAreByteStable) {
-  // Whole frames (header + payload) as v9 peers exchange them. A donor or
-  // server built against an older v9 tree must keep decoding these bytes,
-  // so any difference here is a wire-format break. (v9 dropped the client
-  // id that led the SubmitResult payload; the WorkAssignment and
-  // ProblemData payloads are the v8 bytes with 09 in the version field.)
-  WorkUnit unit;
+TEST(Wire, GoldenV10FramesAreByteStable) {
+  // Whole frames (header + payload) as v10 peers exchange them. A donor or
+  // server built against an older v10 tree must keep decoding these bytes,
+  // so any difference here is a wire-format break. (v10 added the
+  // algorithm name and the problem data's {digest, size} between the blob
+  // references and the epoch of WorkAssignment; the SubmitResult payload
+  // is the v9 bytes with 0a in the version field.)
+  WorkAssignmentPayload assignment;
+  WorkUnit& unit = assignment.unit;
   unit.problem_id = 3;
   unit.unit_id = 17;
   unit.stage = 2;
@@ -139,11 +151,15 @@ TEST(Wire, GoldenV9FramesAreByteStable) {
   unit.blobs[1].digest = 0xfedcba9876543210ull;
   unit.blobs[1].size = 77;
   unit.epoch = 5;
-  EXPECT_EQ(hex(net::encode_frame(encode_work_assignment(unit, 9))),
-            "534344480900210009000000000000004f000000974691b7030000000000"
-            "000011000000000000000200000000000000004a9340030000006864720200"
-            "0000efcdab896745230100100000000000001032547698badcfe4d00000000"
-            "0000000500000000000000");
+  assignment.algorithm_name = "dsearch";
+  assignment.problem_data.digest = 0x0badc0ffee0ddf00ull;
+  assignment.problem_data.size = 1234567;
+  EXPECT_EQ(hex(net::encode_frame(encode_work_assignment(assignment, 9))),
+            "534344480a00210009000000000000006a0000004992bc1603000000000000"
+            "0011000000000000000200000000000000004a934003000000686472020000"
+            "00efcdab896745230100100000000000001032547698badcfe4d0000000000"
+            "0000070000006473656172636800df0deeffc0ad0b87d61200000000000500"
+            "000000000000");
 
   ResultUnit result;
   result.problem_id = 3;
@@ -162,26 +178,25 @@ TEST(Wire, GoldenV9FramesAreByteStable) {
   result.profile = prof;
   result.epoch = 5;
   EXPECT_EQ(hex(net::encode_frame(encode_submit_result(result, 10))),
-            "53434448090003000a000000000000005d00000032d2600103000000000000"
+            "534344480a0003000a000000000000005d00000032d2600103000000000000"
             "001100000000000000020000000400000001020304efbeadde010000000000"
             "00e03f000000000000d03f000000000000c03f000000000000004000000000"
             "0000b03f0400000011000000000000000500000000000000");
 
-  ProblemDataHeaderPayload header;
-  header.problem_id = 3;
-  header.algorithm_name = "dsearch";
-  header.data_bytes = 1234567;
-  header.data_digest = 0x0badc0ffee0ddf00ull;
-  EXPECT_EQ(hex(net::encode_frame(encode_problem_data_header(header, 12))),
-            "53434448090023000c0000000000000023000000cefc64c403000000000000"
-            "00070000006473656172636887d612000000000000df0deeffc0ad0b");
+  // The NEED list a donor sends for a new problem's first unit: the
+  // unit's chunk and the problem data, in one request.
+  FetchBlobsPayload need;
+  need.digests = {0x0badc0ffee0ddf00ull, 0x0123456789abcdefull};
+  EXPECT_EQ(hex(net::encode_frame(encode_fetch_blobs(need, 13))),
+            "534344480a0008000d000000000000001400000030c652da0200000000df0d"
+            "eeffc0ad0befcdab8967452301");
 
-  // The same frame stamped v8 is refused whole: one dialect on the wire.
-  auto v8 = net::encode_frame(encode_problem_data_header(header, 12));
-  v8[4] = std::byte{8};
+  // The same frame stamped v9 is refused whole: one dialect on the wire.
+  auto v9 = net::encode_frame(encode_fetch_blobs(need, 13));
+  v9[4] = std::byte{9};
   net::FrameReader reader;
   std::vector<net::Message> out;
-  EXPECT_THROW(reader.feed(v8, out), ProtocolError);
+  EXPECT_THROW(reader.feed(v9, out), ProtocolError);
   EXPECT_TRUE(out.empty());
 }
 
@@ -221,25 +236,12 @@ TEST(Wire, NoWorkRoundTrip) {
   EXPECT_FALSE(decode_no_work(encode_no_work({}, 0)).all_problems_complete);
 }
 
-TEST(Wire, ProblemDataHeaderRoundTrip) {
-  ProblemDataHeaderPayload p;
-  p.problem_id = 5;
-  p.algorithm_name = "dsearch";
-  p.data_bytes = 1234567;
-  auto q = decode_problem_data_header(encode_problem_data_header(p, 0));
-  EXPECT_EQ(q.problem_id, 5u);
-  EXPECT_EQ(q.algorithm_name, "dsearch");
-  EXPECT_EQ(q.data_bytes, 1234567u);
-}
-
 TEST(Wire, SmallIdMessagesRoundTrip) {
   // RequestWork and Goodbye name no client: the connection does.
   EXPECT_TRUE(encode_request_work(1).payload.empty());
   EXPECT_TRUE(encode_goodbye(3).payload.empty());
   EXPECT_NO_THROW(decode_request_work(encode_request_work(1)));
   EXPECT_NO_THROW(decode_goodbye(encode_goodbye(3)));
-  EXPECT_EQ(decode_fetch_problem_data(encode_fetch_problem_data({11}, 4)).problem_id,
-            11u);
   EXPECT_TRUE(decode_result_ack(encode_result_ack({true}, 5)).accepted);
 }
 
